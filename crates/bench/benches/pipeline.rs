@@ -47,11 +47,12 @@ fn dataset_assembly(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("dataset_collect_end_to_end", |b| {
         b.iter(|| {
-            Dataset::collect(
+            Dataset::try_collect_with(
                 black_box(&f.subgraph),
                 black_box(&f.etherscan),
                 f.world.opensea(),
                 f.world.observation_end(),
+                &CrawlConfig::default(),
             )
         })
     });
@@ -71,7 +72,7 @@ fn crawl_sharded(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    Dataset::collect_with(
+                    Dataset::try_collect_with(
                         black_box(&f.subgraph),
                         black_box(&f.etherscan),
                         f.world.opensea(),

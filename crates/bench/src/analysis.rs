@@ -8,10 +8,10 @@ use std::time::Instant;
 
 use ens_dropcatch::{
     analyze_losses_naive, analyze_losses_with, compare_features_naive, compare_features_with,
-    run_study_on_naive, run_study_with_index, run_study_with_index_metered, AnalysisIndex,
-    DataSources, Dataset, Metrics, StudyConfig,
+    run_study_on, run_study_on_naive, AnalysisIndex, Dataset, Metrics, StudyConfig,
 };
 use ens_types::Address;
+use price_oracle::PriceOracle;
 use serde::Serialize;
 use sim_chain::Transaction;
 use workload::WorldConfig;
@@ -58,8 +58,8 @@ pub struct MetricsOverhead {
     /// without this the overhead percentage is uninterpretable (a single
     /// interleaved run is noise-dominated and can even go negative).
     pub repeats: usize,
-    /// Full `run_study_with_index` wall time, disabled handle, ms (min
-    /// over repeats).
+    /// Full `run_study_on` wall time over a prebuilt index, disabled
+    /// handle, ms (min over repeats).
     pub unmetered_study_ms: f64,
     /// Same study with a live handle, ms (min over repeats).
     pub metered_study_ms: f64,
@@ -114,7 +114,8 @@ pub struct PaperScaleReport {
     pub runs: Vec<ThreadedRun>,
     /// True iff every indexed run's report matched the naive one.
     pub outputs_identical: bool,
-    /// Full `run_study_with_index` at the highest thread count, ms.
+    /// Full `run_study_on` over a prebuilt index at the highest thread
+    /// count, ms.
     pub study_ms: f64,
     /// world build + crawl/ingest + index build (highest thread count)
     /// + study — the complete pipeline wall time.
@@ -239,11 +240,10 @@ fn time_ms<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {
 /// the baseline every indexed run is compared against.
 fn naive_baseline(
     dataset: &Dataset,
-    sources: &DataSources<'_>,
+    oracle: &PriceOracle,
     config: &StudyConfig,
     repeats: usize,
 ) -> (PassTimings, String) {
-    let oracle = sources.oracle;
     let (naive_losses_ms, _) = time_ms(repeats, || analyze_losses_naive(dataset, oracle));
     let (naive_features_ms, _) = time_ms(repeats, || {
         compare_features_naive(dataset, oracle, config.control_seed)
@@ -254,7 +254,7 @@ fn naive_baseline(
         total_ms: naive_losses_ms + naive_features_ms,
     };
     let naive_report_json =
-        serde_json::to_string(&run_study_on_naive(dataset, sources, config)).expect("serializes");
+        serde_json::to_string(&run_study_on_naive(dataset, oracle, config)).expect("serializes");
     (naive, naive_report_json)
 }
 
@@ -264,14 +264,13 @@ fn naive_baseline(
 /// count.
 fn threaded_runs(
     dataset: &Dataset,
-    sources: &DataSources<'_>,
+    oracle: &PriceOracle,
     config: &StudyConfig,
     naive: &PassTimings,
     naive_report_json: &str,
     thread_counts: &[usize],
     repeats: usize,
 ) -> (Vec<ThreadedRun>, usize) {
-    let oracle = sources.oracle;
     // Untimed warmup builds, sequential and at the widest fan-out: the
     // first index build after a fresh fixture pays first-touch page
     // faults and cold allocator arenas for gigabytes of index (on the
@@ -308,11 +307,12 @@ fn threaded_runs(
         };
 
         let threaded_config = StudyConfig { threads, ..*config };
-        let indexed_report_json = serde_json::to_string(&run_study_with_index(
+        let indexed_report_json = serde_json::to_string(&run_study_on(
             dataset,
-            sources,
+            oracle,
             &threaded_config,
-            &index,
+            Some(&index),
+            &Metrics::disabled(),
         ))
         .expect("serializes");
 
@@ -351,11 +351,11 @@ pub fn run_paper_scale_bench(
     let crawl_ingest_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let dataset = &fixture.dataset;
-    let sources = fixture.sources();
-    let (naive, naive_report_json) = naive_baseline(dataset, &sources, &config, repeats);
+    let oracle = fixture.world.oracle();
+    let (naive, naive_report_json) = naive_baseline(dataset, oracle, &config, repeats);
     let (runs, reregistrations) = threaded_runs(
         dataset,
-        &sources,
+        oracle,
         &config,
         &naive,
         &naive_report_json,
@@ -367,13 +367,19 @@ pub fn run_paper_scale_bench(
     // The complete pipeline at the widest fan-out: what one study costs
     // end to end at the paper's dataset size.
     let max_threads = thread_counts.iter().copied().max().unwrap_or(1);
-    let index = AnalysisIndex::build_with_threads(dataset, sources.oracle, max_threads);
+    let index = AnalysisIndex::build_with_threads(dataset, oracle, max_threads);
     let study_config = StudyConfig {
         threads: max_threads,
         ..config
     };
     let (study_ms, _) = time_ms(repeats, || {
-        run_study_with_index(dataset, &sources, &study_config, &index)
+        run_study_on(
+            dataset,
+            oracle,
+            &study_config,
+            Some(&index),
+            &Metrics::disabled(),
+        )
     });
     let max_run_build = runs
         .iter()
@@ -405,14 +411,13 @@ pub fn run_analysis_bench(
     repeats: usize,
 ) -> AnalysisBenchReport {
     let dataset = &fixture.dataset;
-    let sources = fixture.sources();
-    let oracle = sources.oracle;
+    let oracle = fixture.world.oracle();
     let config = StudyConfig::default();
 
-    let (naive, naive_report_json) = naive_baseline(dataset, &sources, &config, repeats);
+    let (naive, naive_report_json) = naive_baseline(dataset, oracle, &config, repeats);
     let (runs, reregistrations) = threaded_runs(
         dataset,
-        &sources,
+        oracle,
         &config,
         &naive,
         &naive_report_json,
@@ -427,13 +432,11 @@ pub fn run_analysis_bench(
     // drives to be byte-identical to the batch-built one.
     let batches = 8usize;
     let (batch_build_ms, batch_index) = time_ms(repeats, || AnalysisIndex::build(dataset, oracle));
-    let batch_report = serde_json::to_string(&run_study_with_index(
-        dataset,
-        &sources,
-        &config,
-        &batch_index,
-    ))
-    .expect("serializes");
+    let study = |index: &AnalysisIndex, metrics: &Metrics| {
+        run_study_on(dataset, oracle, &config, Some(index), metrics)
+    };
+    let batch_report =
+        serde_json::to_string(&study(&batch_index, &Metrics::disabled())).expect("serializes");
     let tx_slices: Vec<BTreeMap<Address, Vec<Transaction>>> = (0..batches)
         .map(|i| {
             dataset
@@ -462,10 +465,8 @@ pub fn run_analysis_bench(
         }
         index
     });
-    let inc_report = serde_json::to_string(&run_study_with_index(
-        dataset, &sources, &config, &inc_index,
-    ))
-    .expect("serializes");
+    let inc_report =
+        serde_json::to_string(&study(&inc_index, &Metrics::disabled())).expect("serializes");
     let incremental = IncrementalExtend {
         batches,
         batch_build_ms,
@@ -487,15 +488,13 @@ pub fn run_analysis_bench(
     let mut metered_study_ms = f64::INFINITY;
     let mut metrics = Metrics::disabled();
     for _ in 0..overhead_repeats {
-        let (off_ms, _) = time_ms(1, || {
-            run_study_with_index(dataset, &sources, &config, &overhead_index)
-        });
+        let (off_ms, _) = time_ms(1, || study(&overhead_index, &Metrics::disabled()));
         unmetered_study_ms = unmetered_study_ms.min(off_ms);
         // A fresh handle per repeat so the embedded snapshot reflects
         // exactly one study, not `overhead_repeats` of them.
         let (on_ms, handle) = time_ms(1, || {
             let metrics = Metrics::new();
-            run_study_with_index_metered(dataset, &sources, &config, &overhead_index, &metrics);
+            study(&overhead_index, &metrics);
             metrics
         });
         metered_study_ms = metered_study_ms.min(on_ms);

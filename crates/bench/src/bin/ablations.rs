@@ -159,12 +159,14 @@ fn main() {
         .build();
     let cf_sg = cf_world.subgraph(ens_subgraph::SubgraphConfig::default());
     let cf_scan = cf_world.etherscan();
-    let cf_ds = ens_dropcatch::Dataset::collect(
+    let (cf_ds, _) = ens_dropcatch::Dataset::try_collect_with(
         &cf_sg,
         &cf_scan,
         cf_world.opensea(),
         cf_world.observation_end(),
-    );
+        &ens_dropcatch::CrawlConfig::default(),
+    )
+    .expect("clean endpoints cannot fail");
     let cf_losses = analyze_losses(&cf_ds, cf_world.oracle());
 
     let rereg = detect_all(&dataset.domains);

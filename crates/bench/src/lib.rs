@@ -18,7 +18,7 @@ pub use resume::{run_resume_bench, CadenceRun, ResumeBenchReport, ResumeCycle};
 
 use std::sync::OnceLock;
 
-use ens_dropcatch::{run_study_on, DataSources, Dataset, StudyConfig, StudyReport};
+use ens_dropcatch::{run_study_on, CrawlConfig, Dataset, Metrics, StudyConfig, StudyReport};
 use ens_subgraph::{Subgraph, SubgraphConfig};
 use etherscan_sim::Etherscan;
 use workload::{World, WorldConfig};
@@ -51,12 +51,14 @@ impl Fixture {
     pub fn from_world(world: World) -> Fixture {
         let subgraph = world.subgraph(SubgraphConfig::default());
         let etherscan = world.etherscan();
-        let dataset = Dataset::collect(
+        let (dataset, _) = Dataset::try_collect_with(
             &subgraph,
             &etherscan,
             world.opensea(),
             world.observation_end(),
-        );
+            &CrawlConfig::default(),
+        )
+        .expect("clean endpoints cannot fail");
         Fixture {
             world,
             subgraph,
@@ -65,21 +67,16 @@ impl Fixture {
         }
     }
 
-    /// Borrowed data sources over this fixture.
-    pub fn sources(&self) -> DataSources<'_> {
-        DataSources {
-            subgraph: &self.subgraph,
-            etherscan: &self.etherscan,
-            opensea: self.world.opensea(),
-            oracle: self.world.oracle(),
-            observation_end: self.world.observation_end(),
-            crawl: Default::default(),
-        }
-    }
-
     /// Runs the full study on the prebuilt dataset.
     pub fn study(&self) -> StudyReport {
-        run_study_on(&self.dataset, &self.sources(), &StudyConfig::default())
+        let config = StudyConfig::default();
+        run_study_on(
+            &self.dataset,
+            self.world.oracle(),
+            &config,
+            None,
+            &Metrics::disabled(),
+        )
     }
 }
 

@@ -65,13 +65,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ens_dropcatch::{
-    run_study_on_metered, CheckpointSpec, CollectError, CrawlConfig, DataSources, Dataset,
-    FailurePolicy, Format, Metrics, RetryPolicy, StudyConfig, DEFAULT_CHECKPOINT_EVERY,
+    run_study_on, CheckpointSpec, CollectError, CrawlConfig, DataSources, Dataset, FailurePolicy,
+    Format, Metrics, RetryPolicy, StudyConfig, DEFAULT_CHECKPOINT_EVERY,
 };
 use ens_subgraph::SubgraphConfig;
 use ens_types::{FaultKind, FaultProfile, KillSwitch};
-use etherscan_sim::LabelService;
-use opensea_sim::OpenSea;
 use price_oracle::PriceOracle;
 use workload::WorldConfig;
 
@@ -434,36 +432,23 @@ fn run(args: Args, full_study: bool) -> ExitCode {
             None => String::new(),
         }
     );
-    let crawl_config = args.crawl_config();
-    let metrics = args.metrics();
-    let collected = match args.checkpoint_spec() {
-        Some(spec) => {
-            if spec.resume {
-                eprintln!(
-                    "resuming from checkpoint {} (if present)...",
-                    spec.path.display()
-                );
-            }
-            Dataset::try_collect_checkpointed(
-                &subgraph,
-                &etherscan,
-                world.opensea(),
-                world.observation_end(),
-                &crawl_config,
-                &metrics,
-                &spec,
-                args.kill_after.map(KillSwitch::new),
-            )
-        }
-        None => Dataset::try_collect_metered(
-            &subgraph,
-            &etherscan,
-            world.opensea(),
-            world.observation_end(),
-            &crawl_config,
-            &metrics,
-        ),
+    let sources = DataSources {
+        subgraph: &subgraph,
+        etherscan: &etherscan,
+        opensea: world.opensea(),
+        observation_end: world.observation_end(),
+        crawl: args.crawl_config(),
     };
+    let metrics = args.metrics();
+    let spec = args.checkpoint_spec();
+    if let Some(spec) = spec.as_ref().filter(|spec| spec.resume) {
+        eprintln!(
+            "resuming from checkpoint {} (if present)...",
+            spec.path.display()
+        );
+    }
+    let kill = args.kill_after.map(KillSwitch::new);
+    let collected = sources.collect(&metrics, spec.as_ref(), kill);
     let (dataset, timings) = match collected {
         Ok(out) => out,
         Err(CollectError::Crawl(e)) => {
@@ -486,12 +471,7 @@ fn run(args: Args, full_study: bool) -> ExitCode {
             write_metrics(&args, &metrics);
             return ExitCode::FAILURE;
         }
-        Err(e @ CollectError::Checkpoint(_)) => {
-            eprintln!("{e}");
-            write_metrics(&args, &metrics);
-            return ExitCode::FAILURE;
-        }
-        Err(e @ CollectError::RecoveryBelowMinimum { .. }) => {
+        Err(e) => {
             eprintln!("{e}");
             write_metrics(&args, &metrics);
             return ExitCode::FAILURE;
@@ -559,19 +539,11 @@ fn run(args: Args, full_study: bool) -> ExitCode {
     }
 
     if full_study {
-        let sources = DataSources {
-            subgraph: &subgraph,
-            etherscan: &etherscan,
-            opensea: world.opensea(),
-            oracle: world.oracle(),
-            observation_end: world.observation_end(),
-            crawl: crawl_config,
-        };
         let config = StudyConfig {
             threads: args.threads,
             ..StudyConfig::default()
         };
-        let report = run_study_on_metered(&dataset, &sources, &config, &metrics);
+        let report = run_study_on(&dataset, world.oracle(), &config, None, &metrics);
         println!("{}", report.render());
         if let Some(code) = write_metrics(&args, &metrics) {
             return code;
@@ -641,24 +613,12 @@ fn analyze(args: Args) -> ExitCode {
 
     // Offline re-analysis is fully self-contained: the dataset carries its
     // own labels, reverse claims and marketplace events, so every section
-    // (including §4.2's resale join) reproduces from the file alone. The
-    // placeholder sources below are never consulted by `run_study_on`.
-    let oracle = PriceOracle::new();
-    let opensea = OpenSea::new();
-    let subgraph = ens_subgraph::Subgraph::index(&[], SubgraphConfig::lossless());
-    let sources = DataSources {
-        subgraph: &subgraph,
-        etherscan: &etherscan_sim::Etherscan::index(&sim_chain_stub(), LabelService::new()),
-        opensea: &opensea,
-        oracle: &oracle,
-        observation_end: dataset.observation_end,
-        crawl: CrawlConfig::with_threads(args.threads),
-    };
+    // (including §4.2's resale join) reproduces from the file alone.
     let config = StudyConfig {
         threads: args.threads,
         ..StudyConfig::default()
     };
-    let report = run_study_on_metered(&dataset, &sources, &config, &metrics);
+    let report = run_study_on(&dataset, &PriceOracle::new(), &config, None, &metrics);
     println!("{}", report.render());
     if let Some(code) = write_metrics(&args, &metrics) {
         return code;
@@ -667,12 +627,6 @@ fn analyze(args: Args) -> ExitCode {
         return write_csv(&report, dir);
     }
     ExitCode::SUCCESS
-}
-
-/// An empty chain for constructing a placeholder explorer in analyze mode
-/// (the study reads transactions from the dataset, not the explorer).
-fn sim_chain_stub() -> sim_chain::Chain {
-    sim_chain::Chain::new(ens_types::Timestamp(0))
 }
 
 /// Loads a dataset file, builds the resident serving state (index, study,

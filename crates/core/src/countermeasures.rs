@@ -307,16 +307,14 @@ fn evaluate_countermeasure_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
+    use crate::dataset::{collect_clean, Dataset};
     use crate::losses::analyze_losses;
     use ens_subgraph::SubgraphConfig;
     use workload::WorldConfig;
 
     fn setup() -> (Dataset, LossReport) {
         let world = WorldConfig::default().with_seed(80).build();
-        let sg = world.subgraph(SubgraphConfig::lossless());
-        let scan = world.etherscan();
-        let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
+        let ds = collect_clean(&world, SubgraphConfig::lossless());
         let losses = analyze_losses(&ds, world.oracle());
         (ds, losses)
     }

@@ -5,13 +5,13 @@
 //!
 //! Pagination, typed-fault retry and partial-failure recovery live in
 //! exactly one place: [`drain`], the workspace's single pagination loop. On
-//! top of it, [`Crawler`] shards the key space across `std::thread::scope`
-//! workers — a source with a known total is split into fixed page ranges, a
-//! set of keyed sources (addresses) is split by stable key hash — and
-//! merges shard results in deterministic shard-index order, so every output
-//! (items, page/retry counts, recorded [`CrawlGap`]s, the assembled
-//! [`Dataset`](crate::dataset::Dataset)) is byte-identical for any thread
-//! count.
+//! top of it, [`Crawler`] runs one shard engine across `std::thread::scope`
+//! workers — a source with a known total is split into fixed page ranges,
+//! a set of keyed sources (addresses) into one shard per key — claiming
+//! shards in canonical order and merging their results in that order, so
+//! every output (items, page/retry counts, recorded [`CrawlGap`]s, the
+//! assembled [`Dataset`](crate::dataset::Dataset)) is byte-identical for
+//! any thread count.
 //!
 //! ## Failure model
 //!
@@ -34,13 +34,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use ens_obs::Metrics;
 use ens_subgraph::DomainRecord;
-use ens_types::paged::{FaultKind, PageError, PagedSource, ShardKey};
+use ens_types::paged::{FaultKind, PageError, PagedSource};
 use ens_types::Address;
 use serde::{Deserialize, Serialize};
 
@@ -436,33 +435,11 @@ pub struct KeyedCrawl<K, T> {
     pub elapsed: Duration,
 }
 
-/// What one `drain` recovered: items, accounting, and any gaps.
-struct Drained<T> {
-    items: Vec<T>,
-    stats: SourceStats,
-    gaps: Vec<CrawlGap>,
-}
-
-impl<T> Drained<T> {
-    fn empty() -> Drained<T> {
-        Drained {
-            items: Vec::new(),
-            stats: SourceStats::default(),
-            gaps: Vec::new(),
-        }
-    }
-
-    fn absorb(&mut self, other: Drained<T>) {
-        self.items.extend(other.items);
-        self.stats.absorb(other.stats);
-        self.gaps.extend(other.gaps);
-    }
-}
-
-/// One fully-committed crawl shard — the unit of checkpoint durability.
-/// Everything a resumed crawl needs to splice the shard's contribution
-/// back in without refetching it: the items in source order, the shard's
-/// deterministic accounting, and any gaps its degrade policy recorded.
+/// One crawl shard's result — what [`drain`] recovered over the shard's
+/// range, and the unit of checkpoint durability. Everything a resumed
+/// crawl needs to splice the shard's contribution back in without
+/// refetching it: the items in source order, the shard's deterministic
+/// accounting, and any gaps its degrade policy recorded.
 ///
 /// Because each shard's drain is a pure function of `(source, profile,
 /// shard range)` — chaos burst state is tracked per offset and shard
@@ -479,37 +456,26 @@ pub struct CommittedShard<T> {
     pub gaps: Vec<CrawlGap>,
 }
 
-impl<T> CommittedShard<T> {
-    fn from_drained(d: Drained<T>) -> CommittedShard<T> {
-        CommittedShard {
-            items: d.items,
-            stats: d.stats,
-            gaps: d.gaps,
-        }
-    }
-
-    fn into_drained(self) -> Drained<T> {
-        Drained {
-            items: self.items,
-            stats: self.stats,
-            gaps: self.gaps,
-        }
-    }
+/// What the shard engine merged: every shard's items in canonical shard
+/// order, with the accounting and gaps summed in that same order.
+struct Merged<T> {
+    shards: Vec<Vec<T>>,
+    stats: SourceStats,
+    gaps: Vec<CrawlGap>,
 }
 
 /// The generic crawl engine. One instance drives any [`PagedSource`]:
 ///
 /// - [`Crawler::crawl`] drains a single source. If the source reports a
-///   total, the page space is split into fixed `page_size` ranges and
-///   `threads` scoped workers claim ranges from a shared counter; results
-///   are merged in page order. The single-threaded path walks the *same*
-///   per-shard ranges sequentially, so fetch offsets — and therefore any
-///   injected faults, recorded gaps and backoff accounting — are identical
-///   for any thread count. Without a total the source is walked
-///   sequentially by cursor.
+///   total, the page space is split into fixed `page_size` shards; without
+///   a total the whole cursor walk is one shard.
 /// - [`Crawler::crawl_keyed`] drains one source per key (the per-address
-///   `txlist`s), sharding keys across workers by their stable
-///   [`ShardKey::shard_hash`] and merging into a [`BTreeMap`].
+///   `txlist`s), one shard per key, merged into a [`BTreeMap`].
+///
+/// Both run on one shard engine: `threads` workers (the calling thread
+/// among them) claim shards in canonical order and the results merge in
+/// that order, so items, accounting, gaps — and the partial accounting of
+/// a failed crawl — are identical for any thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct Crawler {
     /// Items requested per page (endpoints may cap lower server-side).
@@ -550,7 +516,7 @@ fn drain<S: PagedSource>(
     page_size: usize,
     retry: &RetryPolicy,
     failure: &FailurePolicy,
-) -> Result<Drained<S::Item>, CrawlError> {
+) -> Result<CommittedShard<S::Item>, CrawlError> {
     let name = source.source_name();
     let mut out = Vec::new();
     let mut stats = SourceStats::default();
@@ -603,7 +569,7 @@ fn drain<S: PagedSource>(
                     None => got == 0 || !batch.has_more,
                 };
                 if done {
-                    return Ok(Drained {
+                    return Ok(CommittedShard {
                         items: out,
                         stats,
                         gaps,
@@ -657,7 +623,7 @@ fn drain<S: PagedSource>(
                             Some(e) => {
                                 offset += limit;
                                 if offset >= e {
-                                    return Ok(Drained {
+                                    return Ok(CommittedShard {
                                         items: out,
                                         stats,
                                         gaps,
@@ -667,7 +633,7 @@ fn drain<S: PagedSource>(
                             // A cursor-only walk cannot know what lies past a
                             // dead page; stop with an open-ended gap.
                             None => {
-                                return Ok(Drained {
+                                return Ok(CommittedShard {
                                     items: out,
                                     stats,
                                     gaps,
@@ -686,12 +652,12 @@ fn drain<S: PagedSource>(
 fn enforce_loss_budget<T>(
     failure: &FailurePolicy,
     source: &'static str,
-    drained: Drained<T>,
-) -> Result<Drained<T>, CrawlError> {
+    merged: Merged<T>,
+) -> Result<Merged<T>, CrawlError> {
     if let FailurePolicy::Degrade { max_lost_items } = failure {
-        let lost: usize = drained.gaps.iter().map(|g| g.lost_estimate).sum();
+        let lost: usize = merged.gaps.iter().map(|g| g.lost_estimate).sum();
         if lost > *max_lost_items {
-            let first = drained
+            let first = merged
                 .gaps
                 .first()
                 .expect("a positive loss implies at least one gap");
@@ -703,14 +669,14 @@ fn enforce_loss_budget<T>(
                 kind: first.kind,
                 message: format!(
                     "loss budget exceeded: ~{lost} items lost across {} gaps (budget {max_lost_items})",
-                    drained.gaps.len()
+                    merged.gaps.len()
                 ),
-                stats: drained.stats,
-                gaps: drained.gaps,
+                stats: merged.stats,
+                gaps: merged.gaps,
             });
         }
     }
-    Ok(drained)
+    Ok(merged)
 }
 
 impl Crawler {
@@ -756,146 +722,58 @@ impl Crawler {
     {
         let started = Instant::now();
         let page_size = self.page_size.max(1);
-        let drained = match source.total_hint() {
-            // A cursor-only walk has no intermediate watermark the crawler
-            // can trust (the extent past the cursor is unknowable), so the
-            // whole walk is one shard: committed only when it completes.
-            None => match committed.remove(&0) {
-                Some(c) => c.into_drained(),
-                None => {
-                    let d = drain(source, None, 0, None, page_size, &self.retry, &self.failure)?;
-                    let c = CommittedShard::from_drained(d);
-                    commit(0, &c);
-                    c.into_drained()
-                }
-            },
-            Some(total) => {
-                // Fixed page-range shards: shard boundaries depend only on
-                // the total and the page size — never on the thread count —
-                // so every page is fetched exactly once and the merge (in
-                // shard index order) reproduces the sequential output.
-                let shards = (total.div_ceil(page_size)).max(1);
-                let workers = self.threads.max(1).min(shards);
-                let merged = if workers <= 1 {
-                    // Sequential, but walking the same per-shard ranges the
-                    // threaded path uses: fetch offsets restart at each
-                    // shard boundary either way, so injected faults, gaps
-                    // and backoff accounting are byte-identical at any
-                    // thread count.
-                    let mut agg = Drained::empty();
-                    agg.items.reserve(total);
-                    let mut result = Ok(());
-                    for shard in 0..shards {
-                        if let Some(c) = committed.remove(&(shard as u64)) {
-                            agg.absorb(c.into_drained());
-                            continue;
-                        }
-                        let lo = shard * page_size;
-                        let hi = ((shard + 1) * page_size).min(total);
-                        match drain(
-                            source,
-                            None,
-                            lo,
-                            Some(hi),
-                            page_size,
-                            &self.retry,
-                            &self.failure,
-                        ) {
-                            Ok(d) => {
-                                let c = CommittedShard::from_drained(d);
-                                commit(shard as u64, &c);
-                                agg.absorb(c.into_drained());
-                            }
-                            Err(e) => {
-                                result = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    attach_partials(result, agg)?
-                } else {
-                    // One write-once slot per page-range shard, filled by
-                    // whichever worker claims that shard. Committed shards
-                    // are never claimed-for-fetching: workers skip them and
-                    // the merge splices their stored results instead.
-                    type ShardSlot<T> = OnceLock<Result<CommittedShard<T>, CrawlError>>;
-                    let next = AtomicUsize::new(0);
-                    let slots: Vec<ShardSlot<S::Item>> =
-                        (0..shards).map(|_| OnceLock::new()).collect();
-                    let committed_ref = &committed;
-                    let commit_ref = &commit;
-                    std::thread::scope(|scope| {
-                        for _ in 0..workers {
-                            scope.spawn(|| loop {
-                                let shard = next.fetch_add(1, Ordering::Relaxed);
-                                if shard >= shards {
-                                    break;
-                                }
-                                if committed_ref.contains_key(&(shard as u64)) {
-                                    continue;
-                                }
-                                let lo = shard * page_size;
-                                let hi = ((shard + 1) * page_size).min(total);
-                                let result = drain(
-                                    source,
-                                    None,
-                                    lo,
-                                    Some(hi),
-                                    page_size,
-                                    &self.retry,
-                                    &self.failure,
-                                )
-                                .map(|d| {
-                                    let c = CommittedShard::from_drained(d);
-                                    commit_ref(shard as u64, &c);
-                                    c
-                                });
-                                let _ = slots[shard].set(result);
-                            });
-                        }
-                    });
-                    // Merge in shard-index order, stopping at the first
-                    // failed shard — sibling shards that happened to finish
-                    // later contribute nothing, so the partial stats inside
-                    // the error are identical to the sequential walk's.
-                    let mut agg = Drained::empty();
-                    agg.items.reserve(total);
-                    let mut result = Ok(());
-                    for (shard, slot) in slots.into_iter().enumerate() {
-                        let outcome = match committed.remove(&(shard as u64)) {
-                            Some(c) => Ok(c),
-                            None => slot.into_inner().expect("every shard index was claimed"),
-                        };
-                        match outcome {
-                            Ok(c) => agg.absorb(c.into_drained()),
-                            Err(e) => {
-                                result = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    attach_partials(result, agg)?
+        // Fixed page-range shards: boundaries depend only on the total and
+        // the page size — never on the thread count — so every page is
+        // fetched exactly once. A cursor-only walk has no intermediate
+        // watermark the crawler can trust (the extent past the cursor is
+        // unknowable), so the whole walk is one shard: committed only when
+        // it completes.
+        let total = source.total_hint();
+        let shards = total.map_or(1, |t| t.div_ceil(page_size).max(1));
+        let spliced = (0..shards)
+            .map(|shard| committed.remove(&(shard as u64)))
+            .collect();
+        let merged = self.run_shards(
+            source.source_name(),
+            spliced,
+            |shard| {
+                let (start, end) = match total {
+                    Some(t) => (shard * page_size, Some(((shard + 1) * page_size).min(t))),
+                    None => (0, None),
                 };
-                enforce_loss_budget(&self.failure, source.source_name(), merged)?
-            }
-        };
+                drain(
+                    source,
+                    None,
+                    start,
+                    end,
+                    page_size,
+                    &self.retry,
+                    &self.failure,
+                )
+            },
+            |shard, c| commit(shard as u64, c),
+        )?;
+        let mut items = Vec::with_capacity(merged.shards.iter().map(Vec::len).sum());
+        for shard in merged.shards {
+            items.extend(shard);
+        }
         Ok(Crawled {
-            items: drained.items,
-            stats: drained.stats,
-            gaps: drained.gaps,
+            items,
+            stats: merged.stats,
+            gaps: merged.gaps,
             elapsed: started.elapsed(),
         })
     }
 
-    /// Fetches every item of every keyed source, sharding keys across
-    /// workers by [`ShardKey::shard_hash`]. The merged map, the summed
-    /// stats and the recorded gaps are independent of the thread count.
+    /// Fetches every item of every keyed source, one shard per key. The
+    /// merged map, the summed stats and the recorded gaps are independent
+    /// of the thread count.
     pub fn crawl_keyed<K, S>(
         &self,
         sources: &[(K, S)],
     ) -> Result<KeyedCrawl<K, S::Item>, CrawlError>
     where
-        K: ShardKey + Ord + Clone + Sync + fmt::Display,
+        K: Ord + Clone + Sync + fmt::Display,
         S: PagedSource + Sync,
         S::Item: Send + Sync,
     {
@@ -916,298 +794,134 @@ impl Crawler {
         commit: F,
     ) -> Result<KeyedCrawl<K, S::Item>, CrawlError>
     where
-        K: ShardKey + Ord + Clone + Sync + fmt::Display,
+        K: Ord + Clone + Sync + fmt::Display,
         S: PagedSource + Sync,
         S::Item: Send + Sync,
         F: Fn(&K, &CommittedShard<S::Item>) + Sync,
     {
         let started = Instant::now();
         let page_size = self.page_size.max(1);
-        let workers = self.threads.max(1).min(sources.len().max(1));
-        let mut map = BTreeMap::new();
-        let mut agg: Drained<S::Item> = Drained::empty();
-        let mut failed = Ok(());
-        if workers <= 1 {
-            for (key, source) in sources {
-                if let Some(c) = committed.remove(key) {
-                    agg.stats.absorb(c.stats);
-                    agg.gaps.extend(c.gaps);
-                    map.insert(key.clone(), c.items);
-                    continue;
-                }
+        let spliced = sources
+            .iter()
+            .map(|(key, _)| committed.remove(key))
+            .collect();
+        let merged = self.run_shards(
+            sources.first().map_or("keyed", |(_, s)| s.source_name()),
+            spliced,
+            |i| {
+                let (key, source) = &sources[i];
                 let label = key.to_string();
-                match drain(
+                let end = source.total_hint();
+                drain(
                     source,
                     Some(&label),
                     0,
-                    source.total_hint(),
+                    end,
                     page_size,
                     &self.retry,
                     &self.failure,
-                ) {
-                    Ok(d) => {
-                        let c = CommittedShard::from_drained(d);
-                        commit(key, &c);
-                        agg.stats.absorb(c.stats);
-                        agg.gaps.extend(c.gaps);
-                        map.insert(key.clone(), c.items);
-                    }
-                    Err(e) => {
-                        failed = Err(e);
-                        break;
-                    }
-                }
-            }
-        } else {
-            let committed_ref = &committed;
-            let commit_ref = &commit;
-            let worker_results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let sources = &sources;
-                        scope.spawn(move || {
-                            let mut collected = Vec::new();
-                            for (i, (key, source)) in sources.iter().enumerate() {
-                                if key.shard_hash() % workers as u64 != w as u64 {
-                                    continue;
-                                }
-                                if committed_ref.contains_key(key) {
-                                    continue;
-                                }
-                                let label = key.to_string();
-                                let result = drain(
-                                    source,
-                                    Some(&label),
-                                    0,
-                                    source.total_hint(),
-                                    page_size,
-                                    &self.retry,
-                                    &self.failure,
-                                )
-                                .map(|d| {
-                                    let c = CommittedShard::from_drained(d);
-                                    commit_ref(key, &c);
-                                    c
-                                });
-                                collected.push((i, result));
-                            }
-                            collected
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("crawl worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            // Re-order per-key results into source order, then merge in
-            // that canonical order (splicing committed keys), stopping at
-            // the first failed key — so the accounting matches the
-            // sequential walk exactly.
-            let mut by_index: Vec<Option<Result<CommittedShard<S::Item>, CrawlError>>> =
-                (0..sources.len()).map(|_| None).collect();
-            for worker in worker_results {
-                for (i, result) in worker {
-                    by_index[i] = Some(result);
-                }
-            }
-            for (i, slot) in by_index.into_iter().enumerate() {
-                let outcome = match committed.remove(&sources[i].0) {
-                    Some(c) => Ok(c),
-                    None => slot.expect("every keyed source was claimed by a worker"),
-                };
-                match outcome {
-                    Ok(c) => {
-                        agg.stats.absorb(c.stats);
-                        agg.gaps.extend(c.gaps);
-                        map.insert(sources[i].0.clone(), c.items);
-                    }
-                    Err(e) => {
-                        failed = Err(e);
-                        break;
-                    }
-                }
-            }
-        }
-        let agg = attach_partials(failed, agg)?;
-        let source_name = sources.first().map_or("keyed", |(_, s)| s.source_name());
-        let agg = enforce_loss_budget(&self.failure, source_name, agg)?;
+                )
+            },
+            |i, c| commit(&sources[i].0, c),
+        )?;
         Ok(KeyedCrawl {
-            map,
-            stats: agg.stats,
-            gaps: agg.gaps,
+            map: sources
+                .iter()
+                .map(|(key, _)| key.clone())
+                .zip(merged.shards)
+                .collect(),
+            stats: merged.stats,
+            gaps: merged.gaps,
             elapsed: started.elapsed(),
         })
     }
 
-    /// [`Crawler::crawl`] under a `crawl/<source>` span, recording the
-    /// merged deterministic accounting (pages, items, retries by kind,
-    /// virtual backoff, gaps, lost-item estimates) into `metrics`. The
-    /// recording happens once, from the post-merge totals, so the recorded
-    /// values inherit the crawl's thread-count independence.
-    pub fn crawl_metered<S>(
+    /// The one shard engine under every crawl. Shard `i` is drained by
+    /// `drain_shard(i)` unless `spliced[i]` holds its committed result.
+    /// Workers — `threads` of them, the calling thread among them — claim
+    /// shards in canonical order from one atomic counter and fill one
+    /// write-once slot per shard, handing each newly drained shard to
+    /// `commit`. Once a shard has failed no worker claims another: the
+    /// merge would discard it anyway.
+    ///
+    /// The merge walks the shards in canonical order and stops at the first
+    /// failure, folding everything merged before it into the error, so a
+    /// failed crawl reports the same partial accounting at any thread
+    /// count. Claims are in order, so every shard before a failed one has
+    /// filled its slot. The loss budget is checked last, on the merged gaps.
+    fn run_shards<T, D, C>(
         &self,
-        source: &S,
-        metrics: &Metrics,
-    ) -> Result<Crawled<S::Item>, CrawlError>
+        source: &'static str,
+        spliced: Vec<Option<CommittedShard<T>>>,
+        drain_shard: D,
+        commit: C,
+    ) -> Result<Merged<T>, CrawlError>
     where
-        S: PagedSource + Sync,
-        S::Item: Send + Sync,
+        T: Send + Sync,
+        D: Fn(usize) -> Result<CommittedShard<T>, CrawlError> + Sync,
+        C: Fn(usize, &CommittedShard<T>) + Sync,
     {
-        let span = metrics.span(&format!("crawl/{}", source.source_name()));
-        let result = self.crawl(source);
-        match &result {
-            Ok(crawled) => {
-                span.add_virtual_ms(crawled.stats.backoff_virtual_ms);
-                record_source_metrics(metrics, source.source_name(), &crawled.stats, &crawled.gaps);
+        type Slot<T> = OnceLock<Result<CommittedShard<T>, CrawlError>>;
+        let shards = spliced.len();
+        let slots: Vec<Slot<T>> = (0..shards).map(|_| OnceLock::new()).collect();
+        // Both atomics publish no data — shard results reach the merge
+        // through the slots and the scope's join — so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let worker = || {
+            while !failed.load(Ordering::Relaxed) {
+                let shard = next.fetch_add(1, Ordering::Relaxed);
+                if shard >= shards {
+                    break;
+                }
+                if spliced[shard].is_some() {
+                    continue;
+                }
+                let result = drain_shard(shard);
+                match &result {
+                    Ok(c) => commit(shard, c),
+                    Err(_) => failed.store(true, Ordering::Relaxed),
+                }
+                let _ = slots[shard].set(result);
             }
-            // A failed crawl still reports every page and retry it spent
-            // (`attach_partials` folded the partial accounting in).
-            Err(e) => {
-                span.add_virtual_ms(e.stats.backoff_virtual_ms);
-                record_source_metrics(metrics, source.source_name(), &e.stats, &e.gaps);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..self.threads.clamp(1, shards.max(1)) {
+                scope.spawn(worker);
             }
-        }
-        result
-    }
+            worker();
+        });
 
-    /// [`Crawler::crawl_keyed`] with the same instrumentation as
-    /// [`Crawler::crawl_metered`], recorded from the canonical-order merge.
-    pub fn crawl_keyed_metered<K, S>(
-        &self,
-        sources: &[(K, S)],
-        metrics: &Metrics,
-    ) -> Result<KeyedCrawl<K, S::Item>, CrawlError>
-    where
-        K: ShardKey + Ord + Clone + Sync + fmt::Display,
-        S: PagedSource + Sync,
-        S::Item: Send + Sync,
-    {
-        let name = sources.first().map_or("keyed", |(_, s)| s.source_name());
-        let span = metrics.span(&format!("crawl/{name}"));
-        let result = self.crawl_keyed(sources);
-        match &result {
-            Ok(crawl) => {
-                span.add_virtual_ms(crawl.stats.backoff_virtual_ms);
-                record_source_metrics(metrics, name, &crawl.stats, &crawl.gaps);
-                metrics.add(&format!("crawl/{name}/keys"), sources.len() as u64);
-            }
-            Err(e) => {
-                span.add_virtual_ms(e.stats.backoff_virtual_ms);
-                record_source_metrics(metrics, name, &e.stats, &e.gaps);
-            }
-        }
-        result
-    }
-
-    /// [`Crawler::crawl_resumable`] with the same instrumentation as
-    /// [`Crawler::crawl_metered`]. The recorded totals include spliced
-    /// shards, so a resumed crawl's metrics match an uninterrupted one's.
-    pub fn crawl_resumable_metered<S, F>(
-        &self,
-        source: &S,
-        committed: BTreeMap<u64, CommittedShard<S::Item>>,
-        commit: F,
-        metrics: &Metrics,
-    ) -> Result<Crawled<S::Item>, CrawlError>
-    where
-        S: PagedSource + Sync,
-        S::Item: Send + Sync,
-        F: Fn(u64, &CommittedShard<S::Item>) + Sync,
-    {
-        let span = metrics.span(&format!("crawl/{}", source.source_name()));
-        let result = self.crawl_resumable(source, committed, commit);
-        match &result {
-            Ok(crawled) => {
-                span.add_virtual_ms(crawled.stats.backoff_virtual_ms);
-                record_source_metrics(metrics, source.source_name(), &crawled.stats, &crawled.gaps);
-            }
-            Err(e) => {
-                span.add_virtual_ms(e.stats.backoff_virtual_ms);
-                record_source_metrics(metrics, source.source_name(), &e.stats, &e.gaps);
+        let mut merged = Merged {
+            shards: Vec::with_capacity(shards),
+            stats: SourceStats::default(),
+            gaps: Vec::new(),
+        };
+        for (spliced, slot) in spliced.into_iter().zip(slots) {
+            let outcome = match spliced {
+                Some(c) => Ok(c),
+                None => slot
+                    .into_inner()
+                    .expect("every shard before the first failure was claimed"),
+            };
+            match outcome {
+                Ok(c) => {
+                    merged.stats.absorb(c.stats);
+                    merged.gaps.extend(c.gaps);
+                    merged.shards.push(c.items);
+                }
+                // A failed crawl still reports every page and retry it
+                // spent before the failure.
+                Err(mut e) => {
+                    merged.stats.absorb(e.stats);
+                    e.stats = merged.stats;
+                    merged.gaps.append(&mut e.gaps);
+                    e.gaps = merged.gaps;
+                    return Err(e);
+                }
             }
         }
-        result
-    }
-
-    /// [`Crawler::crawl_keyed_resumable`] with the same instrumentation as
-    /// [`Crawler::crawl_keyed_metered`].
-    pub fn crawl_keyed_resumable_metered<K, S, F>(
-        &self,
-        sources: &[(K, S)],
-        committed: BTreeMap<K, CommittedShard<S::Item>>,
-        commit: F,
-        metrics: &Metrics,
-    ) -> Result<KeyedCrawl<K, S::Item>, CrawlError>
-    where
-        K: ShardKey + Ord + Clone + Sync + fmt::Display,
-        S: PagedSource + Sync,
-        S::Item: Send + Sync,
-        F: Fn(&K, &CommittedShard<S::Item>) + Sync,
-    {
-        let name = sources.first().map_or("keyed", |(_, s)| s.source_name());
-        let span = metrics.span(&format!("crawl/{name}"));
-        let result = self.crawl_keyed_resumable(sources, committed, commit);
-        match &result {
-            Ok(crawl) => {
-                span.add_virtual_ms(crawl.stats.backoff_virtual_ms);
-                record_source_metrics(metrics, name, &crawl.stats, &crawl.gaps);
-                metrics.add(&format!("crawl/{name}/keys"), sources.len() as u64);
-            }
-            Err(e) => {
-                span.add_virtual_ms(e.stats.backoff_virtual_ms);
-                record_source_metrics(metrics, name, &e.stats, &e.gaps);
-            }
-        }
-        result
-    }
-}
-
-/// Folds one source's merged accounting into the metrics registry — the
-/// single post-merge recording point shared by both metered crawl paths.
-fn record_source_metrics(metrics: &Metrics, source: &str, stats: &SourceStats, gaps: &[CrawlGap]) {
-    if !metrics.is_enabled() {
-        return;
-    }
-    let key = |suffix: &str| format!("crawl/{source}/{suffix}");
-    metrics.add(&key("pages"), stats.pages as u64);
-    metrics.add(&key("items"), stats.items as u64);
-    metrics.add(&key("backoff_virtual_ms"), stats.backoff_virtual_ms);
-    let by_kind = [
-        ("retries/rate_limited", stats.retries_by_kind.rate_limited),
-        ("retries/timeout", stats.retries_by_kind.timeout),
-        ("retries/server_error", stats.retries_by_kind.server_error),
-        ("retries/malformed", stats.retries_by_kind.malformed),
-    ];
-    for (suffix, count) in by_kind {
-        if count > 0 {
-            metrics.add(&key(suffix), count as u64);
-        }
-    }
-    metrics.add(&key("gaps"), gaps.len() as u64);
-    let lost: usize = gaps.iter().map(|g| g.lost_estimate).sum();
-    metrics.add(&key("lost_items_estimate"), lost as u64);
-    for gap in gaps {
-        metrics.incr(&key(&format!("gaps_by_kind/{}", gap.kind.metric_key())));
-    }
-}
-
-/// On failure, folds the accounting merged so far (in canonical order)
-/// into the error — a failed crawl still reports every page and retry it
-/// spent. On success, passes the merged result through.
-fn attach_partials<T>(
-    result: Result<(), CrawlError>,
-    mut agg: Drained<T>,
-) -> Result<Drained<T>, CrawlError> {
-    match result {
-        Ok(()) => Ok(agg),
-        Err(mut e) => {
-            agg.stats.absorb(e.stats);
-            e.stats = agg.stats;
-            agg.gaps.extend(std::mem::take(&mut e.gaps));
-            e.gaps = agg.gaps;
-            Err(e)
-        }
+        enforce_loss_budget(&self.failure, source, merged)
     }
 }
 
@@ -1570,8 +1284,8 @@ mod tests {
         assert!(!committed.is_empty(), "some shards committed before death");
 
         // Resume from the committed shards: byte-identical to baseline, at
-        // every thread count.
-        for threads in [1, 2, 8] {
+        // every thread count (16 workers outnumber the 13 shards).
+        for threads in [1, 2, 3, 7, 8, 16] {
             let crawler = Crawler { threads, ..crawler };
             let resumed = crawler
                 .crawl_resumable(&chaos(), committed.clone(), |_, _| {})
@@ -1581,6 +1295,123 @@ mod tests {
             assert_eq!(a, b, "items differ at {threads} threads");
             assert_eq!(baseline.stats, resumed.stats, "stats at {threads}");
             assert_eq!(baseline.gaps, resumed.gaps, "gaps at {threads}");
+        }
+    }
+
+    /// A source of `pages` one-item pages that counts its fetches, with an
+    /// optional permanent hole on page 0. Past the hole, pages are served
+    /// only after the hole has been hit, and slowly, so the worker that hit
+    /// it has long recorded the failure before any other finishes a shard.
+    struct HoledCounter<'a> {
+        pages: usize,
+        holed: bool,
+        fetches: &'a AtomicUsize,
+        hole_hit: &'a AtomicBool,
+    }
+
+    impl PagedSource for HoledCounter<'_> {
+        type Item = usize;
+        fn source_name(&self) -> &'static str {
+            "counted"
+        }
+        fn total_hint(&self) -> Option<usize> {
+            Some(self.pages)
+        }
+        fn fetch(&self, offset: usize, limit: usize) -> Result<PagedBatch<usize>, PageError> {
+            self.fetches.fetch_add(1, Ordering::SeqCst);
+            if self.holed && offset == 0 {
+                self.hole_hit.store(true, Ordering::SeqCst);
+                return Err(PageError::permanent_hole("counted", 0, "hole on page 0"));
+            }
+            while !self.hole_hit.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(1));
+            let end = (offset + limit).min(self.pages);
+            Ok(PagedBatch {
+                items: (offset..end).collect(),
+                has_more: end < self.pages,
+            })
+        }
+    }
+
+    /// A FailFast crawl whose first shard is a permanent hole: 1,000
+    /// one-page shards, or 200 keys of 3 pages each. Returns the error, the
+    /// pages fetched and the shards handed to `commit`.
+    fn crawl_past_a_hole(threads: usize, keyed: bool) -> (CrawlError, usize, usize) {
+        let fetches = AtomicUsize::new(0);
+        let hole_hit = AtomicBool::new(false);
+        let commits = AtomicUsize::new(0);
+        let source = |pages, holed| HoledCounter {
+            pages,
+            holed,
+            fetches: &fetches,
+            hole_hit: &hole_hit,
+        };
+        let crawler = Crawler {
+            page_size: 1,
+            threads,
+            ..Crawler::default()
+        };
+        let err = if keyed {
+            let sources: Vec<_> = (0..200)
+                .map(|i| {
+                    (
+                        Address::derive(format!("key-{i}").as_bytes()),
+                        source(3, i == 0),
+                    )
+                })
+                .collect();
+            crawler
+                .crawl_keyed_resumable(&sources, BTreeMap::new(), |_, _| {
+                    commits.fetch_add(1, Ordering::SeqCst);
+                })
+                .unwrap_err()
+        } else {
+            crawler
+                .crawl_resumable(&source(1000, true), BTreeMap::new(), |_, _| {
+                    commits.fetch_add(1, Ordering::SeqCst);
+                })
+                .unwrap_err()
+        };
+        (err, fetches.into_inner(), commits.into_inner())
+    }
+
+    #[test]
+    fn fail_fast_stops_claiming_shards_after_a_failure() {
+        let (sequential, fetched, committed) = crawl_past_a_hole(1, false);
+        assert_eq!((fetched, committed), (1, 0));
+        assert_eq!(sequential.kind, FaultKind::PermanentHole);
+        for threads in [2, 4, 8] {
+            let (err, fetched, committed) = crawl_past_a_hole(threads, false);
+            assert_eq!(err, sequential, "error differs at {threads} threads");
+            assert!(
+                fetched < 100,
+                "{fetched} of 1000 pages fetched at {threads} threads"
+            );
+            assert!(
+                committed < 100,
+                "{committed} shards journaled at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn keyed_fail_fast_stops_claiming_keys_after_a_failure() {
+        let (sequential, fetched, committed) = crawl_past_a_hole(1, true);
+        assert_eq!((fetched, committed), (1, 0));
+        assert_eq!(sequential.key, Some(Address::derive(b"key-0").to_string()));
+        for threads in [2, 4, 8] {
+            let (err, fetched, committed) = crawl_past_a_hole(threads, true);
+            assert_eq!(err, sequential, "error differs at {threads} threads");
+            assert!(
+                fetched < 100,
+                "{fetched} of 598 pages fetched at {threads} threads"
+            );
+            assert!(
+                committed < 50,
+                "{committed} keys journaled at {threads} threads"
+            );
         }
     }
 

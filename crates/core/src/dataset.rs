@@ -13,7 +13,7 @@
 //! # Failure handling
 //!
 //! Collection is fallible: every endpoint crawl can fail past its retry
-//! budget, and [`Dataset::try_collect_with`] propagates that as a
+//! budget, and [`DataSources::collect`] propagates that as a
 //! [`CollectError`]. Under a `Degrade` [`FailurePolicy`] the crawl records
 //! [`CrawlGap`](crate::crawl::CrawlGap)s instead of aborting, the report is
 //! marked `degraded`, and [`CrawlConfig::min_recovery`] gates whether a
@@ -28,7 +28,9 @@ use std::sync::Arc;
 
 use ens_obs::Metrics;
 use ens_subgraph::{DomainRecord, Subgraph, SubgraphConfig};
-use ens_types::paged::{ChaosSource, FaultProfile, KillSwitch, ShardKey};
+use ens_types::paged::{
+    ChaosSource, FaultProfile, KillSwitch, PageError, PagedBatch, PagedSource, ShardKey,
+};
 use ens_types::{Address, Timestamp, UsdCents};
 use etherscan_sim::{Etherscan, LabelService};
 use opensea_sim::{MarketEvent, OpenSea};
@@ -37,12 +39,12 @@ use serde::{Deserialize, Serialize};
 use sim_chain::{Transaction, TxKind};
 
 use crate::checkpoint::{
-    config_fingerprint, load_for_resume, CheckpointJournal, CheckpointLoad, CheckpointSpec,
-    CrawlCheckpoint,
+    config_fingerprint, load_for_resume, remove_chain, CheckpointJournal, CheckpointLoad,
+    CheckpointSpec, CrawlCheckpoint,
 };
 use crate::crawl::{
-    relevant_addresses, CrawlError, CrawlReport, CrawlTimings, Crawled, Crawler, FailurePolicy,
-    KeyedCrawl, RetryPolicy,
+    relevant_addresses, CrawlError, CrawlGap, CrawlReport, CrawlTimings, Crawled, Crawler,
+    FailurePolicy, KeyedCrawl, RetryPolicy, SourceStats,
 };
 
 /// Knobs for one collection run — thread count, retry/failure policies, the
@@ -166,8 +168,9 @@ impl From<CrawlError> for CollectError {
     }
 }
 
-/// The dataset every analysis module reads.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// The dataset every analysis module reads. The default is the empty
+/// dataset: no domains, no transactions, no catches.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Dataset {
     /// All crawled domain records.
     pub domains: Vec<DomainRecord>,
@@ -191,54 +194,8 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Runs the full collection pipeline of the paper's Fig 1 against the
-    /// data sources, single-threaded with default page sizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a crawl fails — with the default fail-fast config and no
-    /// chaos profile the simulated endpoints are infallible, so this is
-    /// the convenience entry point for clean runs. Fallible collection
-    /// (chaos, degrade policies, recovery gates) goes through
-    /// [`Dataset::try_collect_with`].
-    pub fn collect(
-        subgraph: &Subgraph,
-        etherscan: &Etherscan,
-        opensea: &OpenSea,
-        observation_end: Timestamp,
-    ) -> Dataset {
-        Dataset::try_collect_with(
-            subgraph,
-            etherscan,
-            opensea,
-            observation_end,
-            &CrawlConfig::default(),
-        )
-        .expect("clean endpoints with fail-fast defaults cannot fail")
-        .0
-    }
-
-    /// [`Dataset::collect`] with explicit crawl knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a crawl fails; use [`Dataset::try_collect_with`] when the
-    /// config can fail (chaos profiles, loss budgets, recovery gates).
-    pub fn collect_with(
-        subgraph: &Subgraph,
-        etherscan: &Etherscan,
-        opensea: &OpenSea,
-        observation_end: Timestamp,
-        config: &CrawlConfig,
-    ) -> (Dataset, CrawlTimings) {
-        Dataset::try_collect_with(subgraph, etherscan, opensea, observation_end, config)
-            .expect("collection failed")
-    }
-
-    /// Fallible collection: runs the full pipeline of the paper's Fig 1,
-    /// propagating crawl failures and enforcing the configured minimum
-    /// recovery rate. Also returns the per-source wall-clock timings
-    /// (which are *not* part of the dataset — see [`CrawlTimings`]).
+    /// [`DataSources::collect`] over separately held endpoints: unmetered,
+    /// without a checkpoint.
     pub fn try_collect_with(
         subgraph: &Subgraph,
         etherscan: &Etherscan,
@@ -246,129 +203,18 @@ impl Dataset {
         observation_end: Timestamp,
         config: &CrawlConfig,
     ) -> Result<(Dataset, CrawlTimings), CollectError> {
-        Dataset::try_collect_metered(
+        let sources = DataSources {
             subgraph,
             etherscan,
             opensea,
             observation_end,
-            config,
-            &Metrics::disabled(),
-        )
+            crawl: config.clone(),
+        };
+        sources.collect(&Metrics::disabled(), None, None)
     }
 
-    /// [`Dataset::try_collect_with`] under a `collect` span, recording
-    /// per-source crawl accounting and collection totals into `metrics`.
-    /// Instrumentation never changes the dataset: the serialized JSON is
-    /// byte-identical with or without a live metrics handle, and the
-    /// recorded deterministic section is identical at any thread count.
-    pub fn try_collect_metered(
-        subgraph: &Subgraph,
-        etherscan: &Etherscan,
-        opensea: &OpenSea,
-        observation_end: Timestamp,
-        config: &CrawlConfig,
-        metrics: &Metrics,
-    ) -> Result<(Dataset, CrawlTimings), CollectError> {
-        let span = metrics.span("collect");
-        // Each endpoint gets its own derived chaos profile (and each
-        // address its own, for the keyed txlist crawl) so injected faults
-        // never land in lockstep across sources.
-        let crawled = match &config.chaos {
-            None => config
-                .crawler(config.subgraph_page_size)
-                .crawl_metered(subgraph, metrics)?,
-            Some(p) => config
-                .crawler(config.subgraph_page_size)
-                .crawl_metered(&ChaosSource::new(subgraph, p.derive("subgraph")), metrics)?,
-        };
-        let domains = crawled.items;
-
-        let addresses = relevant_addresses(&domains);
-        let tx_crawl = match &config.chaos {
-            None => {
-                let tx_sources: Vec<_> = addresses
-                    .iter()
-                    .map(|&a| (a, etherscan.txlist_source(a)))
-                    .collect();
-                config
-                    .crawler(config.txlist_page_size)
-                    .crawl_keyed_metered(&tx_sources, metrics)?
-            }
-            Some(p) => {
-                let tx_sources: Vec<_> = addresses
-                    .iter()
-                    .map(|&a| {
-                        (
-                            a,
-                            ChaosSource::new(
-                                etherscan.txlist_source(a),
-                                p.derive_keyed("txlist", a.shard_hash()),
-                            ),
-                        )
-                    })
-                    .collect();
-                config
-                    .crawler(config.txlist_page_size)
-                    .crawl_keyed_metered(&tx_sources, metrics)?
-            }
-        };
-        let transactions = tx_crawl.map;
-
-        let market_crawl = match &config.chaos {
-            None => config
-                .crawler(config.market_page_size)
-                .crawl_metered(opensea, metrics)?,
-            Some(p) => config
-                .crawler(config.market_page_size)
-                .crawl_metered(&ChaosSource::new(opensea, p.derive("market")), metrics)?,
-        };
-        let result = assemble_dataset(
-            subgraph,
-            etherscan,
-            observation_end,
-            config,
-            metrics,
-            Crawled {
-                items: domains,
-                stats: crawled.stats,
-                gaps: crawled.gaps,
-                elapsed: crawled.elapsed,
-            },
-            KeyedCrawl {
-                map: transactions,
-                stats: tx_crawl.stats,
-                gaps: tx_crawl.gaps,
-                elapsed: tx_crawl.elapsed,
-            },
-            market_crawl,
-            addresses.len(),
-        );
-        drop(span);
-        result
-    }
-
-    /// [`Dataset::try_collect_metered`] with crash-safe checkpointing: the
-    /// run persists its resume watermark — every fully-committed shard of
-    /// every phase — to `spec.path` at the configured page cadence (atomic
-    /// temp-file + rename, so a crash never leaves a torn file), and when
-    /// `spec.resume` is set, a valid checkpoint with a matching
-    /// [`config_fingerprint`] is *spliced*: committed shards are restored
-    /// from disk instead of refetched, and the final dataset and
-    /// [`CrawlReport`] are byte-identical to an uninterrupted run at any
-    /// thread count. A corrupt or stale checkpoint is discarded (counted in
-    /// `checkpoint/corrupt_fallback` / `checkpoint/stale_fallback`) and the
-    /// crawl starts clean — never a panic, never a mis-splice.
-    ///
-    /// `kill` optionally injects a deterministic process death
-    /// ([`FaultKind::Killed`](ens_types::FaultKind::Killed)) after the
-    /// switch's page budget, shared across *all* endpoints of the run —
-    /// the crash-recovery test harness. When a kill (or any other crawl
-    /// failure) aborts collection, the checkpoint file keeps its last
-    /// committed state for a later `--resume`; nothing is flushed at the
-    /// moment of death, exactly like a real crash.
-    ///
-    /// On success the checkpoint and its staging sibling are deleted: a
-    /// completed run needs no resume point.
+    /// [`DataSources::collect`] over separately held endpoints, with a
+    /// checkpoint and an optional kill switch.
     #[allow(clippy::too_many_arguments)]
     pub fn try_collect_checkpointed(
         subgraph: &Subgraph,
@@ -380,155 +226,14 @@ impl Dataset {
         spec: &CheckpointSpec,
         kill: Option<Arc<KillSwitch>>,
     ) -> Result<(Dataset, CrawlTimings), CollectError> {
-        let span = metrics.span("collect");
-        let fingerprint = config_fingerprint(config, observation_end, spec.fingerprint_extra);
-        let resumed = if spec.resume {
-            match load_for_resume(&spec.path, fingerprint) {
-                CheckpointLoad::Fresh => CrawlCheckpoint::new(fingerprint),
-                CheckpointLoad::Resumed(ckpt) => {
-                    metrics.incr("checkpoint/loads");
-                    metrics.add("checkpoint/skipped_pages", ckpt.committed_pages());
-                    *ckpt
-                }
-                CheckpointLoad::DiscardedCorrupt(_) => {
-                    metrics.incr("checkpoint/corrupt_fallback");
-                    CrawlCheckpoint::new(fingerprint)
-                }
-                CheckpointLoad::DiscardedStale => {
-                    metrics.incr("checkpoint/stale_fallback");
-                    CrawlCheckpoint::new(fingerprint)
-                }
-            }
-        } else {
-            CrawlCheckpoint::new(fingerprint)
-        };
-        let journal = CheckpointJournal::new(spec, fingerprint, &resumed)
-            .map_err(|e| CollectError::Checkpoint(e.to_string()))?;
-        let CrawlCheckpoint {
-            subgraph: done_subgraph,
-            txlist: done_txlist,
-            market: done_market,
-            ..
-        } = resumed;
-        // A kill switch needs a `ChaosSource` host even when no chaos was
-        // asked for; an all-zero profile injects nothing, so wrapping is
-        // byte-transparent.
-        let profile = config
-            .chaos
-            .clone()
-            .or_else(|| kill.as_ref().map(|_| FaultProfile::new(0)));
-
-        let crawler = config.crawler(config.subgraph_page_size);
-        let crawled = match &profile {
-            None => crawler.crawl_resumable_metered(
-                subgraph,
-                done_subgraph,
-                |shard, c| {
-                    journal.commit_subgraph(shard, c);
-                },
-                metrics,
-            )?,
-            Some(p) => crawler.crawl_resumable_metered(
-                &ChaosSource::with_kill_switch(subgraph, p.derive("subgraph"), kill.clone()),
-                done_subgraph,
-                |shard, c| {
-                    journal.commit_subgraph(shard, c);
-                },
-                metrics,
-            )?,
-        };
-        journal.flush();
-        if let Some(msg) = journal.take_error() {
-            return Err(CollectError::Checkpoint(msg));
-        }
-
-        let addresses = relevant_addresses(&crawled.items);
-        let crawler = config.crawler(config.txlist_page_size);
-        let tx_crawl = match &profile {
-            None => {
-                let tx_sources: Vec<_> = addresses
-                    .iter()
-                    .map(|&a| (a, etherscan.txlist_source(a)))
-                    .collect();
-                crawler.crawl_keyed_resumable_metered(
-                    &tx_sources,
-                    done_txlist,
-                    |addr, c| {
-                        journal.commit_txlist(*addr, c);
-                    },
-                    metrics,
-                )?
-            }
-            Some(p) => {
-                let tx_sources: Vec<_> = addresses
-                    .iter()
-                    .map(|&a| {
-                        (
-                            a,
-                            ChaosSource::with_kill_switch(
-                                etherscan.txlist_source(a),
-                                p.derive_keyed("txlist", a.shard_hash()),
-                                kill.clone(),
-                            ),
-                        )
-                    })
-                    .collect();
-                crawler.crawl_keyed_resumable_metered(
-                    &tx_sources,
-                    done_txlist,
-                    |addr, c| {
-                        journal.commit_txlist(*addr, c);
-                    },
-                    metrics,
-                )?
-            }
-        };
-        journal.flush();
-        if let Some(msg) = journal.take_error() {
-            return Err(CollectError::Checkpoint(msg));
-        }
-
-        let crawler = config.crawler(config.market_page_size);
-        let market_crawl = match &profile {
-            None => crawler.crawl_resumable_metered(
-                opensea,
-                done_market,
-                |shard, c| {
-                    journal.commit_market(shard, c);
-                },
-                metrics,
-            )?,
-            Some(p) => crawler.crawl_resumable_metered(
-                &ChaosSource::with_kill_switch(opensea, p.derive("market"), kill.clone()),
-                done_market,
-                |shard, c| {
-                    journal.commit_market(shard, c);
-                },
-                metrics,
-            )?,
-        };
-        if let Some(msg) = journal.take_error() {
-            return Err(CollectError::Checkpoint(msg));
-        }
-        metrics.add("checkpoint/writes", journal.writes());
-        // Every phase completed: the resume point is obsolete. Best-effort
-        // cleanup — a leftover chain would only ever be discarded as stale.
-        crate::checkpoint::remove_chain(&spec.path);
-
-        let addresses_crawled = addresses.len();
-        let result = assemble_dataset(
+        let sources = DataSources {
             subgraph,
             etherscan,
+            opensea,
             observation_end,
-            config,
-            metrics,
-            crawled,
-            tx_crawl,
-            market_crawl,
-            addresses_crawled,
-        );
-        drop(span);
-        result
+            crawl: config.clone(),
+        };
+        sources.collect(metrics, Some(spec), kill)
     }
 
     /// Incoming value transfers to `address` (mints and contract payments
@@ -607,90 +312,8 @@ impl Dataset {
     }
 }
 
-/// The shared tail of every collection path: concatenate gaps, build the
-/// [`CrawlReport`], record collection totals, enforce the recovery gate
-/// and assemble the dataset. Checkpointed and plain collection must agree
-/// byte-for-byte, so they agree by construction — both end here.
-#[allow(clippy::too_many_arguments)]
-fn assemble_dataset(
-    subgraph: &Subgraph,
-    etherscan: &Etherscan,
-    observation_end: Timestamp,
-    config: &CrawlConfig,
-    metrics: &Metrics,
-    crawled: Crawled<DomainRecord>,
-    tx_crawl: KeyedCrawl<Address, Transaction>,
-    market_crawl: Crawled<MarketEvent>,
-    addresses_crawled: usize,
-) -> Result<(Dataset, CrawlTimings), CollectError> {
-    let domains = crawled.items;
-    let transactions = tx_crawl.map;
-    let market = OpenSea::from_events(market_crawl.items);
-
-    // Gaps concatenate in collection order (subgraph, txlist, market)
-    // — deterministic because each crawl's gaps already merge in
-    // canonical shard/key order.
-    let mut gaps = crawled.gaps;
-    gaps.extend(tx_crawl.gaps);
-    gaps.extend(market_crawl.gaps);
-    let lost_items_estimate = gaps.iter().map(|g| g.lost_estimate).sum();
-
-    let stats = subgraph.stats();
-    let crawl_report = CrawlReport {
-        domains: domains.len(),
-        unrecoverable_names: stats.unrecoverable_names,
-        subdomains: stats.subdomains,
-        addresses_crawled,
-        transactions: transactions.values().map(Vec::len).sum(),
-        subgraph: crawled.stats,
-        txlist: tx_crawl.stats,
-        market: market_crawl.stats,
-        degraded: !gaps.is_empty(),
-        gaps,
-        lost_items_estimate,
-    };
-    if metrics.is_enabled() {
-        metrics.add("collect/domains", crawl_report.domains as u64);
-        metrics.add(
-            "collect/unrecoverable_names",
-            crawl_report.unrecoverable_names as u64,
-        );
-        metrics.add(
-            "collect/addresses_crawled",
-            crawl_report.addresses_crawled as u64,
-        );
-        metrics.add("collect/transactions", crawl_report.transactions as u64);
-        metrics.add("collect/gaps", crawl_report.gaps.len() as u64);
-        metrics.add(
-            "collect/lost_items_estimate",
-            crawl_report.lost_items_estimate as u64,
-        );
-    }
-    if crawl_report.item_recovery_rate() < config.min_recovery {
-        return Err(CollectError::RecoveryBelowMinimum {
-            achieved: crawl_report.item_recovery_rate(),
-            required: config.min_recovery,
-            lost_items: crawl_report.lost_items_estimate,
-        });
-    }
-    let timings = CrawlTimings {
-        subgraph: crawled.elapsed,
-        txlist: tx_crawl.elapsed,
-        market: market_crawl.elapsed,
-    };
-    let dataset = Dataset {
-        domains,
-        transactions,
-        observation_end,
-        labels: etherscan.labels_snapshot(),
-        reverse_claims: subgraph.reverse_history_snapshot(),
-        market,
-        crawl_report,
-    };
-    Ok((dataset, timings))
-}
-
-/// Convenience bundle of borrowed data sources for one-call studies.
+/// The endpoints one collection run crawls, and the knobs it crawls them
+/// with.
 pub struct DataSources<'a> {
     /// The ENS subgraph endpoint.
     pub subgraph: &'a Subgraph,
@@ -698,8 +321,6 @@ pub struct DataSources<'a> {
     pub etherscan: &'a Etherscan,
     /// The NFT marketplace.
     pub opensea: &'a OpenSea,
-    /// The ETH-USD price series.
-    pub oracle: &'a PriceOracle,
     /// End of the observation window.
     pub observation_end: Timestamp,
     /// Collection knobs (threads, retry/failure policies, chaos profile,
@@ -708,56 +329,368 @@ pub struct DataSources<'a> {
 }
 
 impl DataSources<'_> {
-    /// Collects the dataset from these sources.
+    /// Runs the full collection pipeline of the paper's Fig 1 under a
+    /// `collect` span: the subgraph, then the `txlist` of every address it
+    /// names, then the marketplace events. Crawl failures propagate, the
+    /// configured minimum recovery rate is enforced, and the per-source
+    /// wall-clock timings come back beside the dataset (they are *not* part
+    /// of it — see [`CrawlTimings`]). Instrumentation never changes the
+    /// dataset, and the deterministic part of what lands in `metrics` is
+    /// identical at any thread count.
     ///
-    /// # Panics
+    /// With a `checkpoint`, the run persists its resume watermark — every
+    /// fully-committed shard of every phase — to `spec.path` at the
+    /// configured page cadence (atomic temp-file + rename, so a crash never
+    /// leaves a torn file), and when `spec.resume` is set, a valid
+    /// checkpoint with a matching [`config_fingerprint`] is *spliced*:
+    /// committed shards are restored from disk instead of refetched, and
+    /// the dataset and [`CrawlReport`] are byte-identical to an
+    /// uninterrupted run at any thread count. A corrupt or stale checkpoint
+    /// is discarded (counted in `checkpoint/corrupt_fallback` /
+    /// `checkpoint/stale_fallback`) and the crawl starts clean. When a
+    /// crawl failure aborts collection, the chain keeps its last committed
+    /// state for a later resume; once every phase completes, it is deleted.
     ///
-    /// Panics if collection fails; use [`DataSources::try_collect`] when
-    /// the crawl config can fail.
-    pub fn collect(&self) -> Dataset {
-        self.try_collect().expect("collection failed").0
-    }
-
-    /// Fallible collection from these sources.
-    pub fn try_collect(&self) -> Result<(Dataset, CrawlTimings), CollectError> {
-        self.try_collect_metered(&Metrics::disabled())
-    }
-
-    /// [`DataSources::try_collect`] recording into `metrics` — see
-    /// [`Dataset::try_collect_metered`].
-    pub fn try_collect_metered(
+    /// `kill` injects a deterministic process death
+    /// ([`FaultKind::Killed`](ens_types::FaultKind::Killed)) after the
+    /// switch's page budget, shared across *all* endpoints of the run — the
+    /// crash-recovery test harness. Nothing is flushed at the moment of
+    /// death, exactly like a real crash.
+    pub fn collect(
         &self,
         metrics: &Metrics,
-    ) -> Result<(Dataset, CrawlTimings), CollectError> {
-        Dataset::try_collect_metered(
-            self.subgraph,
-            self.etherscan,
-            self.opensea,
-            self.observation_end,
-            &self.crawl,
-            metrics,
-        )
-    }
-
-    /// Crash-safe collection from these sources — see
-    /// [`Dataset::try_collect_checkpointed`].
-    pub fn try_collect_checkpointed(
-        &self,
-        metrics: &Metrics,
-        spec: &CheckpointSpec,
+        checkpoint: Option<&CheckpointSpec>,
         kill: Option<Arc<KillSwitch>>,
     ) -> Result<(Dataset, CrawlTimings), CollectError> {
-        Dataset::try_collect_checkpointed(
-            self.subgraph,
-            self.etherscan,
-            self.opensea,
-            self.observation_end,
-            &self.crawl,
-            metrics,
-            spec,
-            kill,
-        )
+        let _span = metrics.span("collect");
+        let (done, journal) = self.open_checkpoint(checkpoint, metrics)?;
+        let crawls = self.crawl_sources(metrics, done, journal.as_ref(), kill);
+        if let (Some(spec), Some(journal)) = (checkpoint, &journal) {
+            // Recorded on every exit: a killed or failed run's snapshot
+            // still counts the segments it left on disk.
+            metrics.add("checkpoint/writes", journal.writes());
+            if crawls.is_ok() {
+                // Every phase completed: the resume point is obsolete.
+                // Best-effort cleanup — a leftover chain would only ever be
+                // discarded as stale.
+                remove_chain(&spec.path);
+            }
+        }
+        let (subgraph, txlist, market) = crawls?;
+
+        // Gaps concatenate in collection order (subgraph, txlist, market)
+        // — deterministic because each crawl's gaps already merge in
+        // canonical shard/key order.
+        let mut gaps = subgraph.gaps;
+        gaps.extend(txlist.gaps);
+        gaps.extend(market.gaps);
+        let lost_items_estimate = gaps.iter().map(|g| g.lost_estimate).sum();
+        let stats = self.subgraph.stats();
+        let crawl_report = CrawlReport {
+            domains: subgraph.items.len(),
+            unrecoverable_names: stats.unrecoverable_names,
+            subdomains: stats.subdomains,
+            addresses_crawled: txlist.map.len(),
+            transactions: txlist.map.values().map(Vec::len).sum(),
+            subgraph: subgraph.stats,
+            txlist: txlist.stats,
+            market: market.stats,
+            degraded: !gaps.is_empty(),
+            gaps,
+            lost_items_estimate,
+        };
+        if metrics.is_enabled() {
+            metrics.add("collect/domains", crawl_report.domains as u64);
+            metrics.add(
+                "collect/unrecoverable_names",
+                crawl_report.unrecoverable_names as u64,
+            );
+            metrics.add(
+                "collect/addresses_crawled",
+                crawl_report.addresses_crawled as u64,
+            );
+            metrics.add("collect/transactions", crawl_report.transactions as u64);
+            metrics.add("collect/gaps", crawl_report.gaps.len() as u64);
+            metrics.add(
+                "collect/lost_items_estimate",
+                crawl_report.lost_items_estimate as u64,
+            );
+        }
+        if crawl_report.item_recovery_rate() < self.crawl.min_recovery {
+            return Err(CollectError::RecoveryBelowMinimum {
+                achieved: crawl_report.item_recovery_rate(),
+                required: self.crawl.min_recovery,
+                lost_items: crawl_report.lost_items_estimate,
+            });
+        }
+        let timings = CrawlTimings {
+            subgraph: subgraph.elapsed,
+            txlist: txlist.elapsed,
+            market: market.elapsed,
+        };
+        let dataset = Dataset {
+            domains: subgraph.items,
+            transactions: txlist.map,
+            observation_end: self.observation_end,
+            labels: self.etherscan.labels_snapshot(),
+            reverse_claims: self.subgraph.reverse_history_snapshot(),
+            market: OpenSea::from_events(market.items),
+            crawl_report,
+        };
+        Ok((dataset, timings))
     }
+
+    /// Loads the resume state a checkpoint `spec` asks for (counting what
+    /// happened to it) and opens the journal that persists newly committed
+    /// shards. Without a spec nothing is committed and nothing journaled.
+    fn open_checkpoint(
+        &self,
+        spec: Option<&CheckpointSpec>,
+        metrics: &Metrics,
+    ) -> Result<(CrawlCheckpoint, Option<CheckpointJournal>), CollectError> {
+        let Some(spec) = spec else {
+            return Ok((CrawlCheckpoint::default(), None));
+        };
+        let fingerprint =
+            config_fingerprint(&self.crawl, self.observation_end, spec.fingerprint_extra);
+        let resumed = if spec.resume {
+            match load_for_resume(&spec.path, fingerprint) {
+                CheckpointLoad::Fresh => CrawlCheckpoint::new(fingerprint),
+                CheckpointLoad::Resumed(ckpt) => {
+                    metrics.incr("checkpoint/loads");
+                    metrics.add("checkpoint/skipped_pages", ckpt.committed_pages());
+                    *ckpt
+                }
+                CheckpointLoad::DiscardedCorrupt(_) => {
+                    metrics.incr("checkpoint/corrupt_fallback");
+                    CrawlCheckpoint::new(fingerprint)
+                }
+                CheckpointLoad::DiscardedStale => {
+                    metrics.incr("checkpoint/stale_fallback");
+                    CrawlCheckpoint::new(fingerprint)
+                }
+            }
+        } else {
+            CrawlCheckpoint::new(fingerprint)
+        };
+        let journal = CheckpointJournal::new(spec, fingerprint, &resumed)
+            .map_err(|e| CollectError::Checkpoint(e.to_string()))?;
+        Ok((resumed, Some(journal)))
+    }
+
+    /// The three crawls, in collection order. Shards in `done` are spliced
+    /// instead of refetched, and every newly completed shard goes to the
+    /// `journal`, whose errors abort collection at the next phase boundary
+    /// (commit hooks cannot propagate them through the crawler).
+    #[allow(clippy::type_complexity)]
+    fn crawl_sources(
+        &self,
+        metrics: &Metrics,
+        done: CrawlCheckpoint,
+        journal: Option<&CheckpointJournal>,
+        kill: Option<Arc<KillSwitch>>,
+    ) -> Result<
+        (
+            Crawled<DomainRecord>,
+            KeyedCrawl<Address, Transaction>,
+            Crawled<MarketEvent>,
+        ),
+        CollectError,
+    > {
+        let config = &self.crawl;
+        // Each endpoint gets its own derived chaos profile (and each
+        // address its own, for the keyed txlist crawl) so injected faults
+        // never land in lockstep across sources. A kill switch needs a
+        // `ChaosSource` host even when no chaos was asked for; an all-zero
+        // profile injects nothing, so wrapping is byte-transparent.
+        let profile = config
+            .chaos
+            .clone()
+            .or_else(|| kill.as_ref().map(|_| FaultProfile::new(0)));
+        let derive = |tag: &str| profile.as_ref().map(|p| p.derive(tag));
+        let phase_done = |flush: bool| match journal {
+            Some(journal) => {
+                if flush {
+                    journal.flush();
+                }
+                journal
+                    .take_error()
+                    .map_or(Ok(()), |msg| Err(CollectError::Checkpoint(msg)))
+            }
+            None => Ok(()),
+        };
+
+        let subgraph = Endpoint::new(self.subgraph, derive("subgraph"), kill.clone());
+        let subgraph = metered_crawl(
+            metrics,
+            "subgraph",
+            |c: &Crawled<_>| (&c.stats, &c.gaps),
+            || {
+                config.crawler(config.subgraph_page_size).crawl_resumable(
+                    &subgraph,
+                    done.subgraph,
+                    |shard, c| {
+                        if let Some(journal) = journal {
+                            journal.commit_subgraph(shard, c);
+                        }
+                    },
+                )
+            },
+        )?;
+        phase_done(true)?;
+
+        let tx_sources: Vec<_> = relevant_addresses(&subgraph.items)
+            .into_iter()
+            .map(|a| {
+                let profile = profile
+                    .as_ref()
+                    .map(|p| p.derive_keyed("txlist", a.shard_hash()));
+                let source = self.etherscan.txlist_source(a);
+                (a, Endpoint::new(source, profile, kill.clone()))
+            })
+            .collect();
+        let txlist = metered_crawl(
+            metrics,
+            "txlist",
+            |c: &KeyedCrawl<_, _>| (&c.stats, &c.gaps),
+            || {
+                config
+                    .crawler(config.txlist_page_size)
+                    .crawl_keyed_resumable(&tx_sources, done.txlist, |addr, c| {
+                        if let Some(journal) = journal {
+                            journal.commit_txlist(*addr, c);
+                        }
+                    })
+            },
+        )?;
+        metrics.add("crawl/txlist/keys", tx_sources.len() as u64);
+        phase_done(true)?;
+
+        let market = Endpoint::new(self.opensea, derive("market"), kill.clone());
+        let market = metered_crawl(
+            metrics,
+            "market",
+            |c: &Crawled<_>| (&c.stats, &c.gaps),
+            || {
+                config.crawler(config.market_page_size).crawl_resumable(
+                    &market,
+                    done.market,
+                    |shard, c| {
+                        if let Some(journal) = journal {
+                            journal.commit_market(shard, c);
+                        }
+                    },
+                )
+            },
+        )?;
+        phase_done(false)?;
+        Ok((subgraph, txlist, market))
+    }
+}
+
+/// Runs one source's crawl under its `crawl/<source>` span and records its
+/// merged accounting (pages, items, retries by kind, virtual backoff, gaps,
+/// lost-item estimates) into `metrics` — from the error's partial
+/// accounting when the crawl failed. The recording happens once, from the
+/// post-merge totals, so the recorded values inherit the crawl's
+/// thread-count independence.
+fn metered_crawl<R>(
+    metrics: &Metrics,
+    source: &str,
+    accounting: impl Fn(&R) -> (&SourceStats, &Vec<CrawlGap>),
+    crawl: impl FnOnce() -> Result<R, CrawlError>,
+) -> Result<R, CrawlError> {
+    let span = metrics.span(&format!("crawl/{source}"));
+    let result = crawl();
+    let (stats, gaps) = match &result {
+        Ok(crawled) => accounting(crawled),
+        Err(e) => (&e.stats, &e.gaps),
+    };
+    span.add_virtual_ms(stats.backoff_virtual_ms);
+    if metrics.is_enabled() {
+        let key = |suffix: &str| format!("crawl/{source}/{suffix}");
+        metrics.add(&key("pages"), stats.pages as u64);
+        metrics.add(&key("items"), stats.items as u64);
+        metrics.add(&key("backoff_virtual_ms"), stats.backoff_virtual_ms);
+        let by_kind = [
+            ("retries/rate_limited", stats.retries_by_kind.rate_limited),
+            ("retries/timeout", stats.retries_by_kind.timeout),
+            ("retries/server_error", stats.retries_by_kind.server_error),
+            ("retries/malformed", stats.retries_by_kind.malformed),
+        ];
+        for (suffix, count) in by_kind {
+            if count > 0 {
+                metrics.add(&key(suffix), count as u64);
+            }
+        }
+        metrics.add(&key("gaps"), gaps.len() as u64);
+        let lost: usize = gaps.iter().map(|g| g.lost_estimate).sum();
+        metrics.add(&key("lost_items_estimate"), lost as u64);
+        for gap in gaps {
+            metrics.incr(&key(&format!("gaps_by_kind/{}", gap.kind.metric_key())));
+        }
+    }
+    result
+}
+
+/// An endpoint as one collection run crawls it: bare, or wrapped in a
+/// [`ChaosSource`] when a fault profile or kill switch is set. Clean crawls
+/// stay bare because the wrapper keeps per-offset burst state behind a
+/// lock.
+enum Endpoint<S> {
+    Clean(S),
+    Chaotic(ChaosSource<S>),
+}
+
+impl<S: PagedSource> Endpoint<S> {
+    fn new(source: S, profile: Option<FaultProfile>, kill: Option<Arc<KillSwitch>>) -> Self {
+        match profile {
+            Some(profile) => {
+                Endpoint::Chaotic(ChaosSource::with_kill_switch(source, profile, kill))
+            }
+            None => Endpoint::Clean(source),
+        }
+    }
+
+    fn source(&self) -> &dyn PagedSource<Item = S::Item> {
+        match self {
+            Endpoint::Clean(s) => s,
+            Endpoint::Chaotic(s) => s,
+        }
+    }
+}
+
+impl<S: PagedSource> PagedSource for Endpoint<S> {
+    type Item = S::Item;
+
+    fn source_name(&self) -> &'static str {
+        self.source().source_name()
+    }
+
+    fn total_hint(&self) -> Option<usize> {
+        self.source().total_hint()
+    }
+
+    fn fetch(&self, offset: usize, limit: usize) -> Result<PagedBatch<S::Item>, PageError> {
+        self.source().fetch(offset, limit)
+    }
+}
+
+/// A clean, sequential collection from `world`'s endpoints, its subgraph
+/// indexed under `subgraph` — the dataset most unit tests start from.
+#[cfg(test)]
+pub(crate) fn collect_clean(world: &workload::World, subgraph: SubgraphConfig) -> Dataset {
+    let sg = world.subgraph(subgraph);
+    let scan = world.etherscan();
+    let (ds, _) = Dataset::try_collect_with(
+        &sg,
+        &scan,
+        world.opensea(),
+        world.observation_end(),
+        &CrawlConfig::default(),
+    )
+    .expect("clean endpoints cannot fail");
+    ds
 }
 
 /// Builds a subgraph with the paper's default loss model from raw events —
@@ -775,9 +708,7 @@ mod tests {
 
     fn dataset() -> (workload::World, Dataset) {
         let world = WorldConfig::small().with_names(200).with_seed(30).build();
-        let sg = world.subgraph(SubgraphConfig::lossless());
-        let scan = world.etherscan();
-        let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
+        let ds = collect_clean(&world, SubgraphConfig::lossless());
         (world, ds)
     }
 
@@ -818,13 +749,14 @@ mod tests {
         let sg = world.subgraph(SubgraphConfig::lossless());
         let scan = world.etherscan();
         let collect = |threads| {
-            Dataset::collect_with(
+            Dataset::try_collect_with(
                 &sg,
                 &scan,
                 world.opensea(),
                 world.observation_end(),
                 &CrawlConfig::with_threads(threads),
             )
+            .unwrap()
             .0
         };
         let a = collect(1).to_json().unwrap();

@@ -497,11 +497,16 @@ mod tests {
             subgraph: &sg,
             etherscan: &scan,
             opensea: world.opensea(),
-            oracle: world.oracle(),
             observation_end: world.observation_end(),
             crawl: Default::default(),
         };
-        run_study(&sources, &StudyConfig::default())
+        run_study(
+            &sources,
+            world.oracle(),
+            &StudyConfig::default(),
+            &Metrics::disabled(),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -470,14 +470,13 @@ pub fn within_window(t: Timestamp, observation_end: Timestamp) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::collect_clean;
     use ens_subgraph::SubgraphConfig;
     use workload::WorldConfig;
 
     fn comparison() -> FeatureComparison {
         let world = WorldConfig::default().with_seed(50).build();
-        let sg = world.subgraph(SubgraphConfig::lossless());
-        let scan = world.etherscan();
-        let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
+        let ds = collect_clean(&world, SubgraphConfig::lossless());
         compare_features(&ds, world.oracle(), 7)
     }
 
@@ -573,9 +572,7 @@ mod tests {
     #[test]
     fn control_sampling_is_deterministic_but_seed_sensitive() {
         let world = WorldConfig::small().with_seed(51).build();
-        let sg = world.subgraph(SubgraphConfig::lossless());
-        let scan = world.etherscan();
-        let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
+        let ds = collect_clean(&world, SubgraphConfig::lossless());
         let a = compare_features(&ds, world.oracle(), 1);
         let b = compare_features(&ds, world.oracle(), 1);
         let c = compare_features(&ds, world.oracle(), 2);

@@ -884,14 +884,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::collect_clean;
     use ens_subgraph::SubgraphConfig;
     use workload::WorldConfig;
 
     fn dataset() -> (workload::World, Dataset) {
         let world = WorldConfig::small().with_names(200).with_seed(30).build();
-        let sg = world.subgraph(SubgraphConfig::lossless());
-        let scan = world.etherscan();
-        let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
+        let ds = collect_clean(&world, SubgraphConfig::lossless());
         (world, ds)
     }
 

@@ -91,10 +91,7 @@ pub use losses::{
     UpperBoundLoss,
 };
 pub use overview::{overview, overview_from, overview_from_metered, OverviewReport};
-pub use pipeline::{
-    run_study, run_study_on, run_study_on_metered, run_study_on_naive, run_study_with_index,
-    run_study_with_index_metered, try_run_study, try_run_study_metered, StudyConfig, StudyReport,
-};
+pub use pipeline::{run_study, run_study_on, run_study_on_naive, StudyConfig, StudyReport};
 pub use query::{
     current_owner, domain_status, parse_address, parse_window, DomainStatus, NameDirectory,
     QueryError, REPORT_SECTIONS,

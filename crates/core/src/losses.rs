@@ -715,14 +715,13 @@ fn assemble_loss_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::collect_clean;
     use ens_subgraph::SubgraphConfig;
     use workload::WorldConfig;
 
     fn world_and_report() -> (workload::World, LossReport) {
         let world = WorldConfig::default().with_seed(60).build();
-        let sg = world.subgraph(SubgraphConfig::lossless());
-        let scan = world.etherscan();
-        let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
+        let ds = collect_clean(&world, SubgraphConfig::lossless());
         let report = analyze_losses(&ds, world.oracle());
         (world, report)
     }

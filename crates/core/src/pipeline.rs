@@ -3,6 +3,7 @@
 
 use ens_obs::Metrics;
 use ens_types::Duration;
+use price_oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
 
 use crate::countermeasures::{
@@ -60,113 +61,77 @@ pub struct StudyReport {
     pub countermeasures: CountermeasureReport,
 }
 
-/// Runs the full study against a set of data sources.
+/// Collects the dataset from `sources` and runs the full study on it: the
+/// whole pipeline in one call.
 ///
 /// ```
-/// use ens_dropcatch::{run_study, CrawlConfig, DataSources, StudyConfig};
+/// use ens_dropcatch::{run_study, CrawlConfig, DataSources, Metrics, StudyConfig};
 /// use ens_subgraph::SubgraphConfig;
 /// use workload::WorldConfig;
 ///
 /// let world = WorldConfig::small().with_names(120).with_seed(2).build();
 /// let subgraph = world.subgraph(SubgraphConfig::lossless());
 /// let etherscan = world.etherscan();
+/// let sources = DataSources {
+///     subgraph: &subgraph,
+///     etherscan: &etherscan,
+///     opensea: world.opensea(),
+///     observation_end: world.observation_end(),
+///     crawl: CrawlConfig::default(),
+/// };
 /// let report = run_study(
-///     &DataSources {
-///         subgraph: &subgraph,
-///         etherscan: &etherscan,
-///         opensea: world.opensea(),
-///         oracle: world.oracle(),
-///         observation_end: world.observation_end(),
-///         crawl: CrawlConfig::default(),
-///     },
+///     &sources,
+///     world.oracle(),
 ///     &StudyConfig::default(),
-/// );
+///     &Metrics::disabled(),
+/// )
+/// .expect("clean endpoints cannot fail");
 /// assert_eq!(report.crawl.domains, 120);
 /// ```
 ///
-/// # Panics
-///
-/// Panics if collection fails; use [`try_run_study`] when the crawl config
-/// can fail (chaos profiles, loss budgets, recovery gates).
-pub fn run_study(sources: &DataSources<'_>, config: &StudyConfig) -> StudyReport {
-    try_run_study(sources, config).expect("collection failed")
-}
-
-/// Fallible [`run_study`]: collection errors (a crawl that gave up, or a
-/// degraded crawl below [`CrawlConfig::min_recovery`](crate::dataset::CrawlConfig::min_recovery))
-/// are returned instead of panicking. A degraded-but-acceptable crawl still
-/// produces a full report — its `crawl.gaps` record exactly what was lost.
-pub fn try_run_study(
+/// Collection errors (a crawl that gave up, or a degraded crawl below
+/// [`CrawlConfig::min_recovery`](crate::dataset::CrawlConfig::min_recovery))
+/// are returned. A degraded-but-acceptable crawl still produces a full
+/// report — its `crawl.gaps` record exactly what was lost.
+pub fn run_study(
     sources: &DataSources<'_>,
-    config: &StudyConfig,
-) -> Result<StudyReport, CollectError> {
-    try_run_study_metered(sources, config, &Metrics::disabled())
-}
-
-/// [`try_run_study`] with instrumentation: collection and every analysis
-/// pass record spans and counters into `metrics`. The deterministic part
-/// of the resulting snapshot is byte-identical at any thread count; the
-/// study report itself is unchanged by instrumentation.
-pub fn try_run_study_metered(
-    sources: &DataSources<'_>,
+    oracle: &PriceOracle,
     config: &StudyConfig,
     metrics: &Metrics,
 ) -> Result<StudyReport, CollectError> {
-    let (dataset, _) = sources.try_collect_metered(metrics)?;
-    Ok(run_study_on_metered(&dataset, sources, config, metrics))
+    let (dataset, _) = sources.collect(metrics, None, None)?;
+    Ok(run_study_on(&dataset, oracle, config, None, metrics))
 }
 
-/// Runs the full study on an already-collected dataset.
+/// Runs the full study on an already-collected dataset, under a `study`
+/// span.
 ///
-/// Builds the [`AnalysisIndex`] once (re-registration detection, per-address
-/// incoming slices, memoized USD valuations) and threads it through every
-/// pass. The loss and feature passes shard *internally* across
-/// [`StudyConfig::threads`] workers with ordered merges, so the report is
-/// byte-identical at any thread count — and to [`run_study_on_naive`].
+/// Every pass reads one [`AnalysisIndex`] (re-registration detection,
+/// per-address incoming slices, memoized USD valuations): `index` when the
+/// caller already holds one (the daemon keeps its index resident, the
+/// bench harness times the build separately), otherwise one built here.
+/// The index build and the loss and feature passes shard *internally*
+/// across [`StudyConfig::threads`] workers with ordered merges, so the
+/// report is byte-identical at any thread count — and to
+/// [`run_study_on_naive`]. Every pass records spans and counters into
+/// `metrics`, and the index's query counters are flushed into it at the
+/// end; instrumentation never changes the report.
 pub fn run_study_on(
     dataset: &Dataset,
-    sources: &DataSources<'_>,
+    oracle: &PriceOracle,
     config: &StudyConfig,
-) -> StudyReport {
-    run_study_on_metered(dataset, sources, config, &Metrics::disabled())
-}
-
-/// [`run_study_on`] with instrumentation: index build and analysis passes
-/// run under a `study` span.
-pub fn run_study_on_metered(
-    dataset: &Dataset,
-    sources: &DataSources<'_>,
-    config: &StudyConfig,
+    index: Option<&AnalysisIndex>,
     metrics: &Metrics,
 ) -> StudyReport {
-    let span = metrics.span("study");
-    let index = AnalysisIndex::build_metered(dataset, sources.oracle, config.threads, metrics);
-    let report = run_study_with_index_metered(dataset, sources, config, &index, metrics);
-    drop(span);
-    report
-}
-
-/// [`run_study_on`] against an index the caller already built (the bench
-/// harness builds one index and times the passes separately).
-pub fn run_study_with_index(
-    dataset: &Dataset,
-    sources: &DataSources<'_>,
-    config: &StudyConfig,
-    index: &AnalysisIndex,
-) -> StudyReport {
-    run_study_with_index_metered(dataset, sources, config, index, &Metrics::disabled())
-}
-
-/// [`run_study_with_index`] with instrumentation: every §4 pass plus the
-/// resale and countermeasure passes record spans and counters, and the
-/// index's query counters are flushed into the snapshot at the end.
-pub fn run_study_with_index_metered(
-    dataset: &Dataset,
-    sources: &DataSources<'_>,
-    config: &StudyConfig,
-    index: &AnalysisIndex,
-    metrics: &Metrics,
-) -> StudyReport {
+    let _span = metrics.span("study");
+    let built;
+    let index = match index {
+        Some(index) => index,
+        None => {
+            built = AnalysisIndex::build_metered(dataset, oracle, config.threads, metrics);
+            &built
+        }
+    };
     let overview = overview_from_metered(
         &dataset.domains,
         dataset.observation_end,
@@ -175,7 +140,7 @@ pub fn run_study_with_index_metered(
     );
     let features =
         compare_features_metered(dataset, config.control_seed, index, config.threads, metrics);
-    let losses = analyze_losses_metered(dataset, sources.oracle, index, config.threads, metrics);
+    let losses = analyze_losses_metered(dataset, oracle, index, config.threads, metrics);
     let resale = {
         let _span = metrics.span("resale");
         analyze_resales(&overview.reregistrations, &dataset.market)
@@ -208,12 +173,12 @@ pub fn run_study_with_index_metered(
 /// Produces a report byte-identical to [`run_study_on`].
 pub fn run_study_on_naive(
     dataset: &Dataset,
-    sources: &DataSources<'_>,
+    oracle: &PriceOracle,
     config: &StudyConfig,
 ) -> StudyReport {
     let overview = overview(&dataset.domains, dataset.observation_end);
-    let features = compare_features_naive(dataset, sources.oracle, config.control_seed);
-    let losses = analyze_losses_naive(dataset, sources.oracle);
+    let features = compare_features_naive(dataset, oracle, config.control_seed);
+    let losses = analyze_losses_naive(dataset, oracle);
     let resale = analyze_resales(&overview.reregistrations, &dataset.market);
     let countermeasures = evaluate_countermeasure(&losses, dataset, config.warning_window);
     StudyReport {
@@ -515,11 +480,16 @@ mod tests {
             subgraph: &sg,
             etherscan: &scan,
             opensea: world.opensea(),
-            oracle: world.oracle(),
             observation_end: world.observation_end(),
             crawl: Default::default(),
         };
-        let report = run_study(&sources, &StudyConfig::default());
+        let report = run_study(
+            &sources,
+            world.oracle(),
+            &StudyConfig::default(),
+            &Metrics::disabled(),
+        )
+        .unwrap();
         assert!(report.crawl.domains == 2_000);
         assert!(!report.overview.reregistrations.is_empty());
         let text = report.render();
@@ -541,7 +511,6 @@ mod tests {
                 subgraph: &sg,
                 etherscan: &scan,
                 opensea: world.opensea(),
-                oracle: world.oracle(),
                 observation_end: world.observation_end(),
                 crawl: crate::dataset::CrawlConfig::with_threads(threads),
             };
@@ -549,7 +518,9 @@ mod tests {
                 threads,
                 ..StudyConfig::default()
             };
-            run_study(&sources, &config).render()
+            run_study(&sources, world.oracle(), &config, &Metrics::disabled())
+                .unwrap()
+                .render()
         };
         assert_eq!(report_with(1), report_with(4));
     }

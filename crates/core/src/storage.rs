@@ -964,16 +964,14 @@ pub fn sniff_columnar(bytes: &[u8]) -> bool {
 mod tests {
     use super::*;
     use crate::crawl::FailurePolicy;
-    use crate::dataset::CrawlConfig;
+    use crate::dataset::{collect_clean, CrawlConfig};
     use ens_subgraph::SubgraphConfig;
     use ens_types::FaultProfile;
     use workload::WorldConfig;
 
     fn dataset() -> Dataset {
         let world = WorldConfig::small().with_names(200).with_seed(30).build();
-        let sg = world.subgraph(SubgraphConfig::default());
-        let scan = world.etherscan();
-        Dataset::collect(&sg, &scan, world.opensea(), world.observation_end())
+        collect_clean(&world, SubgraphConfig::default())
     }
 
     #[test]
@@ -1022,13 +1020,14 @@ mod tests {
         let sg = world.subgraph(SubgraphConfig::default());
         let scan = world.etherscan();
         let encode = |threads| {
-            Dataset::collect_with(
+            Dataset::try_collect_with(
                 &sg,
                 &scan,
                 world.opensea(),
                 world.observation_end(),
                 &CrawlConfig::with_threads(threads),
             )
+            .unwrap()
             .0
             .to_columnar()
             .unwrap()

@@ -38,11 +38,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ens_dropcatch::{
-    AnalysisIndex, CrawlConfig, DataSources, Dataset, NameDirectory, OutgoingIndex, QueryError,
-    StudyConfig, StudyReport,
+    AnalysisIndex, Dataset, Metrics, NameDirectory, OutgoingIndex, QueryError, StudyConfig,
+    StudyReport,
 };
 use ens_types::Address;
-use etherscan_sim::LabelService;
+use price_oracle::PriceOracle;
 
 /// Everything a query needs, built once at startup and shared immutably
 /// (behind an [`Arc`]) by every worker thread for the daemon's lifetime.
@@ -71,29 +71,21 @@ impl ServeState {
     /// and victim directories. This is the expensive call — everything
     /// after it is read-only.
     pub fn build(dataset: Dataset, threads: usize) -> ServeState {
-        let oracle = price_oracle::PriceOracle::new();
+        let oracle = PriceOracle::new();
         let index = AnalysisIndex::build_with_threads(&dataset, &oracle, threads);
         let outgoing = OutgoingIndex::build_with_threads(&dataset, &oracle, threads);
         let names = NameDirectory::build(&dataset.domains);
-        // Offline analysis is self-contained (the CLI's `analyze` path):
-        // placeholder sources are never consulted by the study.
-        let opensea = opensea_sim::OpenSea::new();
-        let subgraph = ens_subgraph::Subgraph::index(&[], ens_subgraph::SubgraphConfig::lossless());
-        let chain = sim_chain::Chain::new(ens_types::Timestamp(0));
-        let etherscan = etherscan_sim::Etherscan::index(&chain, LabelService::new());
-        let sources = DataSources {
-            subgraph: &subgraph,
-            etherscan: &etherscan,
-            opensea: &opensea,
-            oracle: &oracle,
-            observation_end: dataset.observation_end,
-            crawl: CrawlConfig::with_threads(threads),
-        };
         let config = StudyConfig {
             threads,
             ..StudyConfig::default()
         };
-        let report = ens_dropcatch::run_study_with_index(&dataset, &sources, &config, &index);
+        let report = ens_dropcatch::run_study_on(
+            &dataset,
+            &oracle,
+            &config,
+            Some(&index),
+            &Metrics::disabled(),
+        );
         let mut loss_by_victim: BTreeMap<Address, Vec<usize>> = BTreeMap::new();
         for (i, f) in report.losses.findings.iter().enumerate() {
             loss_by_victim.entry(f.prev_wallet).or_default().push(i);

@@ -234,18 +234,12 @@ fn graceful_shutdown_completes_in_flight_requests_then_closes() {
 
 #[test]
 fn empty_dataset_serves_typed_errors_not_panics() {
-    // A dataset collected from empty sources: no domains, no
-    // transactions, no catches. Every query must still answer.
-    let subgraph = ens_subgraph::Subgraph::index(&[], SubgraphConfig::lossless());
-    let chain = sim_chain::Chain::new(ens_types::Timestamp(0));
-    let etherscan = etherscan_sim::Etherscan::index(&chain, etherscan_sim::LabelService::new());
-    let opensea = opensea_sim::OpenSea::new();
-    let ds = Dataset::collect(
-        &subgraph,
-        &etherscan,
-        &opensea,
-        ens_types::Timestamp(1_000_000),
-    );
+    // An empty dataset: no domains, no transactions, no catches. Every
+    // query must still answer.
+    let ds = Dataset {
+        observation_end: ens_types::Timestamp(1_000_000),
+        ..Dataset::default()
+    };
     let handle = ServeHandle::new(Arc::new(ServeState::build(ds, 1)));
 
     assert!(matches!(

@@ -245,9 +245,9 @@ impl<S: PagedSource> PagedSource for &S {
     }
 }
 
-/// A key that can be assigned to a crawl shard. The hash must be stable
-/// across runs and platforms (it feeds deterministic work division, never
-/// a `HashMap`).
+/// A key of a keyed crawl (one `txlist` per address). The hash must be
+/// stable across runs and platforms: it seeds the key's derived fault
+/// profile ([`FaultProfile::derive_keyed`]), never a `HashMap`.
 pub trait ShardKey {
     /// A stable 64-bit hash of the key.
     fn shard_hash(&self) -> u64;
@@ -255,8 +255,7 @@ pub trait ShardKey {
 
 impl ShardKey for Address {
     fn shard_hash(&self) -> u64 {
-        // FNV-1a over the address bytes: stable, cheap, well-mixed enough
-        // to balance txlist shards.
+        // FNV-1a over the address bytes: stable and cheap.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in self.0 {
             h ^= u64::from(b);

@@ -18,7 +18,7 @@
 //! Exits non-zero on any violated identity, so CI can gate on it.
 
 use ens_dropcatch_suite::analysis::{
-    run_study_on_metered, CrawlConfig, DataSources, Dataset, FailurePolicy, Metrics, StudyConfig,
+    run_study_on, CrawlConfig, DataSources, FailurePolicy, Metrics, StudyConfig,
 };
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::FaultProfile;
@@ -51,25 +51,18 @@ fn self_contained() {
         market_page_size: 8,
         ..CrawlConfig::with_threads(4)
     };
-    let metrics = Metrics::new();
-    let (ds, _) = Dataset::try_collect_metered(
-        &sg,
-        &scan,
-        world.opensea(),
-        world.observation_end(),
-        &config,
-        &metrics,
-    )
-    .expect("degrade policy completes under chaos");
     let sources = DataSources {
         subgraph: &sg,
         etherscan: &scan,
         opensea: world.opensea(),
-        oracle: world.oracle(),
         observation_end: world.observation_end(),
         crawl: config,
     };
-    run_study_on_metered(&ds, &sources, &StudyConfig::default(), &metrics);
+    let metrics = Metrics::new();
+    let (ds, _) = sources
+        .collect(&metrics, None, None)
+        .expect("degrade policy completes under chaos");
+    run_study_on(&ds, world.oracle(), &StudyConfig::default(), None, &metrics);
 
     let snap = metrics.snapshot();
     let report = &ds.crawl_report;

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ens_dropcatch_suite::analysis::{run_study, DataSources, StudyConfig};
+use ens_dropcatch_suite::analysis::{run_study, DataSources, Metrics, StudyConfig};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::workload::WorldConfig;
 
@@ -27,13 +27,18 @@ fn main() {
         subgraph: &subgraph,
         etherscan: &etherscan,
         opensea: world.opensea(),
-        oracle: world.oracle(),
         observation_end: world.observation_end(),
         crawl: Default::default(),
     };
 
     // 3. Run the study (crawl → detect → analyze, §3–§6 of the paper).
-    let report = run_study(&sources, &StudyConfig::default());
+    let report = run_study(
+        &sources,
+        world.oracle(),
+        &StudyConfig::default(),
+        &Metrics::disabled(),
+    )
+    .expect("clean endpoints cannot fail");
 
     // 4. Print the full report: Figs 2–11, Tables 1–2.
     println!("{}", report.render());

@@ -19,7 +19,7 @@
 //! cargo run --release --example strategy_economics
 //! ```
 
-use ens_dropcatch_suite::analysis::{analyze_losses, detect_all, Dataset};
+use ens_dropcatch_suite::analysis::{analyze_losses, detect_all, CrawlConfig, Dataset};
 use ens_dropcatch_suite::lexicon;
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::Duration;
@@ -84,12 +84,15 @@ fn main() {
     let world = WorldConfig::medium().with_seed(4242).build();
     let subgraph = world.subgraph(SubgraphConfig::lossless());
     let etherscan = world.etherscan();
-    let dataset = Dataset::collect(
+    let dataset = Dataset::try_collect_with(
         &subgraph,
         &etherscan,
         world.opensea(),
         world.observation_end(),
-    );
+        &CrawlConfig::default(),
+    )
+    .expect("clean endpoints cannot fail")
+    .0;
     let losses = analyze_losses(&dataset, world.oracle());
     let rereg = detect_all(&dataset.domains);
 

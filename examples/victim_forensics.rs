@@ -7,7 +7,7 @@
 //! cargo run --release --example victim_forensics
 //! ```
 
-use ens_dropcatch_suite::analysis::{analyze_losses, detect_all, DataSources};
+use ens_dropcatch_suite::analysis::{analyze_losses, detect_all, DataSources, Metrics};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::workload::WorldConfig;
 
@@ -19,13 +19,14 @@ fn main() {
         subgraph: &subgraph,
         etherscan: &etherscan,
         opensea: world.opensea(),
-        oracle: world.oracle(),
         observation_end: world.observation_end(),
         crawl: Default::default(),
     };
 
     println!("collecting the dataset (subgraph + txlists)...");
-    let dataset = sources.collect();
+    let (dataset, _) = sources
+        .collect(&Metrics::disabled(), None, None)
+        .expect("clean endpoints cannot fail");
     let losses = analyze_losses(&dataset, world.oracle());
 
     // Pick the most damaging finding: the domain whose new owner received

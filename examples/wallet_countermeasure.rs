@@ -8,7 +8,7 @@
 //! cargo run --release --example wallet_countermeasure
 //! ```
 
-use ens_dropcatch_suite::analysis::{analyze_losses, DataSources};
+use ens_dropcatch_suite::analysis::{analyze_losses, DataSources, Metrics};
 use ens_dropcatch_suite::chain::Chain;
 use ens_dropcatch_suite::ens::{commit_and_register, EnsSystem, GRACE_PERIOD, PREMIUM_PERIOD};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
@@ -99,11 +99,12 @@ fn main() {
         subgraph: &subgraph,
         etherscan: &etherscan,
         opensea: world.opensea(),
-        oracle: world.oracle(),
         observation_end: world.observation_end(),
         crawl: Default::default(),
     };
-    let dataset = sources.collect();
+    let (dataset, _) = sources
+        .collect(&Metrics::disabled(), None, None)
+        .expect("clean endpoints cannot fail");
     let losses = analyze_losses(&dataset, world.oracle());
     println!("  policy                         intercepts   annoys (false-positive rate)");
     for window_days in [7u64, 30, 90, 365] {

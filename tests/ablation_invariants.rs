@@ -4,7 +4,7 @@
 use ens_dropcatch::countermeasures::evaluate_countermeasure;
 use ens_dropcatch::losses::{analyze_losses, upper_bound_losses};
 use ens_dropcatch::registrations::{detect_all, detect_reregistrations_ignoring_transfers};
-use ens_dropcatch::Dataset;
+use ens_dropcatch::{CrawlConfig, Dataset};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::Duration;
 use ens_dropcatch_suite::workload::WorldConfig;
@@ -13,7 +13,15 @@ fn setup() -> (workload::World, Dataset) {
     let world = WorldConfig::default().with_seed(99).build();
     let sg = world.subgraph(SubgraphConfig::lossless());
     let scan = world.etherscan();
-    let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
+    let ds = Dataset::try_collect_with(
+        &sg,
+        &scan,
+        world.opensea(),
+        world.observation_end(),
+        &CrawlConfig::default(),
+    )
+    .expect("clean endpoints cannot fail")
+    .0;
     (world, ds)
 }
 

@@ -83,7 +83,7 @@ fn fail_fast_error_is_identical_across_thread_counts() {
     };
     let sequential = fail(1);
     assert!(sequential.stats.pages > 0, "partial stats attached");
-    for threads in [2, 8] {
+    for threads in [2, 3, 7, 8, 16] {
         assert_eq!(
             sequential,
             fail(threads),
@@ -138,7 +138,7 @@ fn keyed_chaos_crawl_is_thread_count_independent() {
     };
     let sequential = crawl(1);
     assert!(!sequential.2.is_empty(), "some address hit the hole");
-    for threads in [2, 8] {
+    for threads in [2, 3, 7, 8, 16] {
         assert_eq!(sequential, crawl(threads), "diverges at {threads} threads");
     }
 }

@@ -132,7 +132,15 @@ fn a_dataset_file_is_not_mistaken_for_a_checkpoint() {
     let world = WorldConfig::small().with_names(120).with_seed(93).build();
     let sg = world.subgraph(SubgraphConfig::lossless());
     let scan = world.etherscan();
-    let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
+    let ds = Dataset::try_collect_with(
+        &sg,
+        &scan,
+        world.opensea(),
+        world.observation_end(),
+        &CrawlConfig::default(),
+    )
+    .expect("clean endpoints cannot fail")
+    .0;
     let path = temp_path("dataset-not-checkpoint");
     ds.save(&path, Format::Columnar).expect("dataset saves");
     let bytes = std::fs::read(&path).unwrap();

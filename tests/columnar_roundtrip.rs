@@ -14,21 +14,34 @@
 //! - the container header, checksum function, and intern-table layout are
 //!   pinned byte-for-byte — version-1 files may never change shape.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
-
 use ens_dropcatch_suite::analysis::{CrawlConfig, Dataset, FailurePolicy, Format};
 use ens_dropcatch_suite::columnar::{
     checksum64, is_columnar, ColumnarError, Cursor, FileBuilder, FileView, StrPool, StrTable,
     MAGIC, NONE_ID, VERSION,
 };
-use ens_dropcatch_suite::etherscan::LabelService;
 use ens_dropcatch_suite::obs::Metrics;
-use ens_dropcatch_suite::opensea::OpenSea;
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
-use ens_dropcatch_suite::types::{FaultProfile, Timestamp};
+use ens_dropcatch_suite::types::FaultProfile;
 use ens_dropcatch_suite::workload::WorldConfig;
 use proptest::prelude::*;
+
+/// A clean collection from a small world of `names` names.
+fn clean_dataset(names: usize, seed: u64) -> Dataset {
+    let world = WorldConfig::small()
+        .with_names(names)
+        .with_seed(seed)
+        .build();
+    let sg = world.subgraph(SubgraphConfig::default());
+    let (ds, _) = Dataset::try_collect_with(
+        &sg,
+        &world.etherscan(),
+        world.opensea(),
+        world.observation_end(),
+        &CrawlConfig::default(),
+    )
+    .expect("clean endpoints cannot fail");
+    ds
+}
 
 /// Asserts the two fixed points on one dataset: reconstructing from the
 /// columnar bytes reproduces the JSON export, and re-encoding the
@@ -61,15 +74,7 @@ proptest! {
         names in 10usize..60,
         seed in 0u64..1_000,
     ) {
-        let world = WorldConfig::small().with_names(names).with_seed(seed).build();
-        let sg = world.subgraph(SubgraphConfig::default());
-        let ds = Dataset::collect(
-            &sg,
-            &world.etherscan(),
-            world.opensea(),
-            world.observation_end(),
-        );
-        assert_fixed_point(&ds);
+        assert_fixed_point(&clean_dataset(names, seed));
     }
 }
 
@@ -101,15 +106,7 @@ fn chaos_degraded_dataset_round_trips() {
 
 #[test]
 fn empty_dataset_round_trips_with_all_sections_present() {
-    let ds = Dataset {
-        domains: Vec::new(),
-        transactions: BTreeMap::new(),
-        observation_end: Timestamp(0),
-        labels: Arc::new(LabelService::default()),
-        reverse_claims: Arc::new(HashMap::new()),
-        market: OpenSea::from_events(Vec::new()),
-        crawl_report: Default::default(),
-    };
+    let ds = Dataset::default();
     assert_fixed_point(&ds);
 
     // Every section is present even when empty — readers never probe.
@@ -121,14 +118,7 @@ fn empty_dataset_round_trips_with_all_sections_present() {
 
 #[test]
 fn duplicate_addresses_intern_once() {
-    let world = WorldConfig::small().with_names(80).with_seed(9).build();
-    let sg = world.subgraph(SubgraphConfig::default());
-    let ds = Dataset::collect(
-        &sg,
-        &world.etherscan(),
-        world.opensea(),
-        world.observation_end(),
-    );
+    let ds = clean_dataset(80, 9);
 
     let metrics = Metrics::new();
     let cols = ds.to_columnar_metered(&metrics).expect("encode");
@@ -164,14 +154,7 @@ fn duplicate_addresses_intern_once() {
 
 #[test]
 fn detection_and_corruption_errors_are_typed() {
-    let world = WorldConfig::small().with_names(20).with_seed(3).build();
-    let sg = world.subgraph(SubgraphConfig::default());
-    let ds = Dataset::collect(
-        &sg,
-        &world.etherscan(),
-        world.opensea(),
-        world.observation_end(),
-    );
+    let ds = clean_dataset(20, 3);
     let cols = ds.to_columnar().unwrap();
     let json = ds.to_json().unwrap();
 

@@ -3,14 +3,22 @@
 //! delay distribution left by the 21-day auction and zeroes premium spend,
 //! while the loss machinery keeps working unchanged.
 
-use ens_dropcatch::{overview, Dataset};
+use ens_dropcatch::{overview, CrawlConfig, Dataset};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::workload::WorldConfig;
 
 fn delays(world: &workload::World) -> (Vec<f64>, usize) {
     let sg = world.subgraph(SubgraphConfig::lossless());
     let scan = world.etherscan();
-    let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
+    let ds = Dataset::try_collect_with(
+        &sg,
+        &scan,
+        world.opensea(),
+        world.observation_end(),
+        &CrawlConfig::default(),
+    )
+    .expect("clean endpoints cannot fail")
+    .0;
     let report = overview(&ds.domains, ds.observation_end);
     (report.delays.delays_days.clone(), report.delays.at_premium)
 }

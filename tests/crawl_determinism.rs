@@ -11,7 +11,7 @@ fn collect_json(threads: usize) -> String {
     let world = WorldConfig::small().with_names(500).with_seed(77).build();
     let sg = world.subgraph(SubgraphConfig::default());
     let scan = world.etherscan();
-    let (ds, _timings) = Dataset::collect_with(
+    let (ds, _timings) = Dataset::try_collect_with(
         &sg,
         &scan,
         world.opensea(),
@@ -24,7 +24,8 @@ fn collect_json(threads: usize) -> String {
             market_page_size: 8,
             ..CrawlConfig::with_threads(threads)
         },
-    );
+    )
+    .expect("clean endpoints cannot fail");
     ds.to_json().expect("dataset serializes")
 }
 

@@ -3,7 +3,9 @@
 //! (who wins, by roughly what factor, where the cliffs fall) — see
 //! DESIGN.md §5 for the calibration anchors.
 
-use ens_dropcatch_suite::analysis::{run_study, CrawlConfig, DataSources, FeatureRow, StudyConfig};
+use ens_dropcatch_suite::analysis::{
+    run_study, CrawlConfig, DataSources, FeatureRow, Metrics, StudyConfig,
+};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::workload::{OwnerKind, WorldConfig};
 
@@ -25,7 +27,6 @@ fn build_study() -> (workload::World, ens_dropcatch::StudyReport) {
         subgraph: &subgraph,
         etherscan: &etherscan,
         opensea: world.opensea(),
-        oracle: world.oracle(),
         observation_end: world.observation_end(),
         crawl: CrawlConfig::with_threads(4),
     };
@@ -33,7 +34,8 @@ fn build_study() -> (workload::World, ens_dropcatch::StudyReport) {
         threads: 4,
         ..StudyConfig::default()
     };
-    let report = run_study(&sources, &config);
+    let report = run_study(&sources, world.oracle(), &config, &Metrics::disabled())
+        .expect("clean endpoints cannot fail");
     (world, report)
 }
 

@@ -4,7 +4,8 @@
 //! reruns.
 
 use ens_dropcatch_suite::analysis::{
-    run_study, Crawler, DataSources, Dataset, FailurePolicy, StudyConfig,
+    run_study, CrawlConfig, Crawler, DataSources, Dataset, FailurePolicy, Metrics, StudyConfig,
+    StudyReport,
 };
 use ens_dropcatch_suite::oracle::PriceOracle;
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
@@ -12,6 +13,17 @@ use ens_dropcatch_suite::types::{
     ChaosSource, FaultKind, FaultProfile, FlakySource, Timestamp, PPM,
 };
 use ens_dropcatch_suite::workload::WorldConfig;
+
+/// The full study with default knobs over endpoints that never fail a crawl.
+fn study(sources: &DataSources<'_>, oracle: &PriceOracle) -> StudyReport {
+    run_study(
+        sources,
+        oracle,
+        &StudyConfig::default(),
+        &Metrics::disabled(),
+    )
+    .expect("collection succeeds")
+}
 
 fn world() -> workload::World {
     WorldConfig::small().with_seed(321).build()
@@ -27,13 +39,24 @@ fn name_loss_degrades_lexical_coverage_but_not_detection() {
     });
     let etherscan = world.etherscan();
 
-    let ds_clean = Dataset::collect(
+    let ds_clean = Dataset::try_collect_with(
         &lossless,
         &etherscan,
         world.opensea(),
         world.observation_end(),
-    );
-    let ds_lossy = Dataset::collect(&lossy, &etherscan, world.opensea(), world.observation_end());
+        &CrawlConfig::default(),
+    )
+    .expect("clean endpoints cannot fail")
+    .0;
+    let ds_lossy = Dataset::try_collect_with(
+        &lossy,
+        &etherscan,
+        world.opensea(),
+        world.observation_end(),
+        &CrawlConfig::default(),
+    )
+    .expect("clean endpoints cannot fail")
+    .0;
 
     // Detection works on hashes, so the re-registration counts are equal.
     let rr_clean = ens_dropcatch::detect_all(&ds_clean.domains).len();
@@ -49,11 +72,10 @@ fn name_loss_degrades_lexical_coverage_but_not_detection() {
         subgraph: &lossy,
         etherscan: &etherscan,
         opensea: world.opensea(),
-        oracle: world.oracle(),
         observation_end: world.observation_end(),
         crawl: Default::default(),
     };
-    let report = run_study(&sources, &StudyConfig::default());
+    let report = study(&sources, world.oracle());
     assert!(report.features.n_rereg > 0);
 }
 
@@ -197,11 +219,10 @@ fn missing_price_days_carry_forward_instead_of_crashing() {
         subgraph: &sg,
         etherscan: &scan,
         opensea: world.opensea(),
-        oracle: &oracle,
         observation_end: world.observation_end(),
         crawl: Default::default(),
     };
-    let report = run_study(&sources, &StudyConfig::default());
+    let report = study(&sources, &oracle);
     assert!(report.losses.hijackable.total_usd() > 0.0);
 }
 
@@ -215,11 +236,10 @@ fn studies_are_deterministic_and_seed_sensitive() {
             subgraph: &sg,
             etherscan: &scan,
             opensea: world.opensea(),
-            oracle: world.oracle(),
             observation_end: world.observation_end(),
             crawl: Default::default(),
         };
-        let report = run_study(&sources, &StudyConfig::default());
+        let report = study(&sources, world.oracle());
         serde_json::to_string(&report.overview.domain_frequency).unwrap()
     };
     assert_eq!(build(9), build(9), "same seed, same study");

@@ -8,8 +8,8 @@ use std::sync::OnceLock;
 
 use ens_dropcatch::{
     analyze_losses_naive, analyze_losses_with, compare_features_naive, compare_features_with,
-    run_study_on, run_study_on_naive, run_study_with_index, shard_map_weighted, AnalysisIndex,
-    DataSources, Dataset, StudyConfig,
+    run_study_on, run_study_on_naive, shard_map_weighted, AnalysisIndex, CrawlConfig, Dataset,
+    Metrics, StudyConfig,
 };
 use ens_dropcatch_suite::chain::Transaction;
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
@@ -24,7 +24,15 @@ fn build(seed: u64, names: usize) -> (workload::World, Dataset) {
         .build();
     let sg = world.subgraph(SubgraphConfig::default());
     let scan = world.etherscan();
-    let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
+    let ds = Dataset::try_collect_with(
+        &sg,
+        &scan,
+        world.opensea(),
+        world.observation_end(),
+        &CrawlConfig::default(),
+    )
+    .expect("clean endpoints cannot fail")
+    .0;
     (world, ds)
 }
 
@@ -66,21 +74,12 @@ fn indexed_passes_match_naive_across_worlds() {
 #[test]
 fn full_study_report_is_byte_identical_naive_vs_indexed_at_1_2_8_threads() {
     let (world, ds) = build(90, 2_000);
-    let sg = world.subgraph(SubgraphConfig::default());
-    let scan = world.etherscan();
-    let sources = DataSources {
-        subgraph: &sg,
-        etherscan: &scan,
-        opensea: world.opensea(),
-        oracle: world.oracle(),
-        observation_end: world.observation_end(),
-        crawl: Default::default(),
-    };
     let config = StudyConfig::default();
-    let naive = serde_json::to_string(&run_study_on_naive(&ds, &sources, &config)).unwrap();
+    let naive = serde_json::to_string(&run_study_on_naive(&ds, world.oracle(), &config)).unwrap();
     for threads in [1, 2, 8] {
         let threaded = StudyConfig { threads, ..config };
-        let indexed = serde_json::to_string(&run_study_on(&ds, &sources, &threaded)).unwrap();
+        let report = run_study_on(&ds, world.oracle(), &threaded, None, &Metrics::disabled());
+        let indexed = serde_json::to_string(&report).unwrap();
         assert_eq!(
             naive, indexed,
             "study report diverges from naive at {threads} threads"
@@ -106,18 +105,9 @@ fn n_incremental_extends_equal_one_batch_build_at_the_study_report_level() {
     // crawl increments must drive the full §4 pipeline to the same bytes
     // as an index built once over the complete dataset.
     let (world, ds) = build(77, 300);
-    let sg = world.subgraph(SubgraphConfig::default());
-    let scan = world.etherscan();
-    let sources = DataSources {
-        subgraph: &sg,
-        etherscan: &scan,
-        opensea: world.opensea(),
-        oracle: world.oracle(),
-        observation_end: world.observation_end(),
-        crawl: Default::default(),
-    };
     let config = StudyConfig::default();
-    let batch = serde_json::to_string(&run_study_on(&ds, &sources, &config)).unwrap();
+    let study = |index| run_study_on(&ds, world.oracle(), &config, index, &Metrics::disabled());
+    let batch = serde_json::to_string(&study(None)).unwrap();
 
     let d3 = ds.domains.len() / 3;
     let mut prefix = ds.clone();
@@ -131,8 +121,7 @@ fn n_incremental_extends_equal_one_batch_build_at_the_study_report_level() {
     );
     index.extend(&tx_slice(&ds, 2, 3), &ds.domains[2 * d3..], world.oracle());
 
-    let incremental =
-        serde_json::to_string(&run_study_with_index(&ds, &sources, &config, &index)).unwrap();
+    let incremental = serde_json::to_string(&study(Some(&index))).unwrap();
     assert_eq!(
         incremental, batch,
         "a study over an incrementally-extended index diverges from batch"

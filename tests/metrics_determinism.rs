@@ -6,7 +6,7 @@
 //! rendered study report.
 
 use ens_dropcatch_suite::analysis::{
-    run_study_on_metered, CrawlConfig, DataSources, Dataset, FailurePolicy, Metrics, StudyConfig,
+    run_study_on, CrawlConfig, DataSources, Dataset, FailurePolicy, Metrics, StudyConfig,
 };
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::FaultProfile;
@@ -34,28 +34,21 @@ fn metered_study(threads: usize) -> (String, String, ens_dropcatch_suite::obs::M
     let sg = world.subgraph(SubgraphConfig::default());
     let scan = world.etherscan();
     let metrics = Metrics::new();
-    let (ds, _) = Dataset::try_collect_metered(
-        &sg,
-        &scan,
-        world.opensea(),
-        world.observation_end(),
-        &chaotic_config(threads),
-        &metrics,
-    )
-    .expect("degrade policy completes under chaos");
     let sources = DataSources {
         subgraph: &sg,
         etherscan: &scan,
         opensea: world.opensea(),
-        oracle: world.oracle(),
         observation_end: world.observation_end(),
         crawl: chaotic_config(threads),
     };
+    let (ds, _) = sources
+        .collect(&metrics, None, None)
+        .expect("degrade policy completes under chaos");
     let config = StudyConfig {
         threads,
         ..StudyConfig::default()
     };
-    let report = run_study_on_metered(&ds, &sources, &config, &metrics);
+    let report = run_study_on(&ds, world.oracle(), &config, None, &metrics);
     (
         ds.to_json().expect("dataset serializes"),
         report.render(),
@@ -84,15 +77,16 @@ fn counters_reconcile_with_the_crawl_report() {
     let sg = world.subgraph(SubgraphConfig::default());
     let scan = world.etherscan();
     let metrics = Metrics::new();
-    let (ds, _) = Dataset::try_collect_metered(
-        &sg,
-        &scan,
-        world.opensea(),
-        world.observation_end(),
-        &chaotic_config(4),
-        &metrics,
-    )
-    .expect("degrade policy completes under chaos");
+    let sources = DataSources {
+        subgraph: &sg,
+        etherscan: &scan,
+        opensea: world.opensea(),
+        observation_end: world.observation_end(),
+        crawl: chaotic_config(4),
+    };
+    let (ds, _) = sources
+        .collect(&metrics, None, None)
+        .expect("degrade policy completes under chaos");
     let snap = metrics.snapshot();
     let report = &ds.crawl_report;
 
@@ -229,19 +223,11 @@ fn instrumentation_never_changes_dataset_or_report() {
         &chaotic_config(2),
     )
     .expect("degrade policy completes under chaos");
-    let sources = DataSources {
-        subgraph: &sg,
-        etherscan: &scan,
-        opensea: world.opensea(),
-        oracle: world.oracle(),
-        observation_end: world.observation_end(),
-        crawl: chaotic_config(2),
-    };
     let config = StudyConfig {
         threads: 2,
         ..StudyConfig::default()
     };
-    let report = ens_dropcatch_suite::analysis::run_study_on(&ds, &sources, &config);
+    let report = run_study_on(&ds, world.oracle(), &config, None, &Metrics::disabled());
     assert_eq!(metered_json, ds.to_json().unwrap());
     assert_eq!(metered_render, report.render());
 }

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use ens_dropcatch_suite::analysis::{
-    CheckpointSpec, CollectError, CrawlConfig, Dataset, FailurePolicy, Metrics,
+    remove_chain, CheckpointSpec, CollectError, CrawlConfig, Dataset, FailurePolicy, Metrics,
 };
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::{FaultKind, FaultProfile, KillSwitch};
@@ -180,6 +180,33 @@ fn checkpointed_run_without_a_kill_matches_plain_collection() {
         assert!(metrics.snapshot().counter("checkpoint/writes") > 0);
         assert!(!path.exists());
     }
+}
+
+#[test]
+fn a_killed_run_reports_every_segment_it_wrote() {
+    let world = world();
+    let profile = Some(FaultProfile::named("mixed", 4242).unwrap());
+    let (_, total_pages) = baseline(&world, profile.clone());
+    let path = temp_path("killed-writes");
+    let spec = CheckpointSpec::new(&path).every(4);
+    let metrics = Metrics::new();
+    let kill_at = total_pages / 2;
+    expect_killed(
+        attempt(&world, profile, 1, &spec, Some(kill_at), &metrics),
+        kill_at,
+    );
+    let segment = |i: u64| match i {
+        0 => path.clone(),
+        i => PathBuf::from(format!("{}.{i}", path.display())),
+    };
+    let segments = (0..).take_while(|&i| segment(i).exists()).count() as u64;
+    assert!(segments > 0, "the kill landed after a cadence save");
+    assert_eq!(
+        metrics.snapshot().counter("checkpoint/writes"),
+        segments,
+        "the killed run's snapshot counts the segments it left on disk"
+    );
+    remove_chain(&path);
 }
 
 #[test]
