@@ -11,9 +11,13 @@
 //!    perfectly legitimate sends, which is what actually decides whether a
 //!    wallet vendor ships the warning.
 //!
-//! Two policies are evaluated: the paper's recent-registration/expiry
-//! warning, and a forward-and-back (reverse-record) check that exploits how
-//! rarely dropcatchers claim primary names.
+//! Four policies are evaluated: the paper's recent-registration/expiry
+//! warning, its history-aware variant (recent ownership changes only), a
+//! forward-and-back (reverse-record) check that exploits how rarely
+//! dropcatchers claim primary names, and the freshness-or-reverse
+//! combination. [`evaluate_countermeasure_with`] scores all four in one
+//! sweep over the transactions; [`evaluate_countermeasure`] keeps one naive
+//! sweep per policy as the equivalence oracle.
 
 use std::collections::HashSet;
 
@@ -21,9 +25,10 @@ use ens_types::{Address, Duration, Timestamp};
 use serde::{Deserialize, Serialize};
 use wallet_sim::{production_wallets, ResolutionContext, WalletProfile, WarningPolicy};
 
-use crate::dataset::Dataset;
+use crate::dataset::{primary_name_in, Dataset};
 use crate::index::AnalysisIndex;
-use crate::losses::LossReport;
+use crate::losses::{LossReport, SenderKind};
+use crate::registrations::effective_owner_at_expiry;
 
 /// One row of Table 2.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -138,17 +143,31 @@ fn wallet_with(policy: WarningPolicy) -> WalletProfile {
     }
 }
 
+/// The four policies the report scores, in report order: the naive
+/// freshness warning, the history-aware one, the reverse-record check,
+/// and the freshness-or-reverse combination.
+fn policies(window: Duration) -> [WarningPolicy; 4] {
+    [
+        WarningPolicy::WarnOnRisk {
+            recent_window: window,
+        },
+        WarningPolicy::WarnOnRecentOwnerChange {
+            recent_window: window,
+        },
+        WarningPolicy::WarnOnReverseMismatch,
+        WarningPolicy::WarnOnRiskOrReverseMismatch {
+            recent_window: window,
+        },
+    ]
+}
+
 /// Evaluates one policy against every misdirected transaction (interception)
-/// and every legitimate incoming transaction (annoyance). With an
-/// [`AnalysisIndex`] the tenure-window scans of the annoyance loop are
-/// binary-search slices; without one they are the naive full-vector
-/// filters of the seed (kept as the equivalence baseline).
-fn evaluate_policy(
-    losses: &LossReport,
-    dataset: &Dataset,
-    index: Option<&AnalysisIndex>,
-    policy: WarningPolicy,
-) -> PolicyOutcome {
+/// and every legitimate incoming transaction (annoyance) with the naive
+/// full-vector scans of the seed. This is the naive reference only:
+/// [`evaluate_countermeasure`] runs it once per policy, and the fused
+/// sweep behind [`evaluate_countermeasure_with`] must match it byte for
+/// byte.
+fn evaluate_policy(losses: &LossReport, dataset: &Dataset, policy: WarningPolicy) -> PolicyOutcome {
     let wallet = wallet_with(policy);
     let mut outcome = PolicyOutcome::default();
 
@@ -157,7 +176,7 @@ fn evaluate_policy(
     for finding in &losses.findings {
         let name = finding.name.as_deref();
         for sender in &finding.senders {
-            if sender.kind == crate::losses::SenderKind::OtherCustodial {
+            if sender.kind == SenderKind::OtherCustodial {
                 continue;
             }
             for &(send_time, usd) in &sender.transfers_to_new {
@@ -197,40 +216,26 @@ fn evaluate_policy(
             }
             // Did this registration change the name's owner (a dropcatch)?
             let owner_changed_at = (idx > 0
-                && crate::registrations::effective_owner_at_expiry(domain, idx - 1)
-                    != Some(reg.owner))
+                && effective_owner_at_expiry(domain, idx - 1) != Some(reg.owner))
             .then_some(reg.registered_at);
-            let mut eval_tx = |from: Address, at: Timestamp| {
-                if flagged_set.contains(&(from, at.0)) {
-                    return;
+            for tx in dataset.incoming(reg.owner, Some((reg.registered_at, window_end))) {
+                if flagged_set.contains(&(tx.from, tx.timestamp.0)) {
+                    continue;
                 }
                 let reverse_matches = name
                     .as_deref()
-                    .map(|n| dataset.primary_name_at(reg.owner, at) == Some(n));
+                    .map(|n| dataset.primary_name_at(reg.owner, tx.timestamp) == Some(n));
                 let ctx = ResolutionContext {
                     resolved: Some(reg.owner),
                     expiry: Some(expiry),
                     registered_at: Some(reg.registered_at),
                     owner_changed_at,
                     reverse_matches,
-                    now: at,
+                    now: tx.timestamp,
                 };
                 outcome.legit_txs += 1;
                 if wallet.displays_warning(&ctx) {
                     outcome.false_positive_txs += 1;
-                }
-            };
-            let tenure = Some((reg.registered_at, window_end));
-            match index {
-                Some(ix) => {
-                    for tx in ix.incoming(reg.owner, tenure) {
-                        eval_tx(tx.from, tx.timestamp);
-                    }
-                }
-                None => {
-                    for tx in dataset.incoming(reg.owner, tenure) {
-                        eval_tx(tx.from, tx.timestamp);
-                    }
                 }
             }
         }
@@ -239,59 +244,127 @@ fn evaluate_policy(
     outcome
 }
 
+/// Every policy of `policies` in one sweep: the same interception and
+/// annoyance loops as [`evaluate_policy`], but each registration's name,
+/// expiry, owner-change time, tenure slice and reverse claims are looked
+/// up once, the flagged set is built once, and each transaction's
+/// [`ResolutionContext`] is built once and handed to every policy. Each
+/// outcome accumulates in the naive sweep's order, so its f64 sums are
+/// bit-identical to a separate [`evaluate_policy`] call.
+fn evaluate_policies(
+    losses: &LossReport,
+    dataset: &Dataset,
+    index: &AnalysisIndex,
+    policies: &[WarningPolicy; 4],
+) -> [PolicyOutcome; 4] {
+    let mut outcomes = [PolicyOutcome::default(); 4];
+
+    let mut flagged_set: HashSet<(Address, u64)> = HashSet::new();
+    for finding in &losses.findings {
+        let name = finding.name.as_deref();
+        let claims = dataset.reverse_claims_of(finding.new_owner);
+        for sender in &finding.senders {
+            if sender.kind == SenderKind::OtherCustodial {
+                continue;
+            }
+            for &(send_time, usd) in &sender.transfers_to_new {
+                flagged_set.insert((sender.sender, send_time.0));
+                let ctx = ResolutionContext {
+                    resolved: Some(finding.new_owner),
+                    expiry: None,
+                    registered_at: Some(finding.caught_at),
+                    owner_changed_at: Some(finding.caught_at),
+                    reverse_matches: name.map(|n| primary_name_in(claims, send_time) == Some(n)),
+                    now: send_time,
+                };
+                for (policy, outcome) in policies.iter().zip(&mut outcomes) {
+                    outcome.misdirected_txs += 1;
+                    outcome.misdirected_usd += usd;
+                    if policy.evaluate(&ctx).is_some() {
+                        outcome.flagged_txs += 1;
+                        outcome.flagged_usd += usd;
+                    }
+                }
+            }
+        }
+    }
+
+    for domain in &dataset.domains {
+        let name = domain.name.as_ref().map(|n| n.to_full());
+        for (idx, reg) in domain.registrations.iter().enumerate() {
+            let Some(expiry) = domain.expiry_of_registration(idx) else {
+                continue;
+            };
+            let window_end = expiry.min(dataset.observation_end);
+            if reg.registered_at >= window_end {
+                continue;
+            }
+            let owner_changed_at = (idx > 0
+                && effective_owner_at_expiry(domain, idx - 1) != Some(reg.owner))
+            .then_some(reg.registered_at);
+            let claims = dataset.reverse_claims_of(reg.owner);
+            for tx in index.incoming(reg.owner, Some((reg.registered_at, window_end))) {
+                if flagged_set.contains(&(tx.from, tx.timestamp.0)) {
+                    continue;
+                }
+                let ctx = ResolutionContext {
+                    resolved: Some(reg.owner),
+                    expiry: Some(expiry),
+                    registered_at: Some(reg.registered_at),
+                    owner_changed_at,
+                    reverse_matches: name
+                        .as_deref()
+                        .map(|n| primary_name_in(claims, tx.timestamp) == Some(n)),
+                    now: tx.timestamp,
+                };
+                for (policy, outcome) in policies.iter().zip(&mut outcomes) {
+                    outcome.legit_txs += 1;
+                    if policy.evaluate(&ctx).is_some() {
+                        outcome.false_positive_txs += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    outcomes
+}
+
 /// Evaluates the proposed countermeasure (and the reverse-check variant)
-/// against a loss report, on the naive scan path.
+/// against a loss report, on the naive scan path: one full sweep per
+/// policy, kept as the equivalence oracle for
+/// [`evaluate_countermeasure_with`].
 pub fn evaluate_countermeasure(
     losses: &LossReport,
     dataset: &Dataset,
     window: Duration,
 ) -> CountermeasureReport {
-    evaluate_countermeasure_inner(losses, dataset, None, window)
+    report(
+        policies(window).map(|policy| evaluate_policy(losses, dataset, policy)),
+        window,
+    )
 }
 
 /// [`evaluate_countermeasure`] on the analysis substrate — identical
-/// output, with the annoyance loop's tenure scans served by the index.
+/// output from one sweep that scores all four policies, with the
+/// annoyance loop's tenure scans served by the index.
 pub fn evaluate_countermeasure_with(
     losses: &LossReport,
     dataset: &Dataset,
     index: &AnalysisIndex,
     window: Duration,
 ) -> CountermeasureReport {
-    evaluate_countermeasure_inner(losses, dataset, Some(index), window)
+    report(
+        evaluate_policies(losses, dataset, index, &policies(window)),
+        window,
+    )
 }
 
-fn evaluate_countermeasure_inner(
-    losses: &LossReport,
-    dataset: &Dataset,
-    index: Option<&AnalysisIndex>,
+/// The report for the four outcomes of [`policies`], in that order.
+fn report(
+    [risk_policy, rereg_policy, reverse_policy, combined_policy]: [PolicyOutcome; 4],
     window: Duration,
 ) -> CountermeasureReport {
-    let risk_policy = evaluate_policy(
-        losses,
-        dataset,
-        index,
-        WarningPolicy::WarnOnRisk {
-            recent_window: window,
-        },
-    );
-    let rereg_policy = evaluate_policy(
-        losses,
-        dataset,
-        index,
-        WarningPolicy::WarnOnRecentOwnerChange {
-            recent_window: window,
-        },
-    );
-    let reverse_policy =
-        evaluate_policy(losses, dataset, index, WarningPolicy::WarnOnReverseMismatch);
-    let combined_policy = evaluate_policy(
-        losses,
-        dataset,
-        index,
-        WarningPolicy::WarnOnRiskOrReverseMismatch {
-            recent_window: window,
-        },
-    );
     CountermeasureReport {
         table2: table2(&canonical_expired_context()),
         misdirected_txs: risk_policy.misdirected_txs,

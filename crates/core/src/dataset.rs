@@ -270,11 +270,13 @@ impl Dataset {
 
     /// The primary name `address` had claimed as of time `t`.
     pub fn primary_name_at(&self, address: Address, t: Timestamp) -> Option<&str> {
-        self.reverse_claims
-            .get(&address)?
-            .iter()
-            .rfind(|(at, _)| *at <= t)
-            .map(|(_, name)| name.as_str())
+        primary_name_in(self.reverse_claims_of(address), t)
+    }
+
+    /// `address`'s primary-name claims in time order — empty if it never
+    /// claimed one.
+    pub(crate) fn reverse_claims_of(&self, address: Address) -> &[(Timestamp, String)] {
+        self.reverse_claims.get(&address).map_or(&[], Vec::as_slice)
     }
 
     /// Number of distinct senders to `address` in a window.
@@ -310,6 +312,16 @@ impl Dataset {
     pub fn from_json(s: &str) -> serde_json::Result<Dataset> {
         serde_json::from_str(s)
     }
+}
+
+/// The primary name in force at `t` in one address's time-ordered claims
+/// ([`Dataset::reverse_claims_of`]) — [`Dataset::primary_name_at`] for a
+/// caller that looked the claims up once and probes many times.
+pub(crate) fn primary_name_in(claims: &[(Timestamp, String)], t: Timestamp) -> Option<&str> {
+    claims
+        .iter()
+        .rfind(|(at, _)| *at <= t)
+        .map(|(_, name)| name.as_str())
 }
 
 /// The endpoints one collection run crawls, and the knobs it crawls them

@@ -834,7 +834,10 @@ impl<'a> Planner<'a> {
     ) {
         let cfg = self.cfg;
         let window_end = Timestamp((catch_t.0 + 330 * 86_400).min(obs_end.0 - 86_400));
-        if window_end <= catch_t {
+        // Sends start an hour after the catch; a window that closes by
+        // then has no time to sample from.
+        let first_send = catch_t + Duration::from_secs(3600);
+        if window_end <= first_send {
             return;
         }
         let n_common = (1 + geometric(&mut self.rng, 0.5) as usize).min(senders.len());
@@ -851,7 +854,7 @@ impl<'a> Planner<'a> {
                 2 + geometric(&mut self.rng, 0.45)
             };
             for _ in 0..n_txs {
-                let at = self.uniform_ts(catch_t + Duration::from_secs(3600), window_end);
+                let at = self.uniform_ts(first_send, window_end);
                 let usd = (log_normal(
                     &mut self.rng,
                     cfg.senders.misdirect_amount_median,
@@ -1040,6 +1043,44 @@ mod tests {
             }
         }
         assert!(checked > 20, "only {checked} misdirected txs planned");
+    }
+
+    #[test]
+    fn a_catch_within_an_hour_of_the_misdirect_window_end_plans_nothing() {
+        let cfg = WorldConfig::small().with_seed(3);
+        let mut planner = Planner::new(&cfg);
+        let mut truth = NameTruth {
+            label: Label::parse("goldwhale").unwrap(),
+            class: NameClass::Compound,
+            desirability: 0.5,
+            legacy: false,
+            periods: Vec::new(),
+            first_income_usd: 0.0,
+            expired: true,
+            catch_count: 1,
+            misdirected: Vec::new(),
+            hijackable_usd: 0.0,
+            listed: false,
+            sold: false,
+        };
+        let catch_t = Timestamp::from_ymd(2022, 6, 1);
+        // The window ends a day before `obs_end`: 30 minutes after the catch,
+        // before the first send could land.
+        let obs_end = catch_t + Duration::from_days(1) + Duration::from_secs(1800);
+        let sender = SenderInfo {
+            addr: Address::derive(b"common-sender"),
+            custodial: false,
+        };
+        planner.plan_misdirects(
+            &mut truth,
+            &[sender],
+            Address::derive(b"old-holder"),
+            Address::derive(b"catcher"),
+            catch_t,
+            obs_end,
+        );
+        assert!(truth.misdirected.is_empty());
+        assert!(planner.events.is_empty());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use ens_dropcatch::countermeasures::{evaluate_countermeasure, evaluate_countermeasure_with};
 use ens_dropcatch::{
     analyze_losses_naive, analyze_losses_with, compare_features_naive, compare_features_with,
     run_study_on, run_study_on_naive, shard_map_weighted, AnalysisIndex, CrawlConfig, Dataset,
@@ -13,7 +14,7 @@ use ens_dropcatch::{
 };
 use ens_dropcatch_suite::chain::Transaction;
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
-use ens_dropcatch_suite::types::{Address, Timestamp};
+use ens_dropcatch_suite::types::{Address, Duration, Timestamp};
 use ens_dropcatch_suite::workload::WorldConfig;
 use proptest::prelude::*;
 
@@ -68,6 +69,24 @@ fn indexed_passes_match_naive_across_worlds() {
             serde_json::to_string(&indexed_features).unwrap(),
             "feature comparisons diverge at seed {seed}"
         );
+
+        // The fused four-policy sweep against one naive sweep per policy.
+        // A zero window is the edge where the freshness warning never fires.
+        for days in [0, 30, 365] {
+            let window = Duration::from_days(days);
+            assert_eq!(
+                serde_json::to_string(&evaluate_countermeasure(&naive_losses, &ds, window))
+                    .unwrap(),
+                serde_json::to_string(&evaluate_countermeasure_with(
+                    &indexed_losses,
+                    &ds,
+                    &index,
+                    window
+                ))
+                .unwrap(),
+                "countermeasure reports diverge at seed {seed}, {days}-day window"
+            );
+        }
     }
 }
 
