@@ -33,8 +33,10 @@
 //! Sections are built with the [`PutLe`] writer extension and read back
 //! with a bounds-checked [`Cursor`]. Within a section, encoders are
 //! expected to lay fields out *column-wise* (all values of field A, then
-//! all of field B), which is what makes decoding a sequence of bulk,
-//! branch-free copies. Booleans pack into bitmaps ([`push_bits`] /
+//! all of field B), so a decoder reads each column in place: the cursor
+//! bounds-checks the whole column once and hands out a borrowed
+//! [`Column`] view that decodes values on access, with no copy of the
+//! column. Booleans pack into bitmaps ([`push_bits`] /
 //! [`Cursor::take_bits`]); optional references use the [`NONE_ID`]
 //! sentinel.
 //!
@@ -43,13 +45,15 @@
 //! [`StrTable`] and [`BytesTable`] deduplicate repeated values (names,
 //! 20-byte addresses) into id-indexed pools, so a column of owners is a
 //! `u32` column plus one shared table. Both report hit counts for
-//! observability.
+//! observability. Their read sides, [`StrPool`] and [`FixedPool`], are
+//! views that borrow from the file as well.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Magic bytes opening every columnar file.
 pub const MAGIC: [u8; 4] = *b"ENSC";
@@ -98,7 +102,7 @@ pub enum ColumnarError {
     /// The directory lists the same section id twice.
     DuplicateSection(u32),
     /// A value inside a section is inconsistent (bad intern id, invalid
-    /// UTF-8, trailing bytes, overlapping payloads, ...).
+    /// UTF-8, trailing bytes, ...).
     Corrupt(String),
 }
 
@@ -447,44 +451,16 @@ impl<'a> Cursor<'a> {
         self.take(n)
     }
 
-    /// Reads a whole `u32` column of `n` values.
-    pub fn take_u32_vec(&mut self, n: usize) -> Result<Vec<u32>> {
-        let raw = self.take(n.checked_mul(4).ok_or_else(|| overflow(n))?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// Reads a whole `u64` column of `n` values.
-    pub fn take_u64_vec(&mut self, n: usize) -> Result<Vec<u64>> {
-        let raw = self.take(n.checked_mul(8).ok_or_else(|| overflow(n))?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
-
-    /// Reads a whole `u128` column of `n` values.
-    pub fn take_u128_vec(&mut self, n: usize) -> Result<Vec<u128>> {
-        let raw = self.take(n.checked_mul(16).ok_or_else(|| overflow(n))?)?;
-        Ok(raw
-            .chunks_exact(16)
-            .map(|c| u128::from_le_bytes(c.try_into().expect("16 bytes")))
-            .collect())
-    }
-
-    /// Reads a column of `n` fixed-width `[u8; N]` values.
-    pub fn take_fixed_vec<const N: usize>(&mut self, n: usize) -> Result<Vec<[u8; N]>> {
-        let raw = self.take(n.checked_mul(N).ok_or_else(|| overflow(n))?)?;
-        Ok(raw
-            .chunks_exact(N)
-            .map(|c| {
-                let mut out = [0u8; N];
-                out.copy_from_slice(c);
-                out
-            })
-            .collect())
+    /// Takes a column of `n` fixed-width values in place, without copying
+    /// it. The column's bytes are bounds-checked here, so once this returns
+    /// `n` is backed by data and may size an allocation.
+    pub fn take_column<T: FixedWidth>(&mut self, n: usize) -> Result<Column<'a, T>> {
+        let raw = self.take(n.checked_mul(T::WIDTH).ok_or_else(|| overflow(n))?)?;
+        Ok(Column {
+            raw,
+            len: n,
+            value: PhantomData,
+        })
     }
 
     /// Reads a bitmap of `n` bits written by [`push_bits`].
@@ -517,6 +493,76 @@ fn overflow(n: usize) -> ColumnarError {
     ColumnarError::Corrupt(format!("column length {n} overflows"))
 }
 
+/// A value stored in a fixed number of little-endian bytes: the element
+/// type of a [`Column`].
+pub trait FixedWidth: Copy + 'static {
+    /// Bytes per value.
+    const WIDTH: usize;
+    /// Decodes one value from exactly [`FixedWidth::WIDTH`] bytes.
+    fn from_le(raw: &[u8]) -> Self;
+}
+
+macro_rules! fixed_width_int {
+    ($($t:ty),*) => {$(
+        impl FixedWidth for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn from_le(raw: &[u8]) -> $t {
+                <$t>::from_le_bytes(raw.try_into().expect("one value's bytes"))
+            }
+        }
+    )*};
+}
+
+fixed_width_int!(u32, u64, u128);
+
+impl<const N: usize> FixedWidth for [u8; N] {
+    const WIDTH: usize = N;
+    fn from_le(raw: &[u8]) -> [u8; N] {
+        raw.try_into().expect("one value's bytes")
+    }
+}
+
+/// A fixed-width column read in place: `len` values borrowed from the
+/// section payload and decoded on access.
+#[derive(Clone, Copy)]
+pub struct Column<'a, T> {
+    raw: &'a [u8],
+    len: usize,
+    value: PhantomData<T>,
+}
+
+impl<'a, T: FixedWidth> Column<'a, T> {
+    /// The `i`-th value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len` (a decoder bug, not input data).
+    pub fn get(&self, i: usize) -> T {
+        // With `i < len`, `start + WIDTH <= len * WIDTH`, which
+        // `take_column` checked for overflow.
+        assert!(i < self.len, "value {i} out of {}", self.len);
+        let start = i * T::WIDTH;
+        T::from_le(&self.raw[start..start + T::WIDTH])
+    }
+
+    /// The values in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = T> + 'a {
+        // `max(1)` keeps a zero-width column from asking for empty chunks;
+        // its bytes are empty, so it still yields nothing.
+        self.raw.chunks_exact(T::WIDTH.max(1)).map(T::from_le)
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the column is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// A decoded bitmap column.
 pub struct Bits<'a> {
     bytes: &'a [u8],
@@ -532,6 +578,20 @@ impl Bits<'_> {
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of {}", self.len);
         self.bytes[i / 8] & (1 << (i % 8)) != 0
+    }
+
+    /// Number of set bits. Padding bits past `len` in the last byte are
+    /// not counted, just as [`Bits::get`] never reads them.
+    pub fn count_ones(&self) -> usize {
+        let (full, tail) = (self.len / 8, self.len % 8);
+        let mut ones: usize = self.bytes[..full]
+            .iter()
+            .map(|b| b.count_ones() as usize)
+            .sum();
+        if tail != 0 {
+            ones += (self.bytes[full] & ((1u8 << tail) - 1)).count_ones() as usize;
+        }
+        ones
     }
 
     /// Number of bits.
@@ -614,45 +674,60 @@ impl StrTable {
     }
 }
 
-/// A decoded string pool (the read-side counterpart of [`StrTable`]).
-pub struct StrPool {
-    strings: Vec<String>,
+/// A decoded string pool (the read-side counterpart of [`StrTable`]): a
+/// view that hands out `&str` slices of the file's string heap.
+pub struct StrPool<'a> {
+    ends: Column<'a, u32>,
+    heap: &'a str,
 }
 
-impl StrPool {
-    /// Decodes a pool encoded by [`StrTable::encode`].
-    pub fn decode(cur: &mut Cursor<'_>) -> Result<StrPool> {
+impl<'a> StrPool<'a> {
+    /// Decodes a pool encoded by [`StrTable::encode`]. One UTF-8 check
+    /// covers the whole heap, and every string end must lie on a char
+    /// boundary, which accepts exactly the pools whose every string is
+    /// valid UTF-8 on its own.
+    pub fn decode(cur: &mut Cursor<'a>) -> Result<StrPool<'a>> {
         let count = cur.take_u32()? as usize;
-        let ends = cur.take_u32_vec(count)?;
-        let total = ends.last().copied().unwrap_or(0) as usize;
-        let bytes = cur.take_bytes(total)?;
-        let mut strings = Vec::with_capacity(count);
+        let ends = cur.take_column::<u32>(count)?;
+        let total = count.checked_sub(1).map_or(0, |last| ends.get(last)) as usize;
+        let heap = std::str::from_utf8(cur.take_bytes(total)?)
+            .map_err(|e| ColumnarError::Corrupt(format!("string pool: invalid UTF-8: {e}")))?;
         let mut start = 0usize;
-        for &end in &ends {
+        for end in ends.iter() {
             let end = end as usize;
-            if end < start || end > bytes.len() {
+            if end < start || end > total {
                 return Err(ColumnarError::Corrupt(format!(
                     "string pool: end {end} out of order (start {start}, total {total})"
                 )));
             }
-            let s = std::str::from_utf8(&bytes[start..end])
-                .map_err(|e| ColumnarError::Corrupt(format!("string pool: invalid UTF-8: {e}")))?;
-            strings.push(s.to_string());
+            if !heap.is_char_boundary(end) {
+                return Err(ColumnarError::Corrupt(format!(
+                    "string pool: invalid UTF-8: end {end} splits a character"
+                )));
+            }
             start = end;
         }
-        Ok(StrPool { strings })
+        Ok(StrPool { ends, heap })
     }
 
     /// The string with id `id`.
-    pub fn get(&self, id: u32) -> Result<&str> {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| ColumnarError::Corrupt(format!("string id {id} out of range")))
+    pub fn get(&self, id: u32) -> Result<&'a str> {
+        let i = id as usize;
+        if i >= self.ends.len() {
+            return Err(ColumnarError::Corrupt(format!(
+                "string id {id} out of range"
+            )));
+        }
+        let start = if i == 0 {
+            0
+        } else {
+            self.ends.get(i - 1) as usize
+        };
+        Ok(&self.heap[start..self.ends.get(i) as usize])
     }
 
     /// Like [`StrPool::get`] but mapping the [`NONE_ID`] sentinel to `None`.
-    pub fn get_opt(&self, id: u32) -> Result<Option<&str>> {
+    pub fn get_opt(&self, id: u32) -> Result<Option<&'a str>> {
         if id == NONE_ID {
             Ok(None)
         } else {
@@ -662,12 +737,12 @@ impl StrPool {
 
     /// Number of pooled strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// True if the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 }
 
@@ -737,25 +812,29 @@ impl<const N: usize> BytesTable<N> {
     }
 }
 
-/// A decoded fixed-width value pool (read side of [`BytesTable`]).
-pub struct FixedPool<const N: usize> {
-    values: Vec<[u8; N]>,
+/// A decoded fixed-width value pool (read side of [`BytesTable`]): a view
+/// over the file's value column.
+pub struct FixedPool<'a, const N: usize> {
+    values: Column<'a, [u8; N]>,
 }
 
-impl<const N: usize> FixedPool<N> {
+impl<'a, const N: usize> FixedPool<'a, N> {
     /// Decodes a pool encoded by [`BytesTable::encode`].
-    pub fn decode(cur: &mut Cursor<'_>) -> Result<FixedPool<N>> {
+    pub fn decode(cur: &mut Cursor<'a>) -> Result<FixedPool<'a, N>> {
         let count = cur.take_u32()? as usize;
-        let values = cur.take_fixed_vec::<N>(count)?;
+        let values = cur.take_column::<[u8; N]>(count)?;
         Ok(FixedPool { values })
     }
 
     /// The value with id `id`.
     pub fn get(&self, id: u32) -> Result<[u8; N]> {
-        self.values
-            .get(id as usize)
-            .copied()
-            .ok_or_else(|| ColumnarError::Corrupt(format!("value id {id} out of range")))
+        if (id as usize) < self.values.len() {
+            Ok(self.values.get(id as usize))
+        } else {
+            Err(ColumnarError::Corrupt(format!(
+                "value id {id} out of range"
+            )))
+        }
     }
 
     /// Number of pooled values.
@@ -968,6 +1047,69 @@ mod tests {
         assert_eq!(pool.get(0).unwrap(), [1, 2, 3, 4]);
         assert_eq!(pool.get(1).unwrap(), [5, 6, 7, 8]);
         assert!(pool.get(2).is_err());
+    }
+
+    #[test]
+    fn columns_are_read_in_place() {
+        let mut buf = Vec::new();
+        for v in [7u32, 0, u32::MAX] {
+            buf.put_u32(v);
+        }
+        buf.put_u128(u128::MAX - 1);
+        buf.put_bytes(&[1, 2, 3, 4, 5, 6]);
+        let mut cur = Cursor::new(&buf, "columns");
+        let ids = cur.take_column::<u32>(3).unwrap();
+        let wide = cur.take_column::<u128>(1).unwrap();
+        let pairs = cur.take_column::<[u8; 2]>(3).unwrap();
+        cur.expect_end().unwrap();
+        assert_eq!((ids.len(), ids.get(0), ids.get(2)), (3, 7, u32::MAX));
+        assert_eq!(ids.iter().collect::<Vec<_>>(), [7, 0, u32::MAX]);
+        assert_eq!(wide.get(0), u128::MAX - 1);
+        assert_eq!(pairs.get(1), [3, 4]);
+
+        // A column longer than the bytes left fails before anything is
+        // sized from its count.
+        let mut cur = Cursor::new(&buf, "columns");
+        assert!(matches!(
+            cur.take_column::<u64>(usize::MAX / 4),
+            Err(ColumnarError::Corrupt(_))
+        ));
+        assert!(matches!(
+            cur.take_column::<u64>(5),
+            Err(ColumnarError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn popcount_ignores_padding_bits() {
+        for n in [0usize, 1, 7, 8, 9, 64, 65] {
+            let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+            let mut buf = Vec::new();
+            push_bits(&mut buf, &bits);
+            if let Some(last) = buf.last_mut() {
+                if n % 8 != 0 {
+                    *last |= 0xFF << (n % 8); // set every padding bit
+                }
+            }
+            let decoded = Cursor::new(&buf, "bits").take_bits(n).unwrap();
+            assert_eq!(decoded.count_ones(), bits.iter().filter(|&&b| b).count());
+        }
+    }
+
+    #[test]
+    fn a_string_end_inside_a_character_is_rejected() {
+        // "币" is three bytes; an end of 1 splits it, although the heap as
+        // a whole is valid UTF-8.
+        let mut buf = Vec::new();
+        buf.put_u32(2);
+        buf.put_u32(1);
+        buf.put_u32(3);
+        buf.put_bytes("币".as_bytes());
+        let mut cur = Cursor::new(&buf, "strings");
+        assert!(matches!(
+            StrPool::decode(&mut cur),
+            Err(ColumnarError::Corrupt(msg)) if msg.contains("invalid UTF-8")
+        ));
     }
 
     #[test]

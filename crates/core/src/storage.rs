@@ -29,8 +29,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ens_columnar::{
-    checksum64, is_columnar, push_bits, ColumnarError, Cursor, FileBuilder, FileView, FixedPool,
-    PutLe, StrPool, StrTable, NONE_ID,
+    checksum64, is_columnar, push_bits, Bits, Column, ColumnarError, Cursor, FileBuilder, FileView,
+    FixedPool, PutLe, StrPool, StrTable, NONE_ID,
 };
 use ens_obs::Metrics;
 use ens_subgraph::{
@@ -497,6 +497,9 @@ impl Dataset {
     }
 
     /// [`Dataset::from_columnar`] under a `columnar/decode` span.
+    ///
+    /// Every column is read in place through a borrowed view, and every row
+    /// is built once, straight into the `Vec` it ends up in.
     pub fn from_columnar_metered(
         bytes: &[u8],
         metrics: &Metrics,
@@ -510,13 +513,13 @@ impl Dataset {
         let mut cur = Cursor::new(view.section(section::ADDRESSES)?, "addresses");
         let addrs = FixedPool::<20>::decode(&mut cur)?;
         cur.expect_end()?;
-        let addr_of = |id: u32| -> Result<Address, ColumnarError> { Ok(Address(addrs.get(id)?)) };
+        let pools = Pools { strings, addrs };
 
-        let (domains, counts) = decode_domains(&view, &strings, &addr_of)?;
-        let transactions = decode_transactions(&view, &strings, &addr_of)?;
-        let market = decode_market(&view, &addr_of)?;
-        let reverse_claims = decode_reverse(&view, &strings, &addr_of)?;
-        let labels = decode_labels(&view, &strings, &addr_of)?;
+        let (domains, events) = decode_domains(&view, &pools)?;
+        let transactions = decode_transactions(&view, &pools)?;
+        let market = decode_market(&view, &pools)?;
+        let reverse_claims = decode_reverse(&view, &pools)?;
+        let labels = decode_labels(&view, &pools)?;
 
         let mut cur = Cursor::new(view.section(section::META)?, "meta");
         let observation_end = Timestamp(cur.take_u64()?);
@@ -531,10 +534,10 @@ impl Dataset {
         if metrics.is_enabled() {
             metrics.add("columnar/decode/bytes", bytes.len() as u64);
             metrics.add("columnar/decode/sections", view.section_count() as u64);
-            metrics.add("columnar/decode/strings", strings.len() as u64);
-            metrics.add("columnar/decode/addresses", addrs.len() as u64);
-            metrics.add("columnar/decode/domains", counts.domains as u64);
-            metrics.add("columnar/decode/events", counts.events as u64);
+            metrics.add("columnar/decode/strings", pools.strings.len() as u64);
+            metrics.add("columnar/decode/addresses", pools.addrs.len() as u64);
+            metrics.add("columnar/decode/domains", domains.len() as u64);
+            metrics.add("columnar/decode/events", events as u64);
         }
         drop(span);
         Ok(Dataset {
@@ -553,365 +556,409 @@ impl Dataset {
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct DecodeCounts {
-    domains: usize,
-    events: usize,
+/// The two intern pools every section resolves its ids against, both
+/// borrowed from the file.
+struct Pools<'a> {
+    strings: StrPool<'a>,
+    addrs: FixedPool<'a, 20>,
 }
 
-fn decode_domains(
-    view: &FileView<'_>,
-    strings: &StrPool,
-    addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
-) -> Result<(Vec<DomainRecord>, DecodeCounts), ColumnarError> {
-    let mut cur = Cursor::new(view.section(section::DOMAINS)?, "domains");
-    let n = cur.take_u32()? as usize;
-    let label_hashes = cur.take_fixed_vec::<32>(n)?;
-    let name_ids = cur.take_u32_vec(n)?;
-    let reg_counts = cur.take_u32_vec(n)?;
-    let ren_counts = cur.take_u32_vec(n)?;
-    let xfer_counts = cur.take_u32_vec(n)?;
-    let addr_counts = cur.take_u32_vec(n)?;
-    let sub_counts = cur.take_u32_vec(n)?;
-    cur.expect_end()?;
+impl Pools<'_> {
+    fn addr(&self, id: u32) -> Result<Address, ColumnarError> {
+        Ok(Address(self.addrs.get(id)?))
+    }
+}
 
-    let mut regs = decode_registrations(view, addr_of)?.into_iter();
-    let mut rens = decode_renewals(view)?.into_iter();
-    let mut xfers = decode_transfers(view, addr_of)?.into_iter();
-    let mut addr_changes = decode_addr_changes(view, addr_of)?.into_iter();
-    let mut subs = decode_subdomains(view, strings, addr_of)?.into_iter();
+/// Hands a flattened nested-entry section's rows out to the domains in
+/// order: each domain claims the next `k` rows, built by `entry` straight
+/// into a `Vec` of capacity `k`. `entry` sees rows `0, 1, 2, ...` in
+/// order, each exactly once.
+struct Claims<F> {
+    what: &'static str,
+    rows: usize,
+    next: usize,
+    entry: F,
+}
 
-    fn take<T>(
-        it: &mut impl Iterator<Item = T>,
-        k: usize,
-        what: &str,
-    ) -> Result<Vec<T>, ColumnarError> {
-        let taken: Vec<T> = it.by_ref().take(k).collect();
-        if taken.len() != k {
-            return Err(ColumnarError::Corrupt(format!(
-                "domains: {what} column exhausted (wanted {k} more)"
-            )));
+impl<T, F: FnMut(usize) -> Result<T, ColumnarError>> Claims<F> {
+    fn new(what: &'static str, rows: usize, entry: F) -> Claims<F> {
+        Claims {
+            what,
+            rows,
+            next: 0,
+            entry,
         }
-        Ok(taken)
     }
 
-    let mut events = 0usize;
+    fn claim(&mut self, k: u32) -> Result<Vec<T>, ColumnarError> {
+        let k = k as usize;
+        // The rows left are backed by column bytes; checking `k` against
+        // them first bounds the allocation below.
+        if k > self.rows - self.next {
+            return Err(ColumnarError::Corrupt(format!(
+                "domains: {} column exhausted (wanted {k} more)",
+                self.what
+            )));
+        }
+        let mut entries = Vec::with_capacity(k);
+        for j in self.next..self.next + k {
+            entries.push((self.entry)(j)?);
+        }
+        self.next += k;
+        Ok(entries)
+    }
+
+    /// Fails unless every row was claimed; returns the row count.
+    fn finish(self) -> Result<usize, ColumnarError> {
+        let left = self.rows - self.next;
+        if left != 0 {
+            return Err(ColumnarError::Corrupt(format!(
+                "domains: {left} unclaimed {} rows",
+                self.what
+            )));
+        }
+        Ok(self.rows)
+    }
+}
+
+fn decode_domains<'a>(
+    view: &FileView<'a>,
+    pools: &'a Pools<'a>,
+) -> Result<(Vec<DomainRecord>, usize), ColumnarError> {
+    let mut cur = Cursor::new(view.section(section::DOMAINS)?, "domains");
+    let n = cur.take_u32()? as usize;
+    let label_hashes = cur.take_column::<[u8; 32]>(n)?;
+    let name_ids = cur.take_column::<u32>(n)?;
+    let reg_counts = cur.take_column::<u32>(n)?;
+    let ren_counts = cur.take_column::<u32>(n)?;
+    let xfer_counts = cur.take_column::<u32>(n)?;
+    let addr_counts = cur.take_column::<u32>(n)?;
+    let sub_counts = cur.take_column::<u32>(n)?;
+    cur.expect_end()?;
+
+    let mut regs = registrations(view, pools)?;
+    let mut rens = renewals(view)?;
+    let mut xfers = transfers(view, pools)?;
+    let mut addr_changes = addr_changes(view, pools)?;
+    let mut subs = subdomains(view, pools)?;
+
     let mut domains = Vec::with_capacity(n);
     for i in 0..n {
-        let name = match strings.get_opt(name_ids[i])? {
+        let name = match pools.strings.get_opt(name_ids.get(i))? {
             None => None,
             Some(s) => Some(EnsName::from_label(Label::parse_any(s).map_err(|e| {
                 ColumnarError::Corrupt(format!("domains: bad name {s:?}: {e}"))
             })?)),
         };
-        let registrations = take(&mut regs, reg_counts[i] as usize, "registration")?;
-        let renewals = take(&mut rens, ren_counts[i] as usize, "renewal")?;
-        let transfers = take(&mut xfers, xfer_counts[i] as usize, "transfer")?;
-        let addr_list = take(&mut addr_changes, addr_counts[i] as usize, "addr-change")?;
-        let subdomains = take(&mut subs, sub_counts[i] as usize, "subdomain")?;
-        events += registrations.len()
-            + renewals.len()
-            + transfers.len()
-            + addr_list.len()
-            + subdomains.len();
         domains.push(DomainRecord {
-            label_hash: LabelHash(Hash32(label_hashes[i])),
+            label_hash: LabelHash(Hash32(label_hashes.get(i))),
             name,
-            registrations,
-            renewals,
-            transfers,
-            addr_changes: addr_list,
-            subdomains,
+            registrations: regs.claim(reg_counts.get(i))?,
+            renewals: rens.claim(ren_counts.get(i))?,
+            transfers: xfers.claim(xfer_counts.get(i))?,
+            addr_changes: addr_changes.claim(addr_counts.get(i))?,
+            subdomains: subs.claim(sub_counts.get(i))?,
         });
     }
-    for (left, what) in [
-        (regs.count(), "registration"),
-        (rens.count(), "renewal"),
-        (xfers.count(), "transfer"),
-        (addr_changes.count(), "addr-change"),
-        (subs.count(), "subdomain"),
-    ] {
-        if left != 0 {
-            return Err(ColumnarError::Corrupt(format!(
-                "domains: {left} unclaimed {what} rows"
-            )));
-        }
-    }
-    Ok((domains, DecodeCounts { domains: n, events }))
+    let events = regs.finish()?
+        + rens.finish()?
+        + xfers.finish()?
+        + addr_changes.finish()?
+        + subs.finish()?;
+    Ok((domains, events))
 }
 
-/// Decodes an `Option<TxHash>` column written by [`push_tx_column`].
-fn take_tx_column(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<Option<TxHash>>, ColumnarError> {
-    let present = cur.take_bits(n)?;
-    let count = (0..n).filter(|&i| present.get(i)).count();
-    let hashes = cur.take_fixed_vec::<32>(count)?;
-    let mut hashes = hashes.into_iter();
-    Ok((0..n)
-        .map(|i| {
-            present
-                .get(i)
-                .then(|| TxHash(Hash32(hashes.next().expect("counted"))))
+/// The rows a column of per-owner counts claims in all.
+fn total_rows(counts: Column<'_, u32>, section: &str) -> Result<usize, ColumnarError> {
+    counts
+        .iter()
+        .try_fold(0usize, |sum, c| sum.checked_add(c as usize))
+        .ok_or_else(|| ColumnarError::Corrupt(format!("{section}: row count overflows")))
+}
+
+/// An `Option<TxHash>` column written by [`push_tx_column`], read in row
+/// order: the presence bitmap, and the hashes of the present rows.
+struct TxColumn<'a> {
+    present: Bits<'a>,
+    hashes: Column<'a, [u8; 32]>,
+    next_hash: usize,
+}
+
+impl<'a> TxColumn<'a> {
+    fn take(cur: &mut Cursor<'a>, n: usize) -> Result<TxColumn<'a>, ColumnarError> {
+        let present = cur.take_bits(n)?;
+        let hashes = cur.take_column(present.count_ones())?;
+        Ok(TxColumn {
+            present,
+            hashes,
+            next_hash: 0,
         })
-        .collect())
+    }
+
+    /// Row `j`'s hash. Rows must be read in order, each exactly once.
+    fn next(&mut self, j: usize) -> Option<TxHash> {
+        self.present.get(j).then(|| {
+            let hash = self.hashes.get(self.next_hash);
+            self.next_hash += 1;
+            TxHash(Hash32(hash))
+        })
+    }
 }
 
-fn decode_registrations(
-    view: &FileView<'_>,
-    addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
-) -> Result<Vec<RegistrationEntry>, ColumnarError> {
+fn registrations<'a>(
+    view: &FileView<'a>,
+    pools: &'a Pools<'a>,
+) -> Result<Claims<impl FnMut(usize) -> Result<RegistrationEntry, ColumnarError> + 'a>, ColumnarError>
+{
     let mut cur = Cursor::new(view.section(section::REGISTRATIONS)?, "registrations");
     let n = cur.take_u32()? as usize;
-    let owners = cur.take_u32_vec(n)?;
-    let registered_at = cur.take_u64_vec(n)?;
-    let expires = cur.take_u64_vec(n)?;
-    let base_cost = cur.take_u128_vec(n)?;
-    let premium = cur.take_u128_vec(n)?;
-    let blocks = cur.take_u64_vec(n)?;
+    let owners = cur.take_column::<u32>(n)?;
+    let registered_at = cur.take_column::<u64>(n)?;
+    let expires = cur.take_column::<u64>(n)?;
+    let base_cost = cur.take_column::<u128>(n)?;
+    let premium = cur.take_column::<u128>(n)?;
+    let blocks = cur.take_column::<u64>(n)?;
     let legacy = cur.take_bits(n)?;
-    let txs = take_tx_column(&mut cur, n)?;
+    let mut txs = TxColumn::take(&mut cur, n)?;
     cur.expect_end()?;
-    (0..n)
-        .map(|i| {
-            Ok(RegistrationEntry {
-                owner: addr_of(owners[i])?,
-                registered_at: Timestamp(registered_at[i]),
-                expires: Timestamp(expires[i]),
-                base_cost: Wei(base_cost[i]),
-                premium: Wei(premium[i]),
-                block: BlockNumber(blocks[i]),
-                tx: txs[i],
-                legacy: legacy.get(i),
-            })
+    Ok(Claims::new("registration", n, move |j| {
+        Ok(RegistrationEntry {
+            owner: pools.addr(owners.get(j))?,
+            registered_at: Timestamp(registered_at.get(j)),
+            expires: Timestamp(expires.get(j)),
+            base_cost: Wei(base_cost.get(j)),
+            premium: Wei(premium.get(j)),
+            block: BlockNumber(blocks.get(j)),
+            tx: txs.next(j),
+            legacy: legacy.get(j),
         })
-        .collect()
+    }))
 }
 
-fn decode_renewals(view: &FileView<'_>) -> Result<Vec<RenewalEntry>, ColumnarError> {
+fn renewals<'a>(
+    view: &FileView<'a>,
+) -> Result<Claims<impl FnMut(usize) -> Result<RenewalEntry, ColumnarError> + 'a>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::RENEWALS)?, "renewals");
     let n = cur.take_u32()? as usize;
-    let at = cur.take_u64_vec(n)?;
-    let new_expiry = cur.take_u64_vec(n)?;
-    let cost = cur.take_u128_vec(n)?;
-    let blocks = cur.take_u64_vec(n)?;
-    let txs = take_tx_column(&mut cur, n)?;
+    let at = cur.take_column::<u64>(n)?;
+    let new_expiry = cur.take_column::<u64>(n)?;
+    let cost = cur.take_column::<u128>(n)?;
+    let blocks = cur.take_column::<u64>(n)?;
+    let mut txs = TxColumn::take(&mut cur, n)?;
     cur.expect_end()?;
-    Ok((0..n)
-        .map(|i| RenewalEntry {
-            at: Timestamp(at[i]),
-            new_expiry: Timestamp(new_expiry[i]),
-            cost: Wei(cost[i]),
-            block: BlockNumber(blocks[i]),
-            tx: txs[i],
+    Ok(Claims::new("renewal", n, move |j| {
+        Ok(RenewalEntry {
+            at: Timestamp(at.get(j)),
+            new_expiry: Timestamp(new_expiry.get(j)),
+            cost: Wei(cost.get(j)),
+            block: BlockNumber(blocks.get(j)),
+            tx: txs.next(j),
         })
-        .collect())
+    }))
 }
 
-fn decode_transfers(
-    view: &FileView<'_>,
-    addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
-) -> Result<Vec<TransferEntry>, ColumnarError> {
+fn transfers<'a>(
+    view: &FileView<'a>,
+    pools: &'a Pools<'a>,
+) -> Result<Claims<impl FnMut(usize) -> Result<TransferEntry, ColumnarError> + 'a>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::TRANSFERS)?, "transfers");
     let n = cur.take_u32()? as usize;
-    let at = cur.take_u64_vec(n)?;
-    let from = cur.take_u32_vec(n)?;
-    let to = cur.take_u32_vec(n)?;
-    let blocks = cur.take_u64_vec(n)?;
+    let at = cur.take_column::<u64>(n)?;
+    let from = cur.take_column::<u32>(n)?;
+    let to = cur.take_column::<u32>(n)?;
+    let blocks = cur.take_column::<u64>(n)?;
     cur.expect_end()?;
-    (0..n)
-        .map(|i| {
-            Ok(TransferEntry {
-                at: Timestamp(at[i]),
-                from: addr_of(from[i])?,
-                to: addr_of(to[i])?,
-                block: BlockNumber(blocks[i]),
-            })
+    Ok(Claims::new("transfer", n, move |j| {
+        Ok(TransferEntry {
+            at: Timestamp(at.get(j)),
+            from: pools.addr(from.get(j))?,
+            to: pools.addr(to.get(j))?,
+            block: BlockNumber(blocks.get(j)),
         })
-        .collect()
+    }))
 }
 
-fn decode_addr_changes(
-    view: &FileView<'_>,
-    addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
-) -> Result<Vec<AddrEntry>, ColumnarError> {
+fn addr_changes<'a>(
+    view: &FileView<'a>,
+    pools: &'a Pools<'a>,
+) -> Result<Claims<impl FnMut(usize) -> Result<AddrEntry, ColumnarError> + 'a>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::ADDR_CHANGES)?, "addr-changes");
     let n = cur.take_u32()? as usize;
-    let at = cur.take_u64_vec(n)?;
-    let addrs = cur.take_u32_vec(n)?;
+    let at = cur.take_column::<u64>(n)?;
+    let addrs = cur.take_column::<u32>(n)?;
     cur.expect_end()?;
-    (0..n)
-        .map(|i| {
-            Ok(AddrEntry {
-                at: Timestamp(at[i]),
-                addr: addr_of(addrs[i])?,
-            })
+    Ok(Claims::new("addr-change", n, move |j| {
+        Ok(AddrEntry {
+            at: Timestamp(at.get(j)),
+            addr: pools.addr(addrs.get(j))?,
         })
-        .collect()
+    }))
 }
 
-fn decode_subdomains(
-    view: &FileView<'_>,
-    strings: &StrPool,
-    addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
-) -> Result<Vec<SubdomainEntry>, ColumnarError> {
+fn subdomains<'a>(
+    view: &FileView<'a>,
+    pools: &'a Pools<'a>,
+) -> Result<Claims<impl FnMut(usize) -> Result<SubdomainEntry, ColumnarError> + 'a>, ColumnarError>
+{
     let mut cur = Cursor::new(view.section(section::SUBDOMAINS)?, "subdomains");
     let n = cur.take_u32()? as usize;
-    let nodes = cur.take_fixed_vec::<32>(n)?;
-    let labels = cur.take_u32_vec(n)?;
-    let owners = cur.take_u32_vec(n)?;
-    let at = cur.take_u64_vec(n)?;
+    let nodes = cur.take_column::<[u8; 32]>(n)?;
+    let labels = cur.take_column::<u32>(n)?;
+    let owners = cur.take_column::<u32>(n)?;
+    let at = cur.take_column::<u64>(n)?;
     cur.expect_end()?;
-    (0..n)
-        .map(|i| {
-            Ok(SubdomainEntry {
-                node: NameHash(Hash32(nodes[i])),
-                label: strings.get(labels[i])?.to_string(),
-                owner: addr_of(owners[i])?,
-                at: Timestamp(at[i]),
-            })
+    Ok(Claims::new("subdomain", n, move |j| {
+        Ok(SubdomainEntry {
+            node: NameHash(Hash32(nodes.get(j))),
+            label: pools.strings.get(labels.get(j))?.to_string(),
+            owner: pools.addr(owners.get(j))?,
+            at: Timestamp(at.get(j)),
         })
-        .collect()
+    }))
 }
 
 fn decode_transactions(
     view: &FileView<'_>,
-    strings: &StrPool,
-    addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
+    pools: &Pools<'_>,
 ) -> Result<BTreeMap<Address, Vec<Transaction>>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::TRANSACTIONS)?, "transactions");
     let owners = cur.take_u32()? as usize;
-    let owner_ids = cur.take_u32_vec(owners)?;
-    let tx_counts = cur.take_u32_vec(owners)?;
-    let n: usize = tx_counts.iter().map(|&c| c as usize).sum();
-    let hashes = cur.take_fixed_vec::<32>(n)?;
-    let blocks = cur.take_u64_vec(n)?;
-    let timestamps = cur.take_u64_vec(n)?;
-    let from = cur.take_u32_vec(n)?;
-    let to = cur.take_u32_vec(n)?;
-    let values = cur.take_u128_vec(n)?;
+    let owner_ids = cur.take_column::<u32>(owners)?;
+    let tx_counts = cur.take_column::<u32>(owners)?;
+    let n = total_rows(tx_counts, "transactions")?;
+    let hashes = cur.take_column::<[u8; 32]>(n)?;
+    let blocks = cur.take_column::<u64>(n)?;
+    let timestamps = cur.take_column::<u64>(n)?;
+    let from = cur.take_column::<u32>(n)?;
+    let to = cur.take_column::<u32>(n)?;
+    let values = cur.take_column::<u128>(n)?;
     let tags = cur.take_bytes(n)?;
     let contract_count = tags.iter().filter(|&&t| t == TAG_TX_CONTRACT).count();
-    let contracts = cur.take_u32_vec(contract_count)?;
+    let contracts = cur.take_column::<u32>(contract_count)?;
     cur.expect_end()?;
 
-    let mut contracts = contracts.into_iter();
-    let mut rows = (0..n).map(|i| -> Result<Transaction, ColumnarError> {
-        let kind = match tags[i] {
-            TAG_TX_TRANSFER => TxKind::Transfer,
-            TAG_TX_CONTRACT => TxKind::ContractPayment {
-                contract: strings.get(contracts.next().expect("counted"))?.to_string(),
-            },
-            TAG_TX_MINT => TxKind::Mint,
-            other => {
-                return Err(ColumnarError::Corrupt(format!(
-                    "transactions: unknown kind tag {other}"
-                )))
-            }
-        };
-        Ok(Transaction {
-            hash: TxHash(Hash32(hashes[i])),
-            block: BlockNumber(blocks[i]),
-            timestamp: Timestamp(timestamps[i]),
-            from: addr_of(from[i])?,
-            to: addr_of(to[i])?,
-            value: Wei(values[i]),
-            kind,
-        })
-    });
-
-    let mut map = BTreeMap::new();
-    for (owner_id, count) in owner_ids.into_iter().zip(tx_counts) {
-        let owner = addr_of(owner_id)?;
-        let txs: Vec<Transaction> = rows
-            .by_ref()
-            .take(count as usize)
-            .collect::<Result<_, _>>()?;
-        if map.insert(owner, txs).is_some() {
+    let mut row = 0usize;
+    let mut contracts = contracts.iter();
+    let mut histories: Vec<(Address, Vec<Transaction>)> = Vec::with_capacity(owners);
+    for i in 0..owners {
+        let owner = pools.addr(owner_ids.get(i))?;
+        // The encoder walks a `BTreeMap`, so owners arrive strictly
+        // ascending; holding the file to that also rules out a duplicate.
+        if histories.last().is_some_and(|(prev, _)| *prev >= owner) {
             return Err(ColumnarError::Corrupt(format!(
-                "transactions: duplicate owner {owner:?}"
+                "transactions: owner {owner:?} out of order (owners must be strictly ascending)"
             )));
         }
+        let count = tx_counts.get(i) as usize;
+        let mut txs = Vec::with_capacity(count);
+        for (j, &tag) in (row..).zip(&tags[row..row + count]) {
+            let kind = match tag {
+                TAG_TX_TRANSFER => TxKind::Transfer,
+                TAG_TX_CONTRACT => TxKind::ContractPayment {
+                    contract: pools
+                        .strings
+                        .get(contracts.next().expect("counted"))?
+                        .to_string(),
+                },
+                TAG_TX_MINT => TxKind::Mint,
+                other => {
+                    return Err(ColumnarError::Corrupt(format!(
+                        "transactions: unknown kind tag {other}"
+                    )))
+                }
+            };
+            txs.push(Transaction {
+                hash: TxHash(Hash32(hashes.get(j))),
+                block: BlockNumber(blocks.get(j)),
+                timestamp: Timestamp(timestamps.get(j)),
+                from: pools.addr(from.get(j))?,
+                to: pools.addr(to.get(j))?,
+                value: Wei(values.get(j)),
+                kind,
+            });
+        }
+        row += count;
+        histories.push((owner, txs));
     }
-    Ok(map)
+    // Sorted input: `collect` bulk-builds the map instead of inserting one
+    // owner at a time.
+    Ok(histories.into_iter().collect())
 }
 
-fn decode_market(
-    view: &FileView<'_>,
-    addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
-) -> Result<OpenSea, ColumnarError> {
+fn decode_market(view: &FileView<'_>, pools: &Pools<'_>) -> Result<OpenSea, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::MARKET)?, "market");
     let n = cur.take_u32()? as usize;
-    let tags = cur.take_bytes(n)?.to_vec();
-    let tokens = cur.take_fixed_vec::<32>(n)?;
-    let sellers = cur.take_u32_vec(n)?;
-    let at = cur.take_u64_vec(n)?;
+    let tags = cur.take_bytes(n)?;
+    let tokens = cur.take_column::<[u8; 32]>(n)?;
+    let sellers = cur.take_column::<u32>(n)?;
+    let at = cur.take_column::<u64>(n)?;
     let priced = tags
         .iter()
         .filter(|&&t| t == TAG_LISTED || t == TAG_SOLD)
         .count();
-    let prices = cur.take_u128_vec(priced)?;
+    let prices = cur.take_column::<u128>(priced)?;
     let sold = tags.iter().filter(|&&t| t == TAG_SOLD).count();
-    let buyers = cur.take_u32_vec(sold)?;
+    let buyers = cur.take_column::<u32>(sold)?;
     cur.expect_end()?;
 
-    let mut prices = prices.into_iter();
-    let mut buyers = buyers.into_iter();
-    let events: Vec<MarketEvent> = (0..n)
-        .map(|i| -> Result<MarketEvent, ColumnarError> {
-            let token = LabelHash(Hash32(tokens[i]));
-            let seller = addr_of(sellers[i])?;
-            let at = Timestamp(at[i]);
-            Ok(match tags[i] {
-                TAG_LISTED => MarketEvent::Listed {
-                    token,
-                    seller,
-                    price: UsdCents(prices.next().expect("counted")),
-                    at,
-                },
-                TAG_SOLD => MarketEvent::Sold {
-                    token,
-                    seller,
-                    buyer: addr_of(buyers.next().expect("counted"))?,
-                    price: UsdCents(prices.next().expect("counted")),
-                    at,
-                },
-                TAG_CANCELLED => MarketEvent::Cancelled { token, seller, at },
-                other => {
-                    return Err(ColumnarError::Corrupt(format!(
-                        "market: unknown event tag {other}"
-                    )))
-                }
-            })
-        })
-        .collect::<Result<_, _>>()?;
+    let mut prices = prices.iter();
+    let mut buyers = buyers.iter();
+    let mut events = Vec::with_capacity(n);
+    for (i, &tag) in tags.iter().enumerate() {
+        let token = LabelHash(Hash32(tokens.get(i)));
+        let seller = pools.addr(sellers.get(i))?;
+        let at = Timestamp(at.get(i));
+        events.push(match tag {
+            TAG_LISTED => MarketEvent::Listed {
+                token,
+                seller,
+                price: UsdCents(prices.next().expect("counted")),
+                at,
+            },
+            TAG_SOLD => MarketEvent::Sold {
+                token,
+                seller,
+                buyer: pools.addr(buyers.next().expect("counted"))?,
+                price: UsdCents(prices.next().expect("counted")),
+                at,
+            },
+            TAG_CANCELLED => MarketEvent::Cancelled { token, seller, at },
+            other => {
+                return Err(ColumnarError::Corrupt(format!(
+                    "market: unknown event tag {other}"
+                )))
+            }
+        });
+    }
     Ok(OpenSea::from_events(events))
 }
 
 fn decode_reverse(
     view: &FileView<'_>,
-    strings: &StrPool,
-    addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
+    pools: &Pools<'_>,
 ) -> Result<HashMap<Address, Vec<(Timestamp, String)>>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::REVERSE)?, "reverse");
     let owners = cur.take_u32()? as usize;
-    let owner_ids = cur.take_u32_vec(owners)?;
-    let claim_counts = cur.take_u32_vec(owners)?;
-    let n: usize = claim_counts.iter().map(|&c| c as usize).sum();
-    let at = cur.take_u64_vec(n)?;
-    let names = cur.take_u32_vec(n)?;
+    let owner_ids = cur.take_column::<u32>(owners)?;
+    let claim_counts = cur.take_column::<u32>(owners)?;
+    let n = total_rows(claim_counts, "reverse")?;
+    let at = cur.take_column::<u64>(n)?;
+    let names = cur.take_column::<u32>(n)?;
     cur.expect_end()?;
 
     let mut row = 0usize;
     let mut map = HashMap::with_capacity(owners);
-    for (owner_id, count) in owner_ids.into_iter().zip(claim_counts) {
-        let owner = addr_of(owner_id)?;
-        let claims: Vec<(Timestamp, String)> = (0..count as usize)
-            .map(|k| {
-                Ok((
-                    Timestamp(at[row + k]),
-                    strings.get(names[row + k])?.to_string(),
-                ))
-            })
-            .collect::<Result<_, ColumnarError>>()?;
-        row += count as usize;
+    for i in 0..owners {
+        let owner = pools.addr(owner_ids.get(i))?;
+        let count = claim_counts.get(i) as usize;
+        let mut claims = Vec::with_capacity(count);
+        for j in row..row + count {
+            claims.push((
+                Timestamp(at.get(j)),
+                pools.strings.get(names.get(j))?.to_string(),
+            ));
+        }
+        row += count;
         if map.insert(owner, claims).is_some() {
             return Err(ColumnarError::Corrupt(format!(
                 "reverse: duplicate owner {owner:?}"
@@ -921,21 +968,17 @@ fn decode_reverse(
     Ok(map)
 }
 
-fn decode_labels(
-    view: &FileView<'_>,
-    strings: &StrPool,
-    addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
-) -> Result<LabelService, ColumnarError> {
+fn decode_labels(view: &FileView<'_>, pools: &Pools<'_>) -> Result<LabelService, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::LABELS)?, "labels");
     let n = cur.take_u32()? as usize;
-    let addrs = cur.take_u32_vec(n)?;
-    let names = cur.take_u32_vec(n)?;
+    let addrs = cur.take_column::<u32>(n)?;
+    let names = cur.take_column::<u32>(n)?;
     let tags = cur.take_bytes(n)?;
     cur.expect_end()?;
 
     let mut service = LabelService::new();
-    for i in 0..n {
-        let kind = match tags[i] {
+    for (i, &tag) in tags.iter().enumerate() {
+        let kind = match tag {
             TAG_LABEL_CUSTODIAL => LabelKind::CustodialExchange,
             TAG_LABEL_COINBASE => LabelKind::Coinbase,
             TAG_LABEL_CONTRACT => LabelKind::Contract,
@@ -946,8 +989,8 @@ fn decode_labels(
             }
         };
         service.add(AddressLabel {
-            address: addr_of(addrs[i])?,
-            name: strings.get(names[i])?.to_string(),
+            address: pools.addr(addrs.get(i))?,
+            name: pools.strings.get(names.get(i))?.to_string(),
             kind,
         });
     }

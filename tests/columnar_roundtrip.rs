@@ -12,7 +12,11 @@
 //! - duplicate addresses and names intern once (observable through the
 //!   encode metrics);
 //! - the container header, checksum function, and intern-table layout are
-//!   pinned byte-for-byte — version-1 files may never change shape.
+//!   pinned byte-for-byte — version-1 files may never change shape;
+//! - the section decoders' own checks (row accounting, id ranges, tags,
+//!   owner order, label validation, trailing bytes) reject files whose
+//!   checksums are valid, and no single flipped byte of a re-framed
+//!   section makes decode panic.
 
 use ens_dropcatch_suite::analysis::{CrawlConfig, Dataset, FailurePolicy, Format};
 use ens_dropcatch_suite::columnar::{
@@ -24,6 +28,7 @@ use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::FaultProfile;
 use ens_dropcatch_suite::workload::WorldConfig;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// A clean collection from a small world of `names` names.
 fn clean_dataset(names: usize, seed: u64) -> Dataset {
@@ -221,4 +226,226 @@ fn container_and_intern_layouts_are_pinned() {
     let pool = StrPool::decode(&mut cur).unwrap();
     assert_eq!(pool.get(0).unwrap(), "gold");
     assert_eq!(pool.get_opt(NONE_ID).unwrap(), None);
+}
+
+// ---------------------------------------------------------------------------
+// The section decoders' own checks
+//
+// A flipped byte under a checksum never reaches a section decoder:
+// `FileView::parse` rejects it first. These cases edit one section payload
+// and re-frame the file with valid checksums, so each one lands on the
+// check it names.
+// ---------------------------------------------------------------------------
+
+/// Section ids of the version-1 dataset schema (stable; see DESIGN.md
+/// "On-disk formats").
+const STRINGS: u32 = 1;
+const ADDRESSES: u32 = 2;
+const DOMAINS: u32 = 3;
+const REGISTRATIONS: u32 = 4;
+const TRANSACTIONS: u32 = 9;
+
+/// Bytes of one transaction row across its fixed-width columns: hash (32),
+/// block (8), timestamp (8), from (4), to (4), value (16).
+const TX_ROW_BYTES: usize = 72;
+
+/// Re-frames `file` with section `id`'s payload passed through `edit`.
+/// Every other section keeps its bytes, and every checksum is recomputed.
+fn reframe(file: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let view = FileView::parse(file).expect("source file parses");
+    let mut edit = Some(edit);
+    let mut out = FileBuilder::new();
+    for (sid, _) in view.section_sizes() {
+        let mut payload = view.section(sid).expect("listed section").to_vec();
+        if sid == id {
+            (edit.take().expect("section ids are unique"))(&mut payload);
+        }
+        out.add(sid, payload);
+    }
+    assert!(edit.is_none(), "section {id} is not in the file");
+    out.finish()
+}
+
+fn section_of(file: &[u8], id: u32) -> Vec<u8> {
+    FileView::parse(file).unwrap().section(id).unwrap().to_vec()
+}
+
+fn u32_at(payload: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(payload[at..at + 4].try_into().unwrap())
+}
+
+fn set_u32(payload: &mut [u8], at: usize, v: u32) {
+    payload[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// The message of the `Corrupt` error decoding `file` must fail with.
+fn corrupt_message(file: &[u8]) -> String {
+    match Dataset::from_columnar(file) {
+        Err(ColumnarError::Corrupt(msg)) => msg,
+        Err(other) => panic!("expected Corrupt, got {other:?}"),
+        Ok(_) => panic!("expected Corrupt, the file decoded"),
+    }
+}
+
+/// The columnar bytes of one small clean world, shared by the checks.
+fn decoder_fixture() -> &'static [u8] {
+    static FILE: OnceLock<Vec<u8>> = OnceLock::new();
+    FILE.get_or_init(|| clean_dataset(60, 11).to_columnar().unwrap())
+}
+
+#[test]
+fn reframing_without_an_edit_reproduces_the_file() {
+    let file = decoder_fixture();
+    for id in 1..=13 {
+        assert_eq!(reframe(file, id, |_| {}), file, "section {id}");
+    }
+}
+
+#[test]
+fn registration_rows_must_be_claimed_exactly() {
+    let file = decoder_fixture();
+    let dom = section_of(file, DOMAINS);
+    let n = u32_at(&dom, 0) as usize;
+    let reg_counts = 4 + 36 * n;
+    let first_with = (0..n)
+        .find(|&i| u32_at(&dom, reg_counts + 4 * i) > 0)
+        .expect("some domain has a registration");
+    let at = reg_counts + 4 * first_with;
+    let count = u32_at(&dom, at);
+
+    let more = reframe(file, DOMAINS, |p| set_u32(p, at, count + 1));
+    let msg = corrupt_message(&more);
+    assert!(msg.contains("registration column exhausted"), "{msg}");
+
+    let fewer = reframe(file, DOMAINS, |p| set_u32(p, at, count - 1));
+    let msg = corrupt_message(&fewer);
+    assert!(msg.contains("1 unclaimed registration rows"), "{msg}");
+}
+
+#[test]
+fn an_address_id_equal_to_the_pool_size_is_out_of_range() {
+    let file = decoder_fixture();
+    let pool_size = u32_at(&section_of(file, ADDRESSES), 0);
+    assert!(u32_at(&section_of(file, REGISTRATIONS), 0) > 0);
+    // The owner column starts right after the row count.
+    let bad = reframe(file, REGISTRATIONS, |p| set_u32(p, 4, pool_size));
+    let msg = corrupt_message(&bad);
+    assert!(
+        msg.contains(&format!("id {pool_size} out of range")),
+        "{msg}"
+    );
+}
+
+/// `(owner count, row count, offset of the kind-tag column)` of a
+/// TRANSACTIONS payload.
+fn tx_layout(txs: &[u8]) -> (usize, usize, usize) {
+    let owners = u32_at(txs, 0) as usize;
+    let rows: usize = (0..owners)
+        .map(|i| u32_at(txs, 4 + 4 * owners + 4 * i) as usize)
+        .sum();
+    (owners, rows, 4 + 8 * owners + TX_ROW_BYTES * rows)
+}
+
+#[test]
+fn an_unknown_transaction_kind_tag_is_rejected() {
+    let file = decoder_fixture();
+    let txs = section_of(file, TRANSACTIONS);
+    let (_, rows, tags) = tx_layout(&txs);
+    // A non-contract row, so the contract-tag column keeps its length.
+    let row = (0..rows)
+        .find(|&i| txs[tags + i] != 1)
+        .expect("some transaction is not a contract payment");
+    let bad = reframe(file, TRANSACTIONS, |p| p[tags + row] = 0xEE);
+    let msg = corrupt_message(&bad);
+    assert!(msg.contains("unknown kind tag 238"), "{msg}");
+}
+
+/// The first two transaction owner ids of the fixture.
+fn first_two_tx_owners(file: &[u8]) -> (u32, u32) {
+    let txs = section_of(file, TRANSACTIONS);
+    let (owners, _, _) = tx_layout(&txs);
+    assert!(owners >= 2, "the fixture needs two transaction owners");
+    (u32_at(&txs, 4), u32_at(&txs, 8))
+}
+
+#[test]
+fn a_duplicated_transaction_owner_is_rejected() {
+    let file = decoder_fixture();
+    let (first, _) = first_two_tx_owners(file);
+    let bad = reframe(file, TRANSACTIONS, |p| set_u32(p, 8, first));
+    let msg = corrupt_message(&bad);
+    assert!(msg.contains("owner"), "{msg}");
+}
+
+/// Two owners swapped: every id is valid, only the order is wrong. The
+/// encoder walks a `BTreeMap`, so it never writes this.
+#[test]
+fn transaction_owners_out_of_order_are_rejected() {
+    let file = decoder_fixture();
+    let (first, second) = first_two_tx_owners(file);
+    let bad = reframe(file, TRANSACTIONS, |p| {
+        set_u32(p, 4, second);
+        set_u32(p, 8, first);
+    });
+    let msg = corrupt_message(&bad);
+    assert!(msg.contains("owner"), "{msg}");
+}
+
+#[test]
+fn a_domain_name_that_is_not_a_label_is_rejected() {
+    let file = decoder_fixture();
+    let dom = section_of(file, DOMAINS);
+    let n = u32_at(&dom, 0) as usize;
+    let name_ids = 4 + 32 * n;
+    let name_id = (0..n)
+        .map(|i| u32_at(&dom, name_ids + 4 * i))
+        .find(|&id| id != NONE_ID)
+        .expect("some domain has a name");
+
+    // Re-intern the pool in id order with that one string replaced, so
+    // every other id keeps its string.
+    let bad = reframe(file, STRINGS, |p| {
+        let mut cur = Cursor::new(p, "strings");
+        let pool = StrPool::decode(&mut cur).unwrap();
+        let mut table = StrTable::new();
+        for id in 0..pool.len() as u32 {
+            let s = pool.get(id).unwrap();
+            let s = if id == name_id { "not a label!" } else { s };
+            assert_eq!(table.intern(s), id, "replacement collides");
+        }
+        p.clear();
+        table.encode(p);
+    });
+    let msg = corrupt_message(&bad);
+    assert!(msg.contains("bad name \"not a label!\""), "{msg}");
+}
+
+#[test]
+fn one_trailing_byte_in_any_section_is_rejected() {
+    let file = decoder_fixture();
+    for id in 1..=13 {
+        let bad = reframe(file, id, |p| p.push(0));
+        let msg = corrupt_message(&bad);
+        assert!(msg.contains("1 trailing bytes"), "section {id}: {msg}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// One byte of one re-framed section XORed with a non-zero mask:
+    /// decode returns the dataset or a typed error, and never panics.
+    #[test]
+    fn flipping_one_byte_of_a_reframed_section_never_panics(
+        section in 1u32..14,
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let file = decoder_fixture();
+        let bad = reframe(file, section, |p| {
+            let i = (at % p.len() as u64) as usize;
+            p[i] ^= mask;
+        });
+        let _ = Dataset::from_columnar(&bad);
+    }
 }
