@@ -3,17 +3,14 @@
 //! several thread counts, checks the reports stay byte-identical, and
 //! writes the whole trajectory to `BENCH_analysis.json`.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use ens_dropcatch::{
     analyze_losses_naive, analyze_losses_with, compare_features_naive, compare_features_with,
     run_study_on, run_study_on_naive, AnalysisIndex, Dataset, Metrics, StudyConfig,
 };
-use ens_types::Address;
 use price_oracle::PriceOracle;
 use serde::Serialize;
-use sim_chain::Transaction;
 use workload::WorldConfig;
 
 use crate::Fixture;
@@ -71,22 +68,6 @@ pub struct MetricsOverhead {
     pub metrics: serde::value::Value,
 }
 
-/// The incremental-maintenance measurement: one index grown by
-/// [`AnalysisIndex::extend`] over N crawl increments vs one batch build
-/// over the complete dataset, with the byte-identical `StudyReport` gate.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct IncrementalExtend {
-    /// How many equal increments the dataset was split into.
-    pub batches: usize,
-    /// One batch build over the full dataset, ms (min over repeats).
-    pub batch_build_ms: f64,
-    /// Empty build plus all N extends, ms (min over repeats).
-    pub incremental_total_ms: f64,
-    /// Whether the study driven by the incrementally-grown index is
-    /// byte-identical to the study driven by the batch-built index.
-    pub report_identical_to_batch: bool,
-}
-
 /// The paper-scale end-to-end measurement: the full
 /// crawl → ingest → index → study pipeline on
 /// [`WorldConfig::paper_scale`] (3.1M names / ~9.7M transactions — the
@@ -142,8 +123,6 @@ pub struct AnalysisBenchReport {
     pub runs: Vec<ThreadedRun>,
     /// True iff every indexed run's report matched the naive one.
     pub outputs_identical: bool,
-    /// Incremental `extend` vs batch build, with its equivalence gate.
-    pub incremental: IncrementalExtend,
     /// Metered-vs-unmetered study timing and the embedded snapshot.
     pub metrics_overhead: MetricsOverhead,
     /// The paper-scale end-to-end run (present when the bench was invoked
@@ -426,52 +405,8 @@ pub fn run_analysis_bench(
     );
     let outputs_identical = runs.iter().all(|r| r.report_identical_to_naive);
 
-    // Incremental maintenance: grow an index from nothing by absorbing the
-    // dataset in N equal increments (each address's history split in
-    // timestamp order, domains split alongside) and require the study it
-    // drives to be byte-identical to the batch-built one.
-    let batches = 8usize;
-    let (batch_build_ms, batch_index) = time_ms(repeats, || AnalysisIndex::build(dataset, oracle));
     let study = |index: &AnalysisIndex, metrics: &Metrics| {
         run_study_on(dataset, oracle, &config, Some(index), metrics)
-    };
-    let batch_report =
-        serde_json::to_string(&study(&batch_index, &Metrics::disabled())).expect("serializes");
-    let tx_slices: Vec<BTreeMap<Address, Vec<Transaction>>> = (0..batches)
-        .map(|i| {
-            dataset
-                .transactions
-                .iter()
-                .map(|(a, txs)| {
-                    let (lo, hi) = (txs.len() * i / batches, txs.len() * (i + 1) / batches);
-                    (*a, txs[lo..hi].to_vec())
-                })
-                .collect()
-        })
-        .collect();
-    let empty = Dataset {
-        domains: Vec::new(),
-        transactions: BTreeMap::new(),
-        ..dataset.clone()
-    };
-    let (incremental_total_ms, inc_index) = time_ms(repeats, || {
-        let mut index = AnalysisIndex::build(&empty, oracle);
-        for (i, slice) in tx_slices.iter().enumerate() {
-            let (lo, hi) = (
-                dataset.domains.len() * i / batches,
-                dataset.domains.len() * (i + 1) / batches,
-            );
-            index.extend(slice, &dataset.domains[lo..hi], oracle);
-        }
-        index
-    });
-    let inc_report =
-        serde_json::to_string(&study(&inc_index, &Metrics::disabled())).expect("serializes");
-    let incremental = IncrementalExtend {
-        batches,
-        batch_build_ms,
-        incremental_total_ms,
-        report_identical_to_batch: inc_report == batch_report,
     };
 
     // Instrumentation overhead: the same full study (sequential, against a
@@ -518,7 +453,6 @@ pub fn run_analysis_bench(
         naive,
         runs,
         outputs_identical,
-        incremental,
         metrics_overhead,
         paper_scale: None,
     }

@@ -178,12 +178,6 @@ fn main() {
         );
     }
 
-    let inc = &report.incremental;
-    eprintln!(
-        "incremental: {} extends {:.1} ms vs one batch build {:.1} ms, identical: {}",
-        inc.batches, inc.incremental_total_ms, inc.batch_build_ms, inc.report_identical_to_batch
-    );
-
     let oh = &report.metrics_overhead;
     eprintln!(
         "metrics overhead: study {:.1} ms unmetered vs {:.1} ms metered \
@@ -220,10 +214,6 @@ fn main() {
 
     if !report.outputs_identical {
         eprintln!("FAIL: an indexed report diverged from the naive baseline");
-        std::process::exit(1);
-    }
-    if !inc.report_identical_to_batch {
-        eprintln!("FAIL: the incrementally-extended index diverged from the batch build");
         std::process::exit(1);
     }
     if report

@@ -9,8 +9,8 @@ pub mod ingest;
 pub mod resume;
 
 pub use analysis::{
-    run_analysis_bench, run_paper_scale_bench, AnalysisBenchReport, IncrementalExtend,
-    MetricsOverhead, PaperScaleReport, PassTimings, ThreadedRun,
+    run_analysis_bench, run_paper_scale_bench, AnalysisBenchReport, MetricsOverhead,
+    PaperScaleReport, PassTimings, ThreadedRun,
 };
 pub use columnar::{run_columnar_bench, ColumnarBenchReport, ColumnarScaleRun};
 pub use ingest::{run_ingest_bench, IngestBenchReport, IngestScaleRun};

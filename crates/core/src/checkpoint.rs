@@ -34,6 +34,12 @@
 //! a clean full crawl, and a bad later segment truncates the chain to its
 //! intact prefix (resume refetches the rest).
 //!
+//! "A crash" here means process death, which the kill-point tests and the
+//! kill/resume CI matrix exercise. Segments are not fsynced, so power loss
+//! or an OS crash can still leave a torn segment behind a completed
+//! rename; it then fails its section checksum and takes the same
+//! corrupt-segment path, so the loss is progress, never correctness.
+//!
 //! # File layout
 //!
 //! Each segment reuses the generic `ens-columnar` container (magic,

@@ -4,7 +4,7 @@
 //! event stream — through the [`PagedSource`] trait.
 //!
 //! Pagination, typed-fault retry and partial-failure recovery live in
-//! exactly one place: [`drain`], the workspace's single pagination loop. On
+//! exactly one place: `drain`, the workspace's single pagination loop. On
 //! top of it, [`Crawler`] runs one shard engine across `std::thread::scope`
 //! workers — a source with a known total is split into fixed page ranges,
 //! a set of keyed sources (addresses) into one shard per key — claiming
@@ -435,7 +435,7 @@ pub struct KeyedCrawl<K, T> {
     pub elapsed: Duration,
 }
 
-/// One crawl shard's result — what [`drain`] recovered over the shard's
+/// One crawl shard's result — what `drain` recovered over the shard's
 /// range, and the unit of checkpoint durability. Everything a resumed
 /// crawl needs to splice the shard's contribution back in without
 /// refetching it: the items in source order, the shard's deterministic

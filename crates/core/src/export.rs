@@ -141,12 +141,19 @@ impl From<ens_columnar::ColumnarError> for StorageError {
 }
 
 /// Writes `bytes` to `path` atomically: the bytes land in a `.tmp` sibling
-/// first and are published by a single `rename`, so a crash mid-write can
-/// never leave a torn file at `path` — readers see either the old complete
-/// contents or the new complete contents. This is the commit protocol the
-/// checkpoint layer's crash-safety proof rests on (see
+/// first and are published by a single `rename`, so a process that dies
+/// mid-write can never leave a torn file at `path` — readers see either
+/// the old complete contents or the new complete contents. This is the
+/// commit protocol the checkpoint layer's crash-safety proof rests on (see
 /// [`crate::checkpoint`]); dataset saves use it too so an interrupted
 /// export never corrupts a previous good file.
+///
+/// Nothing here calls `sync_all`, so the guarantee covers process death
+/// (what the kill/resume tests exercise) but not power loss or an OS
+/// crash, after which the published file may hold blocks the kernel never
+/// wrote back. A torn checkpoint segment or `.ensc` dataset then fails its
+/// section checksum on load (a torn JSON export fails to parse): that
+/// costs progress — a refetch, or a clean crawl — not correctness.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");

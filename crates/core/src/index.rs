@@ -22,7 +22,8 @@
 //! - **memoized USD valuations** — every indexed transfer is priced
 //!   through the oracle exactly once at build time, with per-address
 //!   prefix sums so window income is O(log n);
-//! - **the re-registration list** — [`detect_all`] computed exactly once
+//! - **the re-registration list** —
+//!   [`detect_all`](crate::registrations::detect_all) computed exactly once
 //!   and shared by the overview, loss, feature, and resale passes (the
 //!   seed recomputed it three times per study).
 //!
@@ -46,7 +47,7 @@ use price_oracle::{PriceOracle, PriceTable};
 use sim_chain::{Transaction, TxKind};
 
 use crate::dataset::Dataset;
-use crate::registrations::{detect_all, detect_all_with_threads, ReRegistration};
+use crate::registrations::{detect_all_with_threads, ReRegistration};
 
 /// One pre-filtered, pre-priced incoming value transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,16 +63,54 @@ pub struct IndexedTransfer {
     pub usd: UsdCents,
 }
 
-/// One address's incoming transfers, timestamp-sorted, with USD prefix
-/// sums (`prefix_usd[i]` = total cents of `txs[..i]`).
-#[derive(Clone, Debug, Default)]
-struct AddressIncoming {
+/// The earliest and latest timestamp a price table must cover.
+type Span = (Timestamp, Timestamp);
+
+/// The smallest span covering both `span` and `(lo, hi)`.
+fn widen(span: Option<Span>, (lo, hi): Span) -> Option<Span> {
+    Some(span.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))))
+}
+
+/// One oracle close per day of `span` (a single day when nothing was seen).
+fn day_table(oracle: &PriceOracle, span: Option<Span>) -> PriceTable {
+    let (lo, hi) = span.unwrap_or((Timestamp(0), Timestamp(0)));
+    oracle.day_table(lo, hi)
+}
+
+/// One address's transfers, timestamp-sorted, with USD prefix sums
+/// (`prefix_usd[i]` = total cents of `txs[..i]`). Each row's `from` holds
+/// the counterparty: the sender in [`AnalysisIndex`], the recipient in
+/// [`OutgoingIndex`].
+#[derive(Clone, Debug)]
+struct TransferTable {
     txs: Vec<IndexedTransfer>,
     prefix_usd: Vec<u128>,
 }
 
-impl AddressIncoming {
-    fn build(address: Address, txs: &[Transaction], prices: &PriceTable) -> AddressIncoming {
+/// The table of an address the index never saw. It has no prefix sums, so
+/// `usd_and_count` must answer it before indexing them.
+static EMPTY: TransferTable = TransferTable {
+    txs: Vec::new(),
+    prefix_usd: Vec::new(),
+};
+
+impl TransferTable {
+    /// Computes the prefix sums over `txs`, which must be timestamp-sorted.
+    fn new(txs: Vec<IndexedTransfer>) -> TransferTable {
+        let mut prefix_usd = Vec::with_capacity(txs.len() + 1);
+        let mut acc: u128 = 0;
+        prefix_usd.push(acc);
+        for t in &txs {
+            acc += t.usd.0;
+            prefix_usd.push(acc);
+        }
+        TransferTable { txs, prefix_usd }
+    }
+
+    /// The incoming value transfers to `address` among its txlist `txs`:
+    /// transfer-kind and non-self, exactly the filter of
+    /// [`Dataset::incoming`].
+    fn incoming(address: Address, txs: &[Transaction], prices: &PriceTable) -> TransferTable {
         let matches = move |tx: &&Transaction| {
             tx.to == address && tx.from != address && matches!(tx.kind, TxKind::Transfer)
         };
@@ -95,98 +134,7 @@ impl AddressIncoming {
         if !out.windows(2).all(|w| w[0].timestamp <= w[1].timestamp) {
             out.sort_by_key(|t| t.timestamp);
         }
-        let mut prefix_usd = Vec::with_capacity(out.len() + 1);
-        let mut acc: u128 = 0;
-        prefix_usd.push(acc);
-        for t in &out {
-            acc += t.usd.0;
-            prefix_usd.push(acc);
-        }
-        AddressIncoming {
-            txs: out,
-            prefix_usd,
-        }
-    }
-
-    /// Appends the incoming transfers of `txs` (the same filter as
-    /// [`AddressIncoming::build`]) and extends the USD prefix sums in
-    /// place. If the new transfers all land at-or-after the existing tail
-    /// — the common case, since chain order is time order — this is a pure
-    /// append; otherwise the sorted new tail is *merged* into the sorted
-    /// prefix in place, touching only the overlap region, and the prefix
-    /// sums are rebuilt from the first affected position. Equal timestamps
-    /// keep arrival order (old entries stay ahead of new ones), exactly
-    /// like a stable batch sort over the concatenated history — so
-    /// repeated out-of-order delta batches cost O(added·log added +
-    /// overlap) each instead of re-sorting the whole accumulated vector.
-    /// Returns the number of transfers added and whether a merge was
-    /// needed.
-    fn append(
-        &mut self,
-        address: Address,
-        txs: &[Transaction],
-        prices: &PriceTable,
-    ) -> (usize, bool) {
-        if self.prefix_usd.is_empty() {
-            self.prefix_usd.push(0);
-        }
-        let before = self.txs.len();
-        self.txs.extend(
-            txs.iter()
-                .filter(|tx| {
-                    tx.to == address && tx.from != address && matches!(tx.kind, TxKind::Transfer)
-                })
-                .map(|tx| IndexedTransfer {
-                    timestamp: tx.timestamp,
-                    from: tx.from,
-                    value: tx.value,
-                    usd: prices.to_usd(tx.value, tx.timestamp),
-                }),
-        );
-        let added = self.txs.len() - before;
-        let in_order = self.txs[before.saturating_sub(1)..]
-            .windows(2)
-            .all(|w| w[0].timestamp <= w[1].timestamp);
-        if in_order {
-            let mut acc = *self.prefix_usd.last().expect("prefix_usd starts at [0]");
-            self.prefix_usd.reserve(added);
-            for t in &self.txs[before..] {
-                acc += t.usd.0;
-                self.prefix_usd.push(acc);
-            }
-        } else {
-            // The prefix `txs[..before]` is sorted (invariant); only the
-            // appended tail is not. Stable-sort the tail, find where it
-            // starts overlapping the prefix, and two-pointer-merge just
-            // that overlap — old entries win ties so the result equals a
-            // stable sort of the concatenated history.
-            self.txs[before..].sort_by_key(|t| t.timestamp);
-            let min_tail = self.txs[before].timestamp;
-            let cut = self.txs[..before].partition_point(|t| t.timestamp <= min_tail);
-            let tail = self.txs.split_off(before);
-            let overlap = self.txs.split_off(cut);
-            self.txs.reserve(overlap.len() + tail.len());
-            let (mut i, mut j) = (0, 0);
-            while i < overlap.len() && j < tail.len() {
-                if overlap[i].timestamp <= tail[j].timestamp {
-                    self.txs.push(overlap[i]);
-                    i += 1;
-                } else {
-                    self.txs.push(tail[j]);
-                    j += 1;
-                }
-            }
-            self.txs.extend_from_slice(&overlap[i..]);
-            self.txs.extend_from_slice(&tail[j..]);
-            self.prefix_usd.truncate(cut + 1);
-            self.prefix_usd.reserve(self.txs.len() - cut);
-            let mut acc = self.prefix_usd[cut];
-            for t in &self.txs[cut..] {
-                acc += t.usd.0;
-                self.prefix_usd.push(acc);
-            }
-        }
-        (added, !in_order)
+        TransferTable::new(out)
     }
 
     /// Half-open index range of `[from, to)` within `txs`.
@@ -199,6 +147,29 @@ impl AddressIncoming {
                 (lo, hi.max(lo))
             }
         }
+    }
+
+    /// The transfers inside `window`, as a borrowed slice.
+    fn window(&self, window: Option<(Timestamp, Timestamp)>) -> &[IndexedTransfer] {
+        let (lo, hi) = self.range(window);
+        &self.txs[lo..hi]
+    }
+
+    /// USD total and transfer count inside `window`, from the prefix sums.
+    fn usd_and_count(&self, window: Option<(Timestamp, Timestamp)>) -> (UsdCents, usize) {
+        if self.txs.is_empty() {
+            return (UsdCents::ZERO, 0);
+        }
+        let (lo, hi) = self.range(window);
+        (UsdCents(self.prefix_usd[hi] - self.prefix_usd[lo]), hi - lo)
+    }
+
+    /// Number of distinct counterparties inside `window`.
+    fn distinct_counterparties(&self, window: Option<(Timestamp, Timestamp)>) -> usize {
+        let mut parties: Vec<Address> = self.window(window).iter().map(|t| t.from).collect();
+        parties.sort_unstable();
+        parties.dedup();
+        parties.len()
     }
 }
 
@@ -217,38 +188,17 @@ struct QueryCounters {
 /// The analysis substrate. See the module docs.
 #[derive(Clone, Debug)]
 pub struct AnalysisIndex {
-    incoming: BTreeMap<Address, AddressIncoming>,
+    incoming: BTreeMap<Address, TransferTable>,
     reregistrations: Vec<ReRegistration>,
     /// Positions into `reregistrations`, keyed three ways for the
     /// read-only serving queries: by domain, by catching wallet, and by
-    /// the wallet that lost the name. Maintained by `extend`.
+    /// the wallet that lost the name.
     rereg_by_label: BTreeMap<LabelHash, Vec<usize>>,
     rereg_by_catcher: BTreeMap<Address, Vec<usize>>,
     rereg_by_victim: BTreeMap<Address, Vec<usize>>,
     transfers_indexed: usize,
     queries: Arc<QueryCounters>,
 }
-
-/// Indexes `reregistrations[start..]` into the three lookup maps.
-fn index_reregistrations(
-    reregistrations: &[ReRegistration],
-    start: usize,
-    by_label: &mut BTreeMap<LabelHash, Vec<usize>>,
-    by_catcher: &mut BTreeMap<Address, Vec<usize>>,
-    by_victim: &mut BTreeMap<Address, Vec<usize>>,
-) {
-    for (offset, r) in reregistrations[start..].iter().enumerate() {
-        let i = start + offset;
-        by_label.entry(r.label_hash).or_default().push(i);
-        by_catcher.entry(r.new_owner).or_default().push(i);
-        by_victim.entry(r.prev_wallet).or_default().push(i);
-    }
-}
-
-static EMPTY: AddressIncoming = AddressIncoming {
-    txs: Vec::new(),
-    prefix_usd: Vec::new(),
-};
 
 impl AnalysisIndex {
     /// Builds the index on one thread.
@@ -290,29 +240,19 @@ impl AnalysisIndex {
             let _phase = metrics.span("price_table");
             let span = shard_map_weighted(&entries, &weights, threads, |(_, txs)| {
                 txs.iter()
-                    .map(|tx| tx.timestamp)
-                    .fold(None::<(Timestamp, Timestamp)>, |acc, t| match acc {
-                        None => Some((t, t)),
-                        Some((lo, hi)) => Some((lo.min(t), hi.max(t))),
-                    })
+                    .fold(None, |span, tx| widen(span, (tx.timestamp, tx.timestamp)))
             })
             .expect("weights cover entries one-to-one")
             .into_iter()
             .flatten()
-            .fold(None::<(Timestamp, Timestamp)>, |acc, (lo, hi)| match acc {
-                None => Some((lo, hi)),
-                Some((alo, ahi)) => Some((alo.min(lo), ahi.max(hi))),
-            });
-            match span {
-                Some((lo, hi)) => oracle.day_table(lo, hi),
-                None => oracle.day_table(Timestamp(0), Timestamp(0)),
-            }
+            .fold(None, widen);
+            day_table(oracle, span)
         };
         let prices = &prices;
         let built = {
             let _phase = metrics.span("shard_build");
             shard_map_weighted(&entries, &weights, threads, |(addr, txs)| {
-                AddressIncoming::build(**addr, txs, prices)
+                TransferTable::incoming(**addr, txs, prices)
             })
             .expect("weights cover entries one-to-one")
         };
@@ -343,7 +283,7 @@ impl AnalysisIndex {
             metrics.add("index/price_lookups/memoized_hit", hits);
             metrics.add("index/price_lookups/oracle_fallback", misses);
         }
-        let incoming: BTreeMap<Address, AddressIncoming> =
+        let incoming: BTreeMap<Address, TransferTable> =
             entries.iter().map(|(addr, _)| **addr).zip(built).collect();
         let reregistrations = {
             let _phase = metrics.span("detect");
@@ -355,16 +295,14 @@ impl AnalysisIndex {
             metrics.add("index/reregistrations", reregistrations.len() as u64);
         }
         drop(build_span);
-        let mut rereg_by_label = BTreeMap::new();
-        let mut rereg_by_catcher = BTreeMap::new();
-        let mut rereg_by_victim = BTreeMap::new();
-        index_reregistrations(
-            &reregistrations,
-            0,
-            &mut rereg_by_label,
-            &mut rereg_by_catcher,
-            &mut rereg_by_victim,
-        );
+        let mut rereg_by_label: BTreeMap<LabelHash, Vec<usize>> = BTreeMap::new();
+        let mut rereg_by_catcher: BTreeMap<Address, Vec<usize>> = BTreeMap::new();
+        let mut rereg_by_victim: BTreeMap<Address, Vec<usize>> = BTreeMap::new();
+        for (i, r) in reregistrations.iter().enumerate() {
+            rereg_by_label.entry(r.label_hash).or_default().push(i);
+            rereg_by_catcher.entry(r.new_owner).or_default().push(i);
+            rereg_by_victim.entry(r.prev_wallet).or_default().push(i);
+        }
         AnalysisIndex {
             incoming,
             reregistrations,
@@ -398,81 +336,7 @@ impl AnalysisIndex {
         );
     }
 
-    /// Incrementally absorbs a new batch of crawled data — per-address
-    /// transaction tails (or entirely new addresses) and newly crawled
-    /// domains — *appending* into the sorted per-address slices and
-    /// extending the USD prefix sums instead of rebuilding the index.
-    ///
-    /// Equivalence contract, gated by `tests/index_equivalence.rs`: a
-    /// [`AnalysisIndex::build`] over a dataset is interchangeable with a
-    /// build over any prefix followed by `extend` calls over the remaining
-    /// batches, provided the concatenation of the batches reproduces each
-    /// address's chain-ordered history and the domain order. Every query
-    /// answer, the re-registration list and the downstream `StudyReport`
-    /// are byte-identical either way. (New transfers are priced through a
-    /// fresh day-table over the batch's span; the table is exact — its
-    /// values equal direct oracle evaluation — so memoized USD never
-    /// depends on when a transfer was indexed.)
-    pub fn extend(
-        &mut self,
-        new_transactions: &BTreeMap<Address, Vec<Transaction>>,
-        new_domains: &[ens_subgraph::DomainRecord],
-        oracle: &PriceOracle,
-    ) {
-        self.extend_metered(new_transactions, new_domains, oracle, &Metrics::disabled());
-    }
-
-    /// [`AnalysisIndex::extend`] under an `index/extend` span, recording
-    /// how much was appended and how many addresses needed an
-    /// out-of-order re-sort.
-    pub fn extend_metered(
-        &mut self,
-        new_transactions: &BTreeMap<Address, Vec<Transaction>>,
-        new_domains: &[ens_subgraph::DomainRecord],
-        oracle: &PriceOracle,
-        metrics: &Metrics,
-    ) {
-        let span = metrics.span("index/extend");
-        let ts_span = new_transactions
-            .values()
-            .flat_map(|txs| txs.iter().map(|tx| tx.timestamp))
-            .fold(None::<(Timestamp, Timestamp)>, |acc, t| match acc {
-                None => Some((t, t)),
-                Some((lo, hi)) => Some((lo.min(t), hi.max(t))),
-            });
-        let prices = match ts_span {
-            Some((lo, hi)) => oracle.day_table(lo, hi),
-            None => oracle.day_table(Timestamp(0), Timestamp(0)),
-        };
-        let mut added_total = 0usize;
-        let mut resorted = 0u64;
-        for (addr, txs) in new_transactions {
-            let entry = self.incoming.entry(*addr).or_default();
-            let (added, resort) = entry.append(*addr, txs, &prices);
-            added_total += added;
-            resorted += u64::from(resort);
-        }
-        self.transfers_indexed += added_total;
-        let new_reregs = detect_all(new_domains);
-        if metrics.is_enabled() {
-            metrics.incr("index/extend/calls");
-            metrics.add("index/extend/transfers", added_total as u64);
-            metrics.add("index/extend/resorted_addresses", resorted);
-            metrics.add("index/extend/reregistrations", new_reregs.len() as u64);
-        }
-        let start = self.reregistrations.len();
-        self.reregistrations.extend(new_reregs);
-        index_reregistrations(
-            &self.reregistrations,
-            start,
-            &mut self.rereg_by_label,
-            &mut self.rereg_by_catcher,
-            &mut self.rereg_by_victim,
-        );
-        drop(span);
-    }
-
-    fn entry(&self, address: Address) -> &AddressIncoming {
+    fn entry(&self, address: Address) -> &TransferTable {
         self.incoming.get(&address).unwrap_or(&EMPTY)
     }
 
@@ -485,20 +349,7 @@ impl AnalysisIndex {
         window: Option<(Timestamp, Timestamp)>,
     ) -> &[IndexedTransfer] {
         self.queries.incoming.fetch_add(1, Ordering::Relaxed);
-        self.incoming_uncounted(address, window)
-    }
-
-    /// The slice lookup behind [`AnalysisIndex::incoming`], without the
-    /// query tally — for internal reuse by other counted queries, so each
-    /// public call increments exactly one `index/queries/...` counter.
-    fn incoming_uncounted(
-        &self,
-        address: Address,
-        window: Option<(Timestamp, Timestamp)>,
-    ) -> &[IndexedTransfer] {
-        let e = self.entry(address);
-        let (lo, hi) = e.range(window);
-        &e.txs[lo..hi]
+        self.entry(address).window(window)
     }
 
     /// Total USD received by `address` in a window, valued at the day of
@@ -515,12 +366,7 @@ impl AnalysisIndex {
         window: Option<(Timestamp, Timestamp)>,
     ) -> (UsdCents, usize) {
         self.queries.income.fetch_add(1, Ordering::Relaxed);
-        let e = self.entry(address);
-        if e.txs.is_empty() {
-            return (UsdCents::ZERO, 0);
-        }
-        let (lo, hi) = e.range(window);
-        (UsdCents(e.prefix_usd[hi] - e.prefix_usd[lo]), hi - lo)
+        self.entry(address).usd_and_count(window)
     }
 
     /// Number of distinct senders to `address` in a window.
@@ -530,18 +376,12 @@ impl AnalysisIndex {
         window: Option<(Timestamp, Timestamp)>,
     ) -> usize {
         self.queries.unique_senders.fetch_add(1, Ordering::Relaxed);
-        let mut senders: Vec<Address> = self
-            .incoming_uncounted(address, window)
-            .iter()
-            .map(|t| t.from)
-            .collect();
-        senders.sort_unstable();
-        senders.dedup();
-        senders.len()
+        self.entry(address).distinct_counterparties(window)
     }
 
-    /// Every re-registration in the dataset — [`detect_all`], computed
-    /// exactly once per index.
+    /// Every re-registration in the dataset —
+    /// [`detect_all`](crate::registrations::detect_all), computed exactly
+    /// once per index.
     pub fn reregistrations(&self) -> &[ReRegistration] {
         &self.reregistrations
     }
@@ -620,7 +460,7 @@ impl AnalysisIndex {
 /// the outgoing side, which is why [`AnalysisIndex`] does not carry it.
 #[derive(Clone, Debug)]
 pub struct OutgoingIndex {
-    outgoing: BTreeMap<Address, AddressIncoming>,
+    outgoing: BTreeMap<Address, TransferTable>,
     transfers_indexed: usize,
 }
 
@@ -650,50 +490,35 @@ impl OutgoingIndex {
                 }
             }
         }
-        let mut span: Option<(Timestamp, Timestamp)> = None;
+        let mut span = None;
         for txs in by_sender.values_mut() {
             // (timestamp, hash) totally orders each sender's rows, so the
             // sort (and the index) is independent of which txlist a row
             // was discovered in; dedup then removes double-crawled rows.
             txs.sort_unstable_by_key(|tx| (tx.timestamp, tx.hash));
             txs.dedup_by_key(|tx| tx.hash);
-            for tx in txs.iter() {
-                span = Some(match span {
-                    None => (tx.timestamp, tx.timestamp),
-                    Some((lo, hi)) => (lo.min(tx.timestamp), hi.max(tx.timestamp)),
-                });
-            }
+            span = txs
+                .iter()
+                .fold(span, |span, tx| widen(span, (tx.timestamp, tx.timestamp)));
         }
-        let prices = match span {
-            Some((lo, hi)) => oracle.day_table(lo, hi),
-            None => oracle.day_table(Timestamp(0), Timestamp(0)),
-        };
-        let prices = &prices;
+        let prices = &day_table(oracle, span);
         let entries: Vec<(&Address, &Vec<&Transaction>)> = by_sender.iter().collect();
         let weights: Vec<usize> = entries.iter().map(|(_, txs)| txs.len()).collect();
         let built = shard_map_weighted(&entries, &weights, threads, |(_, txs)| {
-            let mut rows = Vec::with_capacity(txs.len());
-            rows.extend(txs.iter().map(|tx| IndexedTransfer {
-                timestamp: tx.timestamp,
-                from: tx.to, // counterparty: the recipient
-                value: tx.value,
-                usd: prices.to_usd(tx.value, tx.timestamp),
-            }));
-            let mut prefix_usd = Vec::with_capacity(rows.len() + 1);
-            let mut acc: u128 = 0;
-            prefix_usd.push(acc);
-            for t in &rows {
-                acc += t.usd.0;
-                prefix_usd.push(acc);
-            }
-            AddressIncoming {
-                txs: rows,
-                prefix_usd,
-            }
+            TransferTable::new(
+                txs.iter()
+                    .map(|tx| IndexedTransfer {
+                        timestamp: tx.timestamp,
+                        from: tx.to, // counterparty: the recipient
+                        value: tx.value,
+                        usd: prices.to_usd(tx.value, tx.timestamp),
+                    })
+                    .collect(),
+            )
         })
         .expect("weights cover entries one-to-one");
         let transfers_indexed = built.iter().map(|a| a.txs.len()).sum();
-        let outgoing: BTreeMap<Address, AddressIncoming> =
+        let outgoing: BTreeMap<Address, TransferTable> =
             entries.iter().map(|(addr, _)| **addr).zip(built).collect();
         OutgoingIndex {
             outgoing,
@@ -701,7 +526,7 @@ impl OutgoingIndex {
         }
     }
 
-    fn entry(&self, address: Address) -> &AddressIncoming {
+    fn entry(&self, address: Address) -> &TransferTable {
         self.outgoing.get(&address).unwrap_or(&EMPTY)
     }
 
@@ -713,9 +538,7 @@ impl OutgoingIndex {
         address: Address,
         window: Option<(Timestamp, Timestamp)>,
     ) -> &[IndexedTransfer] {
-        let e = self.entry(address);
-        let (lo, hi) = e.range(window);
-        &e.txs[lo..hi]
+        self.entry(address).window(window)
     }
 
     /// Window spend and transfer count from one range lookup — O(log n)
@@ -725,12 +548,7 @@ impl OutgoingIndex {
         address: Address,
         window: Option<(Timestamp, Timestamp)>,
     ) -> (UsdCents, usize) {
-        let e = self.entry(address);
-        if e.txs.is_empty() {
-            return (UsdCents::ZERO, 0);
-        }
-        let (lo, hi) = e.range(window);
-        (UsdCents(e.prefix_usd[hi] - e.prefix_usd[lo]), hi - lo)
+        self.entry(address).usd_and_count(window)
     }
 
     /// Number of distinct recipients of `address` in a window.
@@ -739,14 +557,7 @@ impl OutgoingIndex {
         address: Address,
         window: Option<(Timestamp, Timestamp)>,
     ) -> usize {
-        let mut recipients: Vec<Address> = self
-            .outgoing(address, window)
-            .iter()
-            .map(|t| t.from)
-            .collect();
-        recipients.sort_unstable();
-        recipients.dedup();
-        recipients.len()
+        self.entry(address).distinct_counterparties(window)
     }
 
     /// Addresses with an indexed outgoing list.
@@ -885,6 +696,7 @@ where
 mod tests {
     use super::*;
     use crate::dataset::collect_clean;
+    use crate::registrations::detect_all;
     use ens_subgraph::SubgraphConfig;
     use workload::WorldConfig;
 
@@ -1117,89 +929,6 @@ mod tests {
         assert!(shard_map_weighted(&empty, &[], 4, |x| *x)
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn incremental_extends_match_one_batch_build() {
-        let (world, ds) = dataset();
-        let full = AnalysisIndex::build(&ds, world.oracle());
-        // Index a prefix — half of every address's history, half the
-        // domains — then absorb the rest in two extend batches.
-        let mut prefix = ds.clone();
-        prefix.domains = ds.domains[..100].to_vec();
-        prefix.transactions = ds
-            .transactions
-            .iter()
-            .map(|(a, txs)| (*a, txs[..txs.len() / 2].to_vec()))
-            .collect();
-        let mut index = AnalysisIndex::build(&prefix, world.oracle());
-        let tails: BTreeMap<Address, Vec<Transaction>> = ds
-            .transactions
-            .iter()
-            .map(|(a, txs)| (*a, txs[txs.len() / 2..].to_vec()))
-            .collect();
-        index.extend(&tails, &ds.domains[100..150], world.oracle());
-        index.extend(&BTreeMap::new(), &ds.domains[150..], world.oracle());
-        assert_eq!(index.indexed_addresses(), full.indexed_addresses());
-        assert_eq!(index.indexed_transfers(), full.indexed_transfers());
-        assert_eq!(index.reregistrations(), full.reregistrations());
-        let end = ds.observation_end;
-        let mid = Timestamp(end.0 / 2);
-        for &addr in ds.transactions.keys() {
-            assert_eq!(index.incoming(addr, None), full.incoming(addr, None));
-            for window in [None, Some((Timestamp(0), mid)), Some((mid, end))] {
-                assert_eq!(
-                    index.income_and_count(addr, window),
-                    full.income_and_count(addr, window),
-                    "income for {addr:?} window {window:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn out_of_order_extends_resort_and_still_answer_correctly() {
-        let (world, ds) = dataset();
-        let full = AnalysisIndex::build(&ds, world.oracle());
-        // Feed each address's *later* half first, then the earlier half —
-        // the append detects the inversion and re-sorts.
-        let empty = Dataset {
-            domains: Vec::new(),
-            transactions: BTreeMap::new(),
-            ..ds.clone()
-        };
-        let mut index = AnalysisIndex::build(&empty, world.oracle());
-        let late: BTreeMap<Address, Vec<Transaction>> = ds
-            .transactions
-            .iter()
-            .map(|(a, txs)| (*a, txs[txs.len() / 2..].to_vec()))
-            .collect();
-        let early: BTreeMap<Address, Vec<Transaction>> = ds
-            .transactions
-            .iter()
-            .map(|(a, txs)| (*a, txs[..txs.len() / 2].to_vec()))
-            .collect();
-        index.extend(&late, &ds.domains, world.oracle());
-        index.extend(&early, &[], world.oracle());
-        assert_eq!(index.indexed_transfers(), full.indexed_transfers());
-        assert_eq!(index.reregistrations(), full.reregistrations());
-        // Sums and counts are insertion-order independent even where
-        // equal timestamps make the within-day order ambiguous.
-        let end = ds.observation_end;
-        let mid = Timestamp(end.0 / 2);
-        for &addr in ds.transactions.keys() {
-            for window in [None, Some((Timestamp(0), mid)), Some((mid, end))] {
-                assert_eq!(
-                    index.income_and_count(addr, window),
-                    full.income_and_count(addr, window),
-                    "income for {addr:?} window {window:?}"
-                );
-                assert_eq!(
-                    index.unique_senders(addr, window),
-                    full.unique_senders(addr, window)
-                );
-            }
-        }
     }
 
     #[test]

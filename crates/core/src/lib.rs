@@ -16,7 +16,7 @@
 //!   re-registration detection, per-address incoming-transfer slices and
 //!   USD valuations, turning every window query into a binary search plus
 //!   a prefix-sum lookup;
-//! - [`overview`] — §4.1: the monthly timeline (Fig 2), delay distribution
+//! - [`overview`](mod@overview) — §4.1: the monthly timeline (Fig 2), delay distribution
 //!   (Fig 3), per-domain frequency (Fig 4), catcher concentration (Fig 5);
 //! - [`features`] — §4.3: the lexical/transactional Table 1 with Welch
 //!   t-tests and two-proportion z-tests, and the Fig 6 income CDFs;

@@ -2,7 +2,7 @@
 //! (namehash → address record).
 //!
 //! The resolver is where the paper's central vulnerability lives: records
-//! are **not** cleared when a registration expires (ENS FAQ, cited as [23]
+//! are **not** cleared when a registration expires (ENS FAQ, cited as \[23\]
 //! in the paper). An expired name keeps resolving to the previous owner's
 //! wallet until a new registrant overwrites the record — so there is no
 //! "resolution failure" warning phase like an expired DNS domain would have.

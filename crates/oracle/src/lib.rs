@@ -2,7 +2,7 @@
 //!
 //! A deterministic synthetic daily ETH-USD price series standing in for the
 //! Yahoo-Finance adjusted closes the paper uses to convert transaction
-//! amounts ([22] in the paper). The series is piecewise log-linear between
+//! amounts (\[22\] in the paper). The series is piecewise log-linear between
 //! historical anchor points (the 2019 trough, the 2021 bull run, the 2022
 //! crash, the 2023 recovery) with small deterministic day-to-day noise, so
 //! income comparisons behave like they would against the real series while

@@ -142,7 +142,10 @@ fn read_head<R: Read>(reader: &mut BufReader<R>) -> Result<String, String> {
     let mut total = 0usize;
     loop {
         let mut line = String::new();
-        match reader.read_line(&mut line) {
+        // Cap each read at what the head may still hold plus one byte, so
+        // a client that never sends a newline cannot grow `line` past it.
+        let budget = (MAX_HEAD_BYTES + 1 - total) as u64;
+        match reader.by_ref().take(budget).read_line(&mut line) {
             Ok(0) => return Err("connection closed mid-request".to_string()),
             Ok(n) => total += n,
             Err(e) => return Err(format!("read failed: {e}")),

@@ -11,6 +11,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use ens_dropcatch::{CrawlConfig, Dataset, FailurePolicy, QueryError};
 use ens_serve::http::Server;
@@ -230,6 +231,39 @@ fn graceful_shutdown_completes_in_flight_requests_then_closes() {
         }
     };
     assert!(refused, "listener closed after shutdown");
+}
+
+#[test]
+fn an_unterminated_request_head_is_cut_off_at_16_kib() {
+    // A client that never sends a newline must get its 400 once the head
+    // passes the cap, not once the read timeout fires. Exactly cap + 1
+    // bytes are sent, so the server reads everything it was sent and its
+    // close cannot reset the reply; the socket stays open meanwhile.
+    let ds = Dataset {
+        observation_end: ens_types::Timestamp(1_000_000),
+        ..Dataset::default()
+    };
+    let handle = ServeHandle::new(Arc::new(ServeState::build(ds, 1)));
+    let server = Server::start(handle, "127.0.0.1:0", 1).expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set read timeout");
+    let start = Instant::now();
+    stream.write_all(&[b'a'; 16 * 1024 + 1]).expect("send");
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .expect("a reply before the client's read timeout");
+    let elapsed = start.elapsed();
+    let (status, body) = parse_response(&raw);
+    assert_eq!(status, 400);
+    assert!(body.contains("request head exceeds 16 KiB"), "{body}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "answered after {elapsed:?}"
+    );
+    server.shutdown();
 }
 
 #[test]

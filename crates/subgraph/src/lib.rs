@@ -1,6 +1,6 @@
 //! # ens-subgraph
 //!
-//! A simulation of the ENS subgraph ([10] in the paper): an off-chain
+//! A simulation of the ENS subgraph (\[10\] in the paper): an off-chain
 //! indexer that folds the raw ENS event log into per-domain records and
 //! serves them through a paged, GraphQL-flavoured API. The paper's data
 //! collection (§3.1) is built entirely on this endpoint, including its

@@ -4,9 +4,9 @@
 //! dropcatch → possible resale, plus all sender traffic) is planned as pure
 //! data with timestamps, name by name. Because the simulated chain's clock
 //! is monotone, the plan is then globally sorted by time and executed in one
-//! pass by [`crate::engine`]. Planning also produces the [`GroundTruth`]
-//! that integration tests compare the measurement pipeline against — the
-//! pipeline itself never sees it.
+//! pass by [`crate::engine`]. Planning also produces the per-name ground
+//! truth ([`NameTruth`]) that integration tests compare the measurement
+//! pipeline against — the pipeline itself never sees it.
 
 use ens_types::{Address, Duration, Label, Timestamp};
 use rand::rngs::StdRng;

@@ -3,7 +3,6 @@
 //! full-scan baselines they replace — per query, per pass, and for the
 //! whole `StudyReport` JSON at thread counts 1, 2 and 8.
 
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use ens_dropcatch::countermeasures::{evaluate_countermeasure, evaluate_countermeasure_with};
@@ -12,9 +11,8 @@ use ens_dropcatch::{
     run_study_on, run_study_on_naive, shard_map_weighted, AnalysisIndex, CrawlConfig, Dataset,
     Metrics, StudyConfig,
 };
-use ens_dropcatch_suite::chain::Transaction;
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
-use ens_dropcatch_suite::types::{Address, Duration, Timestamp};
+use ens_dropcatch_suite::types::{Duration, Timestamp};
 use ens_dropcatch_suite::workload::WorldConfig;
 use proptest::prelude::*;
 
@@ -103,83 +101,6 @@ fn full_study_report_is_byte_identical_naive_vs_indexed_at_1_2_8_threads() {
             naive, indexed,
             "study report diverges from naive at {threads} threads"
         );
-    }
-}
-
-/// The `i`-th of `n` equal per-address slices of a dataset's transaction
-/// history, preserving each address's timestamp order.
-fn tx_slice(ds: &Dataset, i: usize, n: usize) -> BTreeMap<Address, Vec<Transaction>> {
-    ds.transactions
-        .iter()
-        .map(|(a, txs)| {
-            let (lo, hi) = (txs.len() * i / n, txs.len() * (i + 1) / n);
-            (*a, txs[lo..hi].to_vec())
-        })
-        .collect()
-}
-
-#[test]
-fn n_incremental_extends_equal_one_batch_build_at_the_study_report_level() {
-    // The tentpole equivalence gate: an index grown by `extend` over N
-    // crawl increments must drive the full §4 pipeline to the same bytes
-    // as an index built once over the complete dataset.
-    let (world, ds) = build(77, 300);
-    let config = StudyConfig::default();
-    let study = |index| run_study_on(&ds, world.oracle(), &config, index, &Metrics::disabled());
-    let batch = serde_json::to_string(&study(None)).unwrap();
-
-    let d3 = ds.domains.len() / 3;
-    let mut prefix = ds.clone();
-    prefix.domains = ds.domains[..d3].to_vec();
-    prefix.transactions = tx_slice(&ds, 0, 3);
-    let mut index = AnalysisIndex::build(&prefix, world.oracle());
-    index.extend(
-        &tx_slice(&ds, 1, 3),
-        &ds.domains[d3..2 * d3],
-        world.oracle(),
-    );
-    index.extend(&tx_slice(&ds, 2, 3), &ds.domains[2 * d3..], world.oracle());
-
-    let incremental = serde_json::to_string(&study(Some(&index))).unwrap();
-    assert_eq!(
-        incremental, batch,
-        "a study over an incrementally-extended index diverges from batch"
-    );
-}
-
-#[test]
-fn extends_compose_at_any_granularity() {
-    let (world, ds) = build(77, 300);
-    let full = AnalysisIndex::build(&ds, world.oracle());
-    for n in [2usize, 5, 9] {
-        let empty = Dataset {
-            domains: Vec::new(),
-            transactions: BTreeMap::new(),
-            ..ds.clone()
-        };
-        let mut index = AnalysisIndex::build(&empty, world.oracle());
-        for i in 0..n {
-            let (lo, hi) = (ds.domains.len() * i / n, ds.domains.len() * (i + 1) / n);
-            index.extend(&tx_slice(&ds, i, n), &ds.domains[lo..hi], world.oracle());
-        }
-        assert_eq!(index.indexed_transfers(), full.indexed_transfers(), "n={n}");
-        assert_eq!(index.reregistrations(), full.reregistrations(), "n={n}");
-        let end = ds.observation_end;
-        let mid = Timestamp(end.0 / 2);
-        for &addr in ds.transactions.keys() {
-            assert_eq!(
-                index.incoming(addr, None),
-                full.incoming(addr, None),
-                "n={n}"
-            );
-            for window in [None, Some((Timestamp(0), mid)), Some((mid, end))] {
-                assert_eq!(
-                    index.income_and_count(addr, window),
-                    full.income_and_count(addr, window),
-                    "n={n} addr {addr:?} window {window:?}"
-                );
-            }
-        }
     }
 }
 
