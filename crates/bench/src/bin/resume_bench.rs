@@ -1,7 +1,8 @@
 //! Prices crash-safe crawling: sweeps the checkpoint cadence against an
 //! uncheckpointed baseline (at a modeled per-page service time — see
-//! `ens_bench::resume` for why), runs one kill/resume cycle through the
-//! full pipeline, and writes `BENCH_resume.json`.
+//! `ens_bench::resume` for why — and on the zero-latency source, for the
+//! in-process cost), runs one kill/resume cycle through the full
+//! pipeline, and writes `BENCH_resume.json`.
 //!
 //! ```sh
 //! cargo run --release -p ens-bench --bin resume_bench -- \
@@ -116,8 +117,14 @@ fn main() {
     );
     for run in &sweep.runs {
         eprintln!(
-            "  every {:>5}: {:.1} ms ({:+.2}%), {} segments, identical: {}",
-            run.every, run.crawl_ms, run.overhead_pct, run.checkpoint_writes, run.identical
+            "  every {:>5}: {:.1} ms ({:+.2}%); {:.1} ms raw ({:+.1}%); {} segments, identical: {}",
+            run.every,
+            run.crawl_ms,
+            run.overhead_pct,
+            run.raw_crawl_ms,
+            run.raw_overhead_pct,
+            run.checkpoint_writes,
+            run.identical
         );
     }
     eprintln!(

@@ -13,8 +13,9 @@
 //! drives the crawl engine through a [`PagedSource`] adapter that models a
 //! conservative per-page service time (default 2 ms — one to two orders
 //! of magnitude *below* real API latency, biasing the overhead estimate
-//! high). The raw zero-latency wall times are reported alongside so the
-//! absolute checkpoint cost stays visible.
+//! high). Each cadence is also timed on the zero-latency source, beside
+//! the raw uncheckpointed baseline, so the in-process cost — what a
+//! checkpointed crawl over the simulated sources pays — stays visible.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -22,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use ens_dropcatch::{
     remove_chain, CheckpointJournal, CheckpointSpec, CollectError, CrawlCheckpoint, CrawlConfig,
-    Crawler, Dataset, FailurePolicy, Metrics,
+    Crawled, Crawler, Dataset, FailurePolicy, Metrics,
 };
 use ens_subgraph::{DomainRecord, Subgraph, SubgraphConfig};
 use ens_types::{FaultKind, KillSwitch, PageError, PagedBatch, PagedSource};
@@ -66,6 +67,11 @@ pub struct CadenceRun {
     pub crawl_ms: f64,
     /// `(crawl_ms - baseline_ms) / baseline_ms`, percent.
     pub overhead_pct: f64,
+    /// Checkpointed crawl wall time with the latency model disabled, ms
+    /// (min over repeats): the in-process cost, beside `raw_baseline_ms`.
+    pub raw_crawl_ms: f64,
+    /// `(raw_crawl_ms - raw_baseline_ms) / raw_baseline_ms`, percent.
+    pub raw_overhead_pct: f64,
     /// Delta segments written during the (uninterrupted) crawl.
     pub checkpoint_writes: u64,
     /// Whether the checkpointed crawl's items and stats matched the
@@ -122,6 +128,9 @@ pub struct ResumeBenchReport {
     /// Overhead at the default cadence, percent — the acceptance gate
     /// requires this to stay under 5%.
     pub default_overhead_pct: f64,
+    /// In-process overhead at the default cadence (zero-latency source),
+    /// percent.
+    pub default_raw_overhead_pct: f64,
     /// One kill-at-midpoint / resume cycle through the full pipeline.
     pub resume: ResumeCycle,
     /// True iff every cadence and the resume produced identical output.
@@ -194,29 +203,33 @@ fn cadence_sweep(
     for &every in cadences {
         let path = scratch.join(format!("cadence-{every}.ckpt"));
         let spec = CheckpointSpec::new(&path).every(every);
-        let mut writes = 0;
-        let (crawl_ms, crawled) = time_ms(repeats, || {
+        let checkpointed = |source: &LatencySource<'_>| {
             let journal = CheckpointJournal::new(&spec, fingerprint, &CrawlCheckpoint::default())
                 .expect("journal initializes");
             let crawled = crawler
-                .crawl_resumable(&source, BTreeMap::new(), |shard, c| {
+                .crawl_resumable(source, BTreeMap::new(), |shard, c| {
                     journal.commit_subgraph(shard, c);
                 })
                 .expect("clean crawl");
             journal.flush();
             assert!(journal.take_error().is_none(), "checkpoint save failed");
-            writes = journal.writes();
-            crawled
-        });
+            (crawled, journal.writes())
+        };
+        let (crawl_ms, (crawled, writes)) = time_ms(repeats, || checkpointed(&source));
+        let (raw_crawl_ms, (raw, _)) = time_ms(repeats, || checkpointed(&instant));
         remove_chain(&path);
-        let identical = serde_json::to_string(&crawled.items).expect("serializes") == expected.0
-            && serde_json::to_string(&crawled.stats).expect("serializes") == expected.1;
+        let matches = |c: &Crawled<DomainRecord>| {
+            serde_json::to_string(&c.items).expect("serializes") == expected.0
+                && serde_json::to_string(&c.stats).expect("serializes") == expected.1
+        };
         runs.push(CadenceRun {
             every,
             crawl_ms,
             overhead_pct: (crawl_ms - baseline_ms) / baseline_ms * 100.0,
+            raw_crawl_ms,
+            raw_overhead_pct: (raw_crawl_ms - raw_baseline_ms) / raw_baseline_ms * 100.0,
             checkpoint_writes: writes,
-            identical,
+            identical: matches(&crawled) && matches(&raw),
         });
     }
 
@@ -314,12 +327,12 @@ pub fn run_resume_bench(
     let sweep = cadence_sweep(&world, cadences, repeats, service_time_us, scratch);
     let resume = resume_cycle(&world, scratch);
 
-    let default_overhead_pct = sweep
+    let default_run = sweep
         .runs
         .iter()
-        .find(|r| r.every == ens_dropcatch::DEFAULT_CHECKPOINT_EVERY)
-        .map(|r| r.overhead_pct)
-        .unwrap_or(f64::NAN);
+        .find(|r| r.every == ens_dropcatch::DEFAULT_CHECKPOINT_EVERY);
+    let default_overhead_pct = default_run.map_or(f64::NAN, |r| r.overhead_pct);
+    let default_raw_overhead_pct = default_run.map_or(f64::NAN, |r| r.raw_overhead_pct);
     let outputs_identical = sweep.runs.iter().all(|r| r.identical) && resume.identical;
 
     ResumeBenchReport {
@@ -329,6 +342,7 @@ pub fn run_resume_bench(
         sweep,
         default_every: ens_dropcatch::DEFAULT_CHECKPOINT_EVERY,
         default_overhead_pct,
+        default_raw_overhead_pct,
         resume,
         outputs_identical,
     }

@@ -64,9 +64,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use ens_dropcatch::checkpoint::fnv1a;
 use ens_dropcatch::{
-    run_study_on, CheckpointSpec, CollectError, CrawlConfig, DataSources, Dataset, FailurePolicy,
-    Format, Metrics, RetryPolicy, StudyConfig, DEFAULT_CHECKPOINT_EVERY,
+    run_study_on, CheckpointSpec, CollectError, CrawlConfig, CrawlTimings, DataSources, Dataset,
+    FailurePolicy, Format, Metrics, RetryPolicy, StudyConfig, DEFAULT_CHECKPOINT_EVERY,
 };
 use ens_subgraph::SubgraphConfig;
 use ens_types::{FaultKind, FaultProfile, KillSwitch};
@@ -345,15 +346,17 @@ impl Args {
         }
     }
 
-    /// The checkpoint spec when `--checkpoint` was given. The world
-    /// identity (`--names`/`--seed`) folds into the fingerprint so a
-    /// checkpoint from one world is never spliced into another.
+    /// The checkpoint spec when `--checkpoint` was given. A stable hash of
+    /// the whole world configuration (the preset with `--names`/`--seed`
+    /// applied; equal configurations build identical worlds) folds into the
+    /// fingerprint, so a checkpoint from one world is never spliced into
+    /// another.
     fn checkpoint_spec(&self) -> Option<CheckpointSpec> {
         let path = self.checkpoint.as_ref()?;
-        let extra = (self.n_names() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.seed;
+        let world = serde_json::to_string(&self.world_config()).expect("a world config serializes");
         let mut spec = CheckpointSpec::new(path)
             .every(self.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY))
-            .with_fingerprint_extra(extra);
+            .with_fingerprint_extra(fnv1a(world.as_bytes()));
         if self.resume {
             spec = spec.resuming();
         }
@@ -404,6 +407,64 @@ fn write_metrics(args: &Args, metrics: &Metrics) -> Option<ExitCode> {
     }
 }
 
+/// Builds the world and both source indexes, then crawls them. Each layer
+/// is freed once its consumer is done: the world once both indexes exist
+/// (the crawl needs only its marketplace and observation end, the study
+/// its oracle, and those are kept), the indexes when the crawl returns. So
+/// encode, write and study run with only the dataset alive; it shares the
+/// explorer's labels and the subgraph's reverse history, which it needs.
+fn collect(
+    args: &Args,
+    metrics: &Metrics,
+    spec: Option<&CheckpointSpec>,
+) -> (Result<(Dataset, CrawlTimings), CollectError>, PriceOracle) {
+    eprintln!(
+        "building world: {} names, seed {}...",
+        args.n_names(),
+        args.seed
+    );
+    let world = {
+        let _span = metrics.span("world");
+        args.world_config().build()
+    };
+    let subgraph = {
+        let _span = metrics.span("sources/subgraph");
+        world.subgraph(SubgraphConfig::default())
+    };
+    let etherscan = {
+        let _span = metrics.span("sources/explorer");
+        world.etherscan()
+    };
+    let opensea = world.opensea().clone();
+    let oracle = world.oracle().clone();
+    let observation_end = world.observation_end();
+    drop(world);
+
+    eprintln!(
+        "crawling (subgraph + txlists + market) on {} thread(s){}...",
+        args.threads,
+        match &args.chaos {
+            Some(p) => format!(" under chaos (seed {})", p.seed),
+            None => String::new(),
+        }
+    );
+    if let Some(spec) = spec.filter(|spec| spec.resume) {
+        eprintln!(
+            "resuming from checkpoint {} (if present)...",
+            spec.path.display()
+        );
+    }
+    let sources = DataSources {
+        subgraph: &subgraph,
+        etherscan: &etherscan,
+        opensea: &opensea,
+        observation_end,
+        crawl: args.crawl_config(),
+    };
+    let kill = args.kill_after.map(KillSwitch::new);
+    (sources.collect(metrics, spec, kill), oracle)
+}
+
 /// Builds a world; with `full_study` also analyzes and prints the report,
 /// otherwise just exports the dataset.
 fn run(args: Args, full_study: bool) -> ExitCode {
@@ -416,39 +477,9 @@ fn run(args: Args, full_study: bool) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    eprintln!(
-        "building world: {} names, seed {}...",
-        args.n_names(),
-        args.seed
-    );
-    let world = args.world_config().build();
-    let subgraph = world.subgraph(SubgraphConfig::default());
-    let etherscan = world.etherscan();
-    eprintln!(
-        "crawling (subgraph + txlists + market) on {} thread(s){}...",
-        args.threads,
-        match &args.chaos {
-            Some(p) => format!(" under chaos (seed {})", p.seed),
-            None => String::new(),
-        }
-    );
-    let sources = DataSources {
-        subgraph: &subgraph,
-        etherscan: &etherscan,
-        opensea: world.opensea(),
-        observation_end: world.observation_end(),
-        crawl: args.crawl_config(),
-    };
     let metrics = args.metrics();
     let spec = args.checkpoint_spec();
-    if let Some(spec) = spec.as_ref().filter(|spec| spec.resume) {
-        eprintln!(
-            "resuming from checkpoint {} (if present)...",
-            spec.path.display()
-        );
-    }
-    let kill = args.kill_after.map(KillSwitch::new);
-    let collected = sources.collect(&metrics, spec.as_ref(), kill);
+    let (collected, oracle) = collect(&args, &metrics, spec.as_ref());
     let (dataset, timings) = match collected {
         Ok(out) => out,
         Err(CollectError::Crawl(e)) => {
@@ -543,7 +574,7 @@ fn run(args: Args, full_study: bool) -> ExitCode {
             threads: args.threads,
             ..StudyConfig::default()
         };
-        let report = run_study_on(&dataset, world.oracle(), &config, None, &metrics);
+        let report = run_study_on(&dataset, &oracle, &config, None, &metrics);
         println!("{}", report.render());
         if let Some(code) = write_metrics(&args, &metrics) {
             return code;

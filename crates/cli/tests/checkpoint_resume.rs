@@ -143,3 +143,96 @@ fn kill_then_resume_reproduces_the_uninterrupted_dataset() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_checkpoint_from_another_preset_is_stale_not_spliced() {
+    let dir = temp_dir("cross-preset");
+    let ckpt = dir.join("crawl.ckpt");
+    let clean = dir.join("clean.ensc");
+    let resumed = dir.join("resumed.ensc");
+    let metrics = dir.join("metrics.json");
+    // `default` and `paper-scale` share the crawl configuration and the
+    // observation window, so only the world itself tells them apart.
+    let crawl_args = [
+        "--names",
+        "600",
+        "--seed",
+        "7",
+        "--page-size",
+        "64",
+        "--chaos",
+        "mixed:2024",
+        "--fail-policy",
+        "degrade",
+        "--min-recovery",
+        "0.5",
+    ];
+    let simulate = |preset: &str, extra: &[&str]| {
+        bin()
+            .args(["simulate", "--preset", preset])
+            .args(crawl_args)
+            .args(extra)
+            .output()
+            .expect("binary runs")
+    };
+
+    let output = simulate(
+        "default",
+        &[
+            "--dataset",
+            dir.join("dead.ensc").to_str().unwrap(),
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+            "--checkpoint-every",
+            "8",
+            "--kill-after",
+            "60",
+        ],
+    );
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "the injected kill fails the run"
+    );
+    assert!(ckpt.exists(), "the kill must leave a checkpoint behind");
+
+    let output = simulate(
+        "paper-scale",
+        &[
+            "--dataset",
+            resumed.to_str().unwrap(),
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+            "--checkpoint-every",
+            "8",
+            "--resume",
+            "--metrics-json",
+            metrics.to_str().unwrap(),
+        ],
+    );
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let snapshot = std::fs::read_to_string(&metrics).unwrap();
+    assert!(
+        snapshot.contains("\"checkpoint/stale_fallback\": 1"),
+        "the other preset's checkpoint must be discarded as stale: {snapshot}"
+    );
+    assert!(
+        !snapshot.contains("\"checkpoint/loads\""),
+        "the other preset's checkpoint was spliced: {snapshot}"
+    );
+
+    let output = simulate("paper-scale", &["--dataset", clean.to_str().unwrap()]);
+    assert!(output.status.success());
+    let a = std::fs::read(&clean).unwrap();
+    let b = std::fs::read(&resumed).unwrap();
+    assert_eq!(
+        a, b,
+        "the resumed dataset differs from a clean paper-scale run"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}

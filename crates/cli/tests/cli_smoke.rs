@@ -205,6 +205,7 @@ fn metrics_json_writes_a_snapshot_with_both_sections() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("metrics.json");
 
+    // With `--dataset`, so the write is spanned too.
     let output = bin()
         .args([
             "run",
@@ -212,6 +213,8 @@ fn metrics_json_writes_a_snapshot_with_both_sections() {
             "200",
             "--seed",
             "5",
+            "--dataset",
+            dir.join("dataset.ensc").to_str().unwrap(),
             "--metrics-json",
             path.to_str().unwrap(),
         ])
@@ -232,6 +235,13 @@ fn metrics_json_writes_a_snapshot_with_both_sections() {
         "\"collect\"",
         "\"study\"",
         "\"crawl/subgraph/pages\"",
+        // Every stage of `run` has a span: world synthesis, both source
+        // indexes, the crawl, encode, write and the study.
+        "\"world\"",
+        "\"sources/subgraph\"",
+        "\"sources/explorer\"",
+        "\"columnar/encode\"",
+        "\"storage/write\"",
     ] {
         assert!(snapshot.contains(key), "snapshot missing {key}");
     }
@@ -248,6 +258,8 @@ fn metrics_json_writes_a_snapshot_with_both_sections() {
             "5",
             "--threads",
             "2",
+            "--dataset",
+            dir.join("dataset-t2.ensc").to_str().unwrap(),
             "--metrics-json",
             p2.to_str().unwrap(),
         ])

@@ -45,11 +45,26 @@
 //! Each segment reuses the generic `ens-columnar` container (magic,
 //! versioned directory, checksummed sections) with its own section-id
 //! space, disjoint from the dataset schema's ids 1..=13 (see
-//! [`crate::storage`]): 64 = header (schema version + config fingerprint),
-//! 65/66/67 = committed subgraph/txlist/market shards. Shard payloads are
-//! JSON blobs of [`CommittedShard`] — small, already-deterministic, and
-//! cheap to re-encode incrementally — framed by fixed-width lengths so a
-//! load never scans.
+//! [`crate::storage`]): 64 = header (schema version 2 + config
+//! fingerprint), 65/66/67 = committed subgraph/txlist/market shards. Each
+//! shard section is a `u32` shard count, then per shard its key (a `u64`
+//! shard index, or the 20-byte address of a txlist shard), a `u32` byte
+//! length and the shard itself:
+//!
+//! ```text
+//! stats   pages, items, retries, 4 per-kind retry counts, backoff ms   8 × u64
+//! gaps    u64 byte length + JSON (length 0: no gaps)
+//! rows    string pool, address pool, then the dataset sections the
+//!         rows occupy (domains: 6, txlist: 1 with one owner, market: 1),
+//!         each behind a u32 byte length
+//! ```
+//!
+//! The rows are the dataset's own binary form: `storage.rs`'s column
+//! writers encode them, and its section readers decode them, so a
+//! checkpoint and a `.ensc` dataset share one codec. Every length is
+//! bounds-checked against the bytes present before anything is sized by
+//! it. Schema version 1 carried shards as JSON; a version-1 chain now
+//! loads as [`CheckpointLoad::DiscardedStale`] and the crawl starts clean.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -59,21 +74,24 @@ use ens_columnar::{is_columnar, ColumnarError, Cursor, FileBuilder, FileView, Pu
 use ens_subgraph::DomainRecord;
 use ens_types::{Address, Timestamp};
 use opensea_sim::MarketEvent;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use sim_chain::Transaction;
 
-use crate::crawl::{CommittedShard, SourceStats};
+use crate::crawl::{CommittedShard, CrawlGap, RetryCounts, SourceStats};
 use crate::dataset::CrawlConfig;
 use crate::export::{write_atomic, StorageError};
+use crate::storage::{
+    put_domain_rows, put_market_rows, put_txlist_rows, take_domain_rows, take_market_rows,
+    take_txlist_rows,
+};
 
 /// Default checkpoint cadence: a save every this many committed pages.
 /// Chosen from the `resume_bench` cadence sweep (`BENCH_resume.json`) to
 /// keep crawl-throughput overhead under 5%.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 256;
 
-/// Checkpoint schema version inside the header section.
-const CKPT_SCHEMA_VERSION: u32 = 1;
+/// Checkpoint schema version inside the header section. Version 1 carried
+/// shards as JSON; version 2 carries them in the dataset's binary form.
+const CKPT_SCHEMA_VERSION: u32 = 2;
 
 /// Section ids of the checkpoint schema. The id space 64.. is reserved for
 /// checkpoints and disjoint from the dataset schema's 1..=13, so magic-byte
@@ -91,8 +109,9 @@ mod section {
     pub const MARKET: u32 = 67;
 }
 
-/// FNV-1a over a byte string (stable across runs/platforms).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte string: stable across runs, builds and platforms,
+/// so it can key what a later process reads back.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -227,25 +246,28 @@ impl CrawlCheckpoint {
 
     /// Serializes the checkpoint into container bytes.
     pub fn to_bytes(&self) -> Result<Vec<u8>, StorageError> {
-        let mut subgraph = BTreeMap::new();
+        let mut blobs = Pending::default();
         for (shard, c) in &self.subgraph {
-            subgraph.insert(*shard, shard_blob(c)?);
+            let blob = shard_blob(c, put_domain_rows)?;
+            blobs.subgraph.insert(*shard, blob);
         }
-        let mut txlist = BTreeMap::new();
         for (addr, c) in &self.txlist {
-            txlist.insert(*addr, shard_blob(c)?);
+            let blob = shard_blob(c, |txs, buf| put_txlist_rows(*addr, txs, buf))?;
+            blobs.txlist.insert(*addr, blob);
         }
-        let mut market = BTreeMap::new();
         for (shard, c) in &self.market {
-            market.insert(*shard, shard_blob(c)?);
+            let blob = shard_blob(c, put_market_rows)?;
+            blobs.market.insert(*shard, blob);
         }
-        Ok(encode_file(self.fingerprint, &subgraph, &txlist, &market))
+        Ok(encode_file(self.fingerprint, &blobs))
     }
 
     /// Parses a checkpoint from container bytes, verifying magic, version,
-    /// directory and per-section checksums. Every failure mode — wrong
-    /// magic, truncation, bit rot, a dataset file passed by mistake — is a
-    /// typed [`StorageError`], never a panic.
+    /// directory and per-section checksums, then every shard's framing and
+    /// rows. Every failure mode — wrong magic, truncation, bit rot, a
+    /// dataset file passed by mistake — is a typed [`StorageError`], never
+    /// a panic; a checkpoint of another schema version is
+    /// [`ColumnarError::UnsupportedVersion`].
     pub fn from_bytes(bytes: &[u8]) -> Result<CrawlCheckpoint, StorageError> {
         let view = FileView::parse(bytes)?;
         let mut header = Cursor::new(view.section(section::HEADER)?, "checkpoint header");
@@ -259,9 +281,17 @@ impl CrawlCheckpoint {
         header.expect_end()?;
         Ok(CrawlCheckpoint {
             fingerprint,
-            subgraph: decode_indexed(view.section(section::SUBGRAPH)?, "subgraph shards")?,
+            subgraph: decode_indexed(
+                view.section(section::SUBGRAPH)?,
+                "subgraph shards",
+                take_domain_rows,
+            )?,
             txlist: decode_keyed(view.section(section::TXLIST)?, "txlist shards")?,
-            market: decode_indexed(view.section(section::MARKET)?, "market shards")?,
+            market: decode_indexed(
+                view.section(section::MARKET)?,
+                "market shards",
+                take_market_rows,
+            )?,
         })
     }
 
@@ -284,10 +314,11 @@ pub enum CheckpointLoad {
     /// A valid checkpoint with a matching fingerprint — splice it.
     Resumed(Box<CrawlCheckpoint>),
     /// The file exists but failed verification (truncated, bad checksum,
-    /// wrong magic, unsupported version) — fall back to a clean crawl.
+    /// wrong magic, undecodable shards) — fall back to a clean crawl.
     DiscardedCorrupt(String),
-    /// The file is valid but was produced by a different configuration —
-    /// fall back to a clean crawl.
+    /// The file is intact but describes another crawl: a different
+    /// configuration, or a schema version this build does not read (an
+    /// older build's chain) — fall back to a clean crawl.
     DiscardedStale,
 }
 
@@ -346,6 +377,9 @@ pub fn load_for_resume(path: &Path, fingerprint: u64) -> CheckpointLoad {
         Ok(bytes) => bytes,
     };
     let mut ckpt = match CrawlCheckpoint::from_bytes(&bytes) {
+        Err(StorageError::Columnar(ColumnarError::UnsupportedVersion(_))) => {
+            return CheckpointLoad::DiscardedStale
+        }
         Err(e) => return CheckpointLoad::DiscardedCorrupt(e.to_string()),
         Ok(ckpt) if ckpt.fingerprint != fingerprint => return CheckpointLoad::DiscardedStale,
         Ok(ckpt) => ckpt,
@@ -384,7 +418,10 @@ pub fn load_for_resume(path: &Path, fingerprint: u64) -> CheckpointLoad {
 /// lock only guards pending-blob insertion and the cadence decision, and a
 /// save writes only the blobs committed since the previous save as a new
 /// chain segment — so checkpointing costs each committed byte one
-/// serialization and one write, regardless of the cadence.
+/// serialization and one write, regardless of the cadence. The saving
+/// worker takes the pending blobs and encodes and writes the segment under
+/// a second lock that keeps segment writes in chain order, so the other
+/// workers keep committing meanwhile.
 ///
 /// The cadence is bucket-based: a save happens when the cumulative
 /// committed-page count crosses a multiple of `every_pages`. Which shards
@@ -398,20 +435,36 @@ pub struct CheckpointJournal {
     every_pages: u64,
     fingerprint: u64,
     state: Mutex<JournalState>,
+    chain: Mutex<Chain>,
 }
 
 struct JournalState {
     /// Blobs committed since the last save — the next segment's payload.
+    pending: Pending,
+    pages_total: u64,
+    flushed_bucket: u64,
+    error: Option<String>,
+}
+
+/// Committed shard blobs not yet in a segment.
+#[derive(Default)]
+struct Pending {
     subgraph: BTreeMap<u64, Vec<u8>>,
     txlist: BTreeMap<Address, Vec<u8>>,
     market: BTreeMap<u64, Vec<u8>>,
-    pages_total: u64,
-    flushed_bucket: u64,
+}
+
+impl Pending {
+    fn is_empty(&self) -> bool {
+        self.subgraph.is_empty() && self.txlist.is_empty() && self.market.is_empty()
+    }
+}
+
+/// The segment chain on disk, guarded apart from the pending blobs.
+struct Chain {
     /// Index of the next segment to write (= segments already on disk).
     segments: u64,
-    dirty: bool,
     writes: u64,
-    error: Option<String>,
 }
 
 impl CheckpointJournal {
@@ -424,22 +477,7 @@ impl CheckpointJournal {
         fingerprint: u64,
         resumed: &CrawlCheckpoint,
     ) -> Result<CheckpointJournal, StorageError> {
-        let pages = |s: &SourceStats| s.pages as u64;
-        let pages_total = resumed
-            .subgraph
-            .values()
-            .map(|c| pages(&c.stats))
-            .sum::<u64>()
-            + resumed
-                .txlist
-                .values()
-                .map(|c| pages(&c.stats))
-                .sum::<u64>()
-            + resumed
-                .market
-                .values()
-                .map(|c| pages(&c.stats))
-                .sum::<u64>();
+        let pages_total = resumed.committed_pages();
         let segments = if resumed.committed_shards() > 0 {
             chain_len(&spec.path)
         } else {
@@ -448,14 +486,9 @@ impl CheckpointJournal {
         };
         let every_pages = spec.every_pages.max(1) as u64;
         let state = JournalState {
-            subgraph: BTreeMap::new(),
-            txlist: BTreeMap::new(),
-            market: BTreeMap::new(),
+            pending: Pending::default(),
             pages_total,
             flushed_bucket: pages_total / every_pages,
-            segments,
-            dirty: false,
-            writes: 0,
             error: None,
         };
         Ok(CheckpointJournal {
@@ -463,40 +496,44 @@ impl CheckpointJournal {
             every_pages,
             fingerprint,
             state: Mutex::new(state),
+            chain: Mutex::new(Chain {
+                segments,
+                writes: 0,
+            }),
         })
     }
 
     /// Commits one subgraph shard; returns true if this commit triggered a
     /// cadence save.
     pub fn commit_subgraph(&self, shard: u64, c: &CommittedShard<DomainRecord>) -> bool {
-        let blob = match shard_blob(c) {
+        let blob = match shard_blob(c, put_domain_rows) {
             Ok(b) => b,
             Err(e) => return self.record_error(e),
         };
-        self.insert(c.stats.pages as u64, |s| {
-            s.subgraph.insert(shard, blob);
+        self.insert(c.stats.pages as u64, |p| {
+            p.subgraph.insert(shard, blob);
         })
     }
 
     /// Commits one txlist shard (one address's whole source).
     pub fn commit_txlist(&self, addr: Address, c: &CommittedShard<Transaction>) -> bool {
-        let blob = match shard_blob(c) {
+        let blob = match shard_blob(c, |txs, buf| put_txlist_rows(addr, txs, buf)) {
             Ok(b) => b,
             Err(e) => return self.record_error(e),
         };
-        self.insert(c.stats.pages as u64, |s| {
-            s.txlist.insert(addr, blob);
+        self.insert(c.stats.pages as u64, |p| {
+            p.txlist.insert(addr, blob);
         })
     }
 
     /// Commits one market shard.
     pub fn commit_market(&self, shard: u64, c: &CommittedShard<MarketEvent>) -> bool {
-        let blob = match shard_blob(c) {
+        let blob = match shard_blob(c, put_market_rows) {
             Ok(b) => b,
             Err(e) => return self.record_error(e),
         };
-        self.insert(c.stats.pages as u64, |s| {
-            s.market.insert(shard, blob);
+        self.insert(c.stats.pages as u64, |p| {
+            p.market.insert(shard, blob);
         })
     }
 
@@ -504,74 +541,59 @@ impl CheckpointJournal {
     /// at phase boundaries so a kill early in the next phase cannot lose a
     /// completed phase's tail.
     pub fn flush(&self) -> bool {
-        let mut state = self.state.lock().expect("checkpoint journal poisoned");
-        if !state.dirty {
-            return false;
-        }
-        self.save_locked(&mut state)
+        let pending = std::mem::take(&mut self.lock_state().pending);
+        !pending.is_empty() && self.save(&pending)
     }
 
     /// Atomic saves performed so far.
     pub fn writes(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("checkpoint journal poisoned")
-            .writes
+        self.chain.lock().expect("checkpoint chain poisoned").writes
     }
 
     /// The first save/serialization error, if any occurred. Commit hooks
     /// cannot propagate errors through the crawler, so the collection
     /// layer checks this after each phase.
     pub fn take_error(&self) -> Option<String> {
-        self.state
-            .lock()
-            .expect("checkpoint journal poisoned")
-            .error
-            .take()
+        self.lock_state().error.take()
+    }
+
+    fn lock_state(&self) -> std::sync::MutexGuard<'_, JournalState> {
+        self.state.lock().expect("checkpoint journal poisoned")
     }
 
     fn record_error(&self, e: StorageError) -> bool {
-        let mut state = self.state.lock().expect("checkpoint journal poisoned");
-        state.error.get_or_insert(e.to_string());
+        self.lock_state().error.get_or_insert(e.to_string());
         false
     }
 
-    fn insert(&self, pages: u64, apply: impl FnOnce(&mut JournalState)) -> bool {
-        let mut state = self.state.lock().expect("checkpoint journal poisoned");
-        apply(&mut state);
-        state.dirty = true;
-        state.pages_total += pages;
-        let bucket = state.pages_total / self.every_pages;
-        if bucket > state.flushed_bucket {
+    fn insert(&self, pages: u64, apply: impl FnOnce(&mut Pending)) -> bool {
+        let pending = {
+            let mut state = self.lock_state();
+            apply(&mut state.pending);
+            state.pages_total += pages;
+            let bucket = state.pages_total / self.every_pages;
+            if bucket <= state.flushed_bucket {
+                return false;
+            }
             state.flushed_bucket = bucket;
-            self.save_locked(&mut state)
-        } else {
-            false
-        }
+            std::mem::take(&mut state.pending)
+        };
+        self.save(&pending)
     }
 
-    fn save_locked(&self, state: &mut JournalState) -> bool {
-        let bytes = encode_file(
-            self.fingerprint,
-            &state.subgraph,
-            &state.txlist,
-            &state.market,
-        );
-        let seg = segment_path(&self.path, state.segments);
-        match write_atomic(&seg, &bytes) {
+    /// Writes `pending` as the next segment of the chain. A failed write
+    /// is recorded, and the collection fails at its next phase check; the
+    /// chain on disk keeps its intact prefix.
+    fn save(&self, pending: &Pending) -> bool {
+        let mut chain = self.chain.lock().expect("checkpoint chain poisoned");
+        let bytes = encode_file(self.fingerprint, pending);
+        match write_atomic(&segment_path(&self.path, chain.segments), &bytes) {
             Ok(()) => {
-                state.subgraph.clear();
-                state.txlist.clear();
-                state.market.clear();
-                state.segments += 1;
-                state.dirty = false;
-                state.writes += 1;
+                chain.segments += 1;
+                chain.writes += 1;
                 true
             }
-            Err(e) => {
-                state.error.get_or_insert(e.to_string());
-                false
-            }
+            Err(e) => self.record_error(e),
         }
     }
 }
@@ -580,24 +602,108 @@ impl CheckpointJournal {
 // Encoding / decoding
 // ---------------------------------------------------------------------------
 
-fn shard_blob<T: Serialize>(c: &CommittedShard<T>) -> Result<Vec<u8>, StorageError> {
-    Ok(serde_json::to_string(c)?.into_bytes())
+/// One committed shard in its binary form: the accounting as fixed-width
+/// words, the gaps, then the rows `put_rows` writes with the dataset's own
+/// column writers.
+fn shard_blob<T>(
+    c: &CommittedShard<T>,
+    put_rows: impl FnOnce(&[T], &mut Vec<u8>),
+) -> Result<Vec<u8>, StorageError> {
+    let mut blob = Vec::new();
+    put_stats(&c.stats, &mut blob);
+    put_gaps(&c.gaps, &mut blob)?;
+    put_rows(&c.items, &mut blob);
+    Ok(blob)
 }
 
-fn encode_file(
-    fingerprint: u64,
-    subgraph: &BTreeMap<u64, Vec<u8>>,
-    txlist: &BTreeMap<Address, Vec<u8>>,
-    market: &BTreeMap<u64, Vec<u8>>,
-) -> Vec<u8> {
+/// Reads one shard written by [`shard_blob`] from a section cursor: its
+/// `u32` length, then accounting, gaps and rows (`take_rows`), which must
+/// use up exactly that length.
+fn take_shard<T>(
+    cur: &mut Cursor<'_>,
+    context: &'static str,
+    take_rows: impl FnOnce(&mut Cursor<'_>) -> Result<Vec<T>, ColumnarError>,
+) -> Result<CommittedShard<T>, ColumnarError> {
+    let len = cur.take_u32()? as usize;
+    let mut blob = Cursor::new(cur.take_bytes(len)?, context);
+    let stats = take_stats(&mut blob)?;
+    let gaps = take_gaps(&mut blob, context)?;
+    let items = take_rows(&mut blob)?;
+    blob.expect_end()?;
+    Ok(CommittedShard { items, stats, gaps })
+}
+
+/// [`SourceStats`] as eight `u64` words: pages, items, retries, the four
+/// per-kind retry counts, and the virtual backoff.
+fn put_stats(s: &SourceStats, buf: &mut Vec<u8>) {
+    let r = &s.retries_by_kind;
+    for count in [
+        s.pages,
+        s.items,
+        s.retries,
+        r.rate_limited,
+        r.timeout,
+        r.server_error,
+        r.malformed,
+    ] {
+        buf.put_u64(count as u64);
+    }
+    buf.put_u64(s.backoff_virtual_ms);
+}
+
+fn take_stats(cur: &mut Cursor<'_>) -> Result<SourceStats, ColumnarError> {
+    let pages = cur.take_len()?;
+    let items = cur.take_len()?;
+    let retries = cur.take_len()?;
+    let retries_by_kind = RetryCounts {
+        rate_limited: cur.take_len()?,
+        timeout: cur.take_len()?,
+        server_error: cur.take_len()?,
+        malformed: cur.take_len()?,
+    };
+    Ok(SourceStats {
+        pages,
+        items,
+        retries,
+        retries_by_kind,
+        backoff_virtual_ms: cur.take_u64()?,
+    })
+}
+
+/// A shard's gaps as embedded JSON behind a `u64` byte length, as the
+/// dataset's META section carries its crawl report. A clean shard — all
+/// but a handful — writes length 0 and no JSON.
+fn put_gaps(gaps: &[CrawlGap], buf: &mut Vec<u8>) -> Result<(), StorageError> {
+    let json = if gaps.is_empty() {
+        String::new()
+    } else {
+        serde_json::to_string(gaps)?
+    };
+    buf.put_u64(json.len() as u64);
+    buf.put_bytes(json.as_bytes());
+    Ok(())
+}
+
+fn take_gaps(cur: &mut Cursor<'_>, context: &'static str) -> Result<Vec<CrawlGap>, ColumnarError> {
+    let len = cur.take_len()?;
+    let json = cur.take_bytes(len)?;
+    if json.is_empty() {
+        return Ok(Vec::new());
+    }
+    let text = std::str::from_utf8(json)
+        .map_err(|e| ColumnarError::Corrupt(format!("{context}: gaps not UTF-8: {e}")))?;
+    serde_json::from_str(text).map_err(|e| ColumnarError::Corrupt(format!("{context}: gaps: {e}")))
+}
+
+fn encode_file(fingerprint: u64, blobs: &Pending) -> Vec<u8> {
     let mut header = Vec::with_capacity(12);
     header.put_u32(CKPT_SCHEMA_VERSION);
     header.put_u64(fingerprint);
     let mut builder = FileBuilder::new();
     builder.add(section::HEADER, header);
-    builder.add(section::SUBGRAPH, encode_indexed(subgraph));
-    builder.add(section::TXLIST, encode_keyed(txlist));
-    builder.add(section::MARKET, encode_indexed(market));
+    builder.add(section::SUBGRAPH, encode_indexed(&blobs.subgraph));
+    builder.add(section::TXLIST, encode_keyed(&blobs.txlist));
+    builder.add(section::MARKET, encode_indexed(&blobs.market));
     builder.finish()
 }
 
@@ -625,49 +731,36 @@ fn encode_keyed(blobs: &BTreeMap<Address, Vec<u8>>) -> Vec<u8> {
     out
 }
 
-fn decode_shard<T: DeserializeOwned>(
-    blob: &[u8],
-    context: &'static str,
-) -> Result<CommittedShard<T>, StorageError> {
-    let text = std::str::from_utf8(blob).map_err(|e| {
-        StorageError::Columnar(ColumnarError::Corrupt(format!(
-            "{context}: shard blob is not UTF-8: {e}"
-        )))
-    })?;
-    Ok(serde_json::from_str(text)?)
-}
-
-fn decode_indexed<T: DeserializeOwned>(
+fn decode_indexed<T>(
     bytes: &[u8],
     context: &'static str,
-) -> Result<BTreeMap<u64, CommittedShard<T>>, StorageError> {
+    take_rows: impl Fn(&mut Cursor<'_>) -> Result<Vec<T>, ColumnarError>,
+) -> Result<BTreeMap<u64, CommittedShard<T>>, ColumnarError> {
     let mut cur = Cursor::new(bytes, context);
-    let n = cur.take_u32()? as usize;
+    let n = cur.take_u32()?;
     let mut map = BTreeMap::new();
     for _ in 0..n {
         let shard = cur.take_u64()?;
-        let len = cur.take_u32()? as usize;
-        let blob = cur.take_bytes(len)?;
-        map.insert(shard, decode_shard(blob, context)?);
+        map.insert(shard, take_shard(&mut cur, context, &take_rows)?);
     }
     cur.expect_end()?;
     Ok(map)
 }
 
-fn decode_keyed<T: DeserializeOwned>(
+fn decode_keyed(
     bytes: &[u8],
     context: &'static str,
-) -> Result<BTreeMap<Address, CommittedShard<T>>, StorageError> {
+) -> Result<BTreeMap<Address, CommittedShard<Transaction>>, ColumnarError> {
     let mut cur = Cursor::new(bytes, context);
-    let n = cur.take_u32()? as usize;
+    let n = cur.take_u32()?;
     let mut map = BTreeMap::new();
     for _ in 0..n {
         let raw = cur.take_bytes(20)?;
         let mut addr = [0u8; 20];
         addr.copy_from_slice(raw);
-        let len = cur.take_u32()? as usize;
-        let blob = cur.take_bytes(len)?;
-        map.insert(Address(addr), decode_shard(blob, context)?);
+        let addr = Address(addr);
+        let shard = take_shard(&mut cur, context, |rows| take_txlist_rows(rows, addr))?;
+        map.insert(addr, shard);
     }
     cur.expect_end()?;
     Ok(map)

@@ -446,7 +446,7 @@ pub struct KeyedCrawl<K, T> {
 /// offset ranges are disjoint — a spliced shard is byte-identical to a
 /// refetched one, which is what makes resumed crawls indistinguishable
 /// from uninterrupted ones.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CommittedShard<T> {
     /// The shard's items, in the source's stable order.
     pub items: Vec<T>,

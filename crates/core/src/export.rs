@@ -205,7 +205,8 @@ impl Dataset {
         self.save_metered(path, format, &Metrics::disabled())
     }
 
-    /// [`Dataset::save`] recording encode metrics.
+    /// [`Dataset::save`] recording encode metrics and a `storage/write`
+    /// span around the file write.
     pub fn save_metered(
         &self,
         path: &Path,
@@ -213,6 +214,7 @@ impl Dataset {
         metrics: &Metrics,
     ) -> Result<(), StorageError> {
         let bytes = self.to_bytes_metered(format, metrics)?;
+        let _span = metrics.span("storage/write");
         write_atomic(path, &bytes)
     }
 

@@ -252,38 +252,39 @@ fn push_tx_column(buf: &mut Vec<u8>, txs: impl Iterator<Item = Option<TxHash>> +
     }
 }
 
-fn encode_transactions(
-    transactions: &BTreeMap<Address, Vec<Transaction>>,
-    it: &mut Interner,
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.put_u32(transactions.len() as u32);
-    for owner in transactions.keys() {
+/// Per-owner transaction histories, owners strictly ascending (the
+/// dataset's `BTreeMap` order, or a checkpoint shard's single owner).
+fn encode_transactions(histories: &[(Address, &[Transaction])], it: &mut Interner) -> Vec<u8> {
+    let all = || histories.iter().flat_map(|(_, txs)| txs.iter());
+    // Hash, block, timestamp, from, to, value and tag; contract ids extra.
+    let rows: usize = histories.iter().map(|(_, txs)| txs.len()).sum();
+    let mut buf = Vec::with_capacity(4 + 8 * histories.len() + 73 * rows);
+    buf.put_u32(histories.len() as u32);
+    for (owner, _) in histories {
         buf.put_u32(it.addr(*owner));
     }
-    for txs in transactions.values() {
+    for (_, txs) in histories {
         buf.put_u32(txs.len() as u32);
     }
-    let all: Vec<&Transaction> = transactions.values().flatten().collect();
-    for tx in &all {
+    for tx in all() {
         buf.put_bytes(&tx.hash.0 .0);
     }
-    for tx in &all {
+    for tx in all() {
         buf.put_u64(tx.block.0);
     }
-    for tx in &all {
+    for tx in all() {
         buf.put_u64(tx.timestamp.0);
     }
-    for tx in &all {
+    for tx in all() {
         buf.put_u32(it.addr(tx.from));
     }
-    for tx in &all {
+    for tx in all() {
         buf.put_u32(it.addr(tx.to));
     }
-    for tx in &all {
+    for tx in all() {
         buf.put_u128(tx.value.0);
     }
-    for tx in &all {
+    for tx in all() {
         buf.put_u8(match &tx.kind {
             TxKind::Transfer => TAG_TX_TRANSFER,
             TxKind::ContractPayment { .. } => TAG_TX_CONTRACT,
@@ -291,7 +292,7 @@ fn encode_transactions(
         });
     }
     // Contract tags only for the ContractPayment rows, in row order.
-    for tx in &all {
+    for tx in all() {
         if let TxKind::ContractPayment { contract } = &tx.kind {
             buf.put_u32(it.str(contract));
         }
@@ -299,8 +300,7 @@ fn encode_transactions(
     buf
 }
 
-fn encode_market(market: &OpenSea, it: &mut Interner) -> Vec<u8> {
-    let events = market.all_events();
+fn encode_market(events: &[MarketEvent], it: &mut Interner) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.put_u32(events.len() as u32);
     for e in events {
@@ -433,8 +433,13 @@ impl Dataset {
         let mut it = Interner::new();
 
         let [dom, reg, ren, xfer, addr, sub] = encode_domains(&self.domains, &mut it);
-        let txs = encode_transactions(&self.transactions, &mut it);
-        let market = encode_market(&self.market, &mut it);
+        let histories: Vec<(Address, &[Transaction])> = self
+            .transactions
+            .iter()
+            .map(|(owner, txs)| (*owner, txs.as_slice()))
+            .collect();
+        let txs = encode_transactions(&histories, &mut it);
+        let market = encode_market(self.market.all_events(), &mut it);
         let reverse = encode_reverse(&self.reverse_claims, &mut it);
         let labels = encode_labels(&self.labels, &mut it);
         let meta = encode_meta(self)?;
@@ -506,20 +511,26 @@ impl Dataset {
     ) -> Result<Dataset, ColumnarError> {
         let span = metrics.span("columnar/decode");
         let view = FileView::parse(bytes)?;
+        let pools = Pools::decode(
+            view.section(section::STRINGS)?,
+            view.section(section::ADDRESSES)?,
+        )?;
 
-        let mut cur = Cursor::new(view.section(section::STRINGS)?, "strings");
-        let strings = StrPool::decode(&mut cur)?;
-        cur.expect_end()?;
-        let mut cur = Cursor::new(view.section(section::ADDRESSES)?, "addresses");
-        let addrs = FixedPool::<20>::decode(&mut cur)?;
-        cur.expect_end()?;
-        let pools = Pools { strings, addrs };
-
-        let (domains, events) = decode_domains(&view, &pools)?;
-        let transactions = decode_transactions(&view, &pools)?;
-        let market = decode_market(&view, &pools)?;
-        let reverse_claims = decode_reverse(&view, &pools)?;
-        let labels = decode_labels(&view, &pools)?;
+        let (domains, events) = decode_domains(
+            [
+                view.section(section::DOMAINS)?,
+                view.section(section::REGISTRATIONS)?,
+                view.section(section::RENEWALS)?,
+                view.section(section::TRANSFERS)?,
+                view.section(section::ADDR_CHANGES)?,
+                view.section(section::SUBDOMAINS)?,
+            ],
+            &pools,
+        )?;
+        let transactions = decode_transactions(view.section(section::TRANSACTIONS)?, &pools)?;
+        let market = OpenSea::from_events(decode_market(view.section(section::MARKET)?, &pools)?);
+        let reverse_claims = decode_reverse(view.section(section::REVERSE)?, &pools)?;
+        let labels = decode_labels(view.section(section::LABELS)?, &pools)?;
 
         let mut cur = Cursor::new(view.section(section::META)?, "meta");
         let observation_end = Timestamp(cur.take_u64()?);
@@ -563,7 +574,19 @@ struct Pools<'a> {
     addrs: FixedPool<'a, 20>,
 }
 
-impl Pools<'_> {
+impl<'a> Pools<'a> {
+    /// Decodes the pools from the payloads `StrTable::encode` and
+    /// `BytesTable::encode` wrote.
+    fn decode(strings: &'a [u8], addrs: &'a [u8]) -> Result<Pools<'a>, ColumnarError> {
+        let mut cur = Cursor::new(strings, "strings");
+        let strings = StrPool::decode(&mut cur)?;
+        cur.expect_end()?;
+        let mut cur = Cursor::new(addrs, "addresses");
+        let addrs = FixedPool::<20>::decode(&mut cur)?;
+        cur.expect_end()?;
+        Ok(Pools { strings, addrs })
+    }
+
     fn addr(&self, id: u32) -> Result<Address, ColumnarError> {
         Ok(Address(self.addrs.get(id)?))
     }
@@ -621,11 +644,12 @@ impl<T, F: FnMut(usize) -> Result<T, ColumnarError>> Claims<F> {
     }
 }
 
+/// Reads the six payloads [`encode_domains`] wrote, in its order.
 fn decode_domains<'a>(
-    view: &FileView<'a>,
+    [domains, registrations, renewals, transfers, addr_changes, subdomains]: [&'a [u8]; 6],
     pools: &'a Pools<'a>,
 ) -> Result<(Vec<DomainRecord>, usize), ColumnarError> {
-    let mut cur = Cursor::new(view.section(section::DOMAINS)?, "domains");
+    let mut cur = Cursor::new(domains, "domains");
     let n = cur.take_u32()? as usize;
     let label_hashes = cur.take_column::<[u8; 32]>(n)?;
     let name_ids = cur.take_column::<u32>(n)?;
@@ -636,11 +660,11 @@ fn decode_domains<'a>(
     let sub_counts = cur.take_column::<u32>(n)?;
     cur.expect_end()?;
 
-    let mut regs = registrations(view, pools)?;
-    let mut rens = renewals(view)?;
-    let mut xfers = transfers(view, pools)?;
-    let mut addr_changes = addr_changes(view, pools)?;
-    let mut subs = subdomains(view, pools)?;
+    let mut regs = registration_rows(registrations, pools)?;
+    let mut rens = renewal_rows(renewals)?;
+    let mut xfers = transfer_rows(transfers, pools)?;
+    let mut addr_changes = addr_change_rows(addr_changes, pools)?;
+    let mut subs = subdomain_rows(subdomains, pools)?;
 
     let mut domains = Vec::with_capacity(n);
     for i in 0..n {
@@ -705,12 +729,12 @@ impl<'a> TxColumn<'a> {
     }
 }
 
-fn registrations<'a>(
-    view: &FileView<'a>,
+fn registration_rows<'a>(
+    payload: &'a [u8],
     pools: &'a Pools<'a>,
 ) -> Result<Claims<impl FnMut(usize) -> Result<RegistrationEntry, ColumnarError> + 'a>, ColumnarError>
 {
-    let mut cur = Cursor::new(view.section(section::REGISTRATIONS)?, "registrations");
+    let mut cur = Cursor::new(payload, "registrations");
     let n = cur.take_u32()? as usize;
     let owners = cur.take_column::<u32>(n)?;
     let registered_at = cur.take_column::<u64>(n)?;
@@ -735,10 +759,10 @@ fn registrations<'a>(
     }))
 }
 
-fn renewals<'a>(
-    view: &FileView<'a>,
-) -> Result<Claims<impl FnMut(usize) -> Result<RenewalEntry, ColumnarError> + 'a>, ColumnarError> {
-    let mut cur = Cursor::new(view.section(section::RENEWALS)?, "renewals");
+fn renewal_rows(
+    payload: &[u8],
+) -> Result<Claims<impl FnMut(usize) -> Result<RenewalEntry, ColumnarError> + '_>, ColumnarError> {
+    let mut cur = Cursor::new(payload, "renewals");
     let n = cur.take_u32()? as usize;
     let at = cur.take_column::<u64>(n)?;
     let new_expiry = cur.take_column::<u64>(n)?;
@@ -757,11 +781,11 @@ fn renewals<'a>(
     }))
 }
 
-fn transfers<'a>(
-    view: &FileView<'a>,
+fn transfer_rows<'a>(
+    payload: &'a [u8],
     pools: &'a Pools<'a>,
 ) -> Result<Claims<impl FnMut(usize) -> Result<TransferEntry, ColumnarError> + 'a>, ColumnarError> {
-    let mut cur = Cursor::new(view.section(section::TRANSFERS)?, "transfers");
+    let mut cur = Cursor::new(payload, "transfers");
     let n = cur.take_u32()? as usize;
     let at = cur.take_column::<u64>(n)?;
     let from = cur.take_column::<u32>(n)?;
@@ -778,11 +802,11 @@ fn transfers<'a>(
     }))
 }
 
-fn addr_changes<'a>(
-    view: &FileView<'a>,
+fn addr_change_rows<'a>(
+    payload: &'a [u8],
     pools: &'a Pools<'a>,
 ) -> Result<Claims<impl FnMut(usize) -> Result<AddrEntry, ColumnarError> + 'a>, ColumnarError> {
-    let mut cur = Cursor::new(view.section(section::ADDR_CHANGES)?, "addr-changes");
+    let mut cur = Cursor::new(payload, "addr-changes");
     let n = cur.take_u32()? as usize;
     let at = cur.take_column::<u64>(n)?;
     let addrs = cur.take_column::<u32>(n)?;
@@ -795,12 +819,12 @@ fn addr_changes<'a>(
     }))
 }
 
-fn subdomains<'a>(
-    view: &FileView<'a>,
+fn subdomain_rows<'a>(
+    payload: &'a [u8],
     pools: &'a Pools<'a>,
 ) -> Result<Claims<impl FnMut(usize) -> Result<SubdomainEntry, ColumnarError> + 'a>, ColumnarError>
 {
-    let mut cur = Cursor::new(view.section(section::SUBDOMAINS)?, "subdomains");
+    let mut cur = Cursor::new(payload, "subdomains");
     let n = cur.take_u32()? as usize;
     let nodes = cur.take_column::<[u8; 32]>(n)?;
     let labels = cur.take_column::<u32>(n)?;
@@ -818,10 +842,10 @@ fn subdomains<'a>(
 }
 
 fn decode_transactions(
-    view: &FileView<'_>,
+    payload: &[u8],
     pools: &Pools<'_>,
 ) -> Result<BTreeMap<Address, Vec<Transaction>>, ColumnarError> {
-    let mut cur = Cursor::new(view.section(section::TRANSACTIONS)?, "transactions");
+    let mut cur = Cursor::new(payload, "transactions");
     let owners = cur.take_u32()? as usize;
     let owner_ids = cur.take_column::<u32>(owners)?;
     let tx_counts = cur.take_column::<u32>(owners)?;
@@ -885,8 +909,8 @@ fn decode_transactions(
     Ok(histories.into_iter().collect())
 }
 
-fn decode_market(view: &FileView<'_>, pools: &Pools<'_>) -> Result<OpenSea, ColumnarError> {
-    let mut cur = Cursor::new(view.section(section::MARKET)?, "market");
+fn decode_market(payload: &[u8], pools: &Pools<'_>) -> Result<Vec<MarketEvent>, ColumnarError> {
+    let mut cur = Cursor::new(payload, "market");
     let n = cur.take_u32()? as usize;
     let tags = cur.take_bytes(n)?;
     let tokens = cur.take_column::<[u8; 32]>(n)?;
@@ -930,14 +954,14 @@ fn decode_market(view: &FileView<'_>, pools: &Pools<'_>) -> Result<OpenSea, Colu
             }
         });
     }
-    Ok(OpenSea::from_events(events))
+    Ok(events)
 }
 
 fn decode_reverse(
-    view: &FileView<'_>,
+    payload: &[u8],
     pools: &Pools<'_>,
 ) -> Result<HashMap<Address, Vec<(Timestamp, String)>>, ColumnarError> {
-    let mut cur = Cursor::new(view.section(section::REVERSE)?, "reverse");
+    let mut cur = Cursor::new(payload, "reverse");
     let owners = cur.take_u32()? as usize;
     let owner_ids = cur.take_column::<u32>(owners)?;
     let claim_counts = cur.take_column::<u32>(owners)?;
@@ -968,8 +992,8 @@ fn decode_reverse(
     Ok(map)
 }
 
-fn decode_labels(view: &FileView<'_>, pools: &Pools<'_>) -> Result<LabelService, ColumnarError> {
-    let mut cur = Cursor::new(view.section(section::LABELS)?, "labels");
+fn decode_labels(payload: &[u8], pools: &Pools<'_>) -> Result<LabelService, ColumnarError> {
+    let mut cur = Cursor::new(payload, "labels");
     let n = cur.take_u32()? as usize;
     let addrs = cur.take_column::<u32>(n)?;
     let names = cur.take_column::<u32>(n)?;
@@ -995,6 +1019,104 @@ fn decode_labels(view: &FileView<'_>, pools: &Pools<'_>) -> Result<LabelService,
         });
     }
     Ok(service)
+}
+
+// ---------------------------------------------------------------------------
+// Crawl shards
+// ---------------------------------------------------------------------------
+
+// A committed crawl shard's rows in the dataset's own binary form, for the
+// checkpoint segments of `crate::checkpoint`: the shard's intern pools,
+// then the sections its rows occupy in a dataset file, each payload behind
+// a `u32` byte length. The dataset's column writers produce the payloads
+// and its section readers read them back, so a checkpoint has no codec of
+// its own. No checksum here: the segment section a shard rides in has one.
+
+/// Appends the pools `it` built and then `sections`, each behind its
+/// `u32` byte length.
+fn put_framed(it: &Interner, sections: &[Vec<u8>], buf: &mut Vec<u8>) {
+    put_sized(buf, |buf| it.strings.encode(buf));
+    put_sized(buf, |buf| it.addrs.encode(buf));
+    for payload in sections {
+        put_sized(buf, |buf| buf.put_bytes(payload));
+    }
+}
+
+/// Appends what `encode` writes behind its `u32` byte length, encoding in
+/// place and patching the length in after.
+fn put_sized(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    buf.put_u32(0);
+    encode(buf);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Reads what [`put_framed`] wrote: the pools and `N` section payloads.
+fn take_framed<'a, const N: usize>(
+    cur: &mut Cursor<'a>,
+) -> Result<(Pools<'a>, [&'a [u8]; N]), ColumnarError> {
+    let mut payload = || -> Result<&'a [u8], ColumnarError> {
+        let len = cur.take_u32()? as usize;
+        cur.take_bytes(len)
+    };
+    let strings = payload()?;
+    let addrs = payload()?;
+    let mut sections = [&[][..]; N];
+    for section in &mut sections {
+        *section = payload()?;
+    }
+    Ok((Pools::decode(strings, addrs)?, sections))
+}
+
+/// Appends a subgraph shard's domains (the six domain sections).
+pub(crate) fn put_domain_rows(domains: &[DomainRecord], buf: &mut Vec<u8>) {
+    let mut it = Interner::new();
+    let sections = encode_domains(domains, &mut it);
+    put_framed(&it, &sections, buf);
+}
+
+/// Reads a subgraph shard's domains written by [`put_domain_rows`].
+pub(crate) fn take_domain_rows(cur: &mut Cursor<'_>) -> Result<Vec<DomainRecord>, ColumnarError> {
+    let (pools, sections) = take_framed(cur)?;
+    Ok(decode_domains(sections, &pools)?.0)
+}
+
+/// Appends a txlist shard: `owner`'s history as a one-owner transactions
+/// section.
+pub(crate) fn put_txlist_rows(owner: Address, txs: &[Transaction], buf: &mut Vec<u8>) {
+    let mut it = Interner::new();
+    let section = encode_transactions(&[(owner, txs)], &mut it);
+    put_framed(&it, &[section], buf);
+}
+
+/// Reads a txlist shard written by [`put_txlist_rows`], which must hold
+/// exactly `owner`'s history.
+pub(crate) fn take_txlist_rows(
+    cur: &mut Cursor<'_>,
+    owner: Address,
+) -> Result<Vec<Transaction>, ColumnarError> {
+    let (pools, [section]) = take_framed(cur)?;
+    let mut histories = decode_transactions(section, &pools)?;
+    match histories.remove(&owner) {
+        Some(txs) if histories.is_empty() => Ok(txs),
+        _ => Err(ColumnarError::Corrupt(format!(
+            "txlist shard: expected exactly the history of {owner:?}"
+        ))),
+    }
+}
+
+/// Appends a market shard's events (the market section).
+pub(crate) fn put_market_rows(events: &[MarketEvent], buf: &mut Vec<u8>) {
+    let mut it = Interner::new();
+    let section = encode_market(events, &mut it);
+    put_framed(&it, &[section], buf);
+}
+
+/// Reads a market shard's events written by [`put_market_rows`].
+pub(crate) fn take_market_rows(cur: &mut Cursor<'_>) -> Result<Vec<MarketEvent>, ColumnarError> {
+    let (pools, [section]) = take_framed(cur)?;
+    decode_market(section, &pools)
 }
 
 /// Re-export of the magic sniff, for format auto-detection in the
