@@ -72,7 +72,7 @@ use ens_dropcatch::{
 use ens_subgraph::SubgraphConfig;
 use ens_types::{FaultKind, FaultProfile, KillSwitch};
 use price_oracle::PriceOracle;
-use workload::WorldConfig;
+use workload::{build_plan, World, WorldConfig};
 
 /// The base world configuration `--names`/`--seed` are applied on top of.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -424,8 +424,14 @@ fn collect(
         args.seed
     );
     let world = {
-        let _span = metrics.span("world");
-        args.world_config().build()
+        let _world = metrics.span("world");
+        let config = args.world_config();
+        let plan = {
+            let _span = metrics.span("plan");
+            build_plan(&config)
+        };
+        let _span = metrics.span("execute");
+        World::from_plan(config, plan)
     };
     let subgraph = {
         let _span = metrics.span("sources/subgraph");

@@ -235,9 +235,12 @@ fn metrics_json_writes_a_snapshot_with_both_sections() {
         "\"collect\"",
         "\"study\"",
         "\"crawl/subgraph/pages\"",
-        // Every stage of `run` has a span: world synthesis, both source
-        // indexes, the crawl, encode, write and the study.
+        // Every stage of `run` has a span: world synthesis and its two
+        // phases, both source indexes, the crawl, encode, write and the
+        // study.
         "\"world\"",
+        "\"world/plan\"",
+        "\"world/execute\"",
         "\"sources/subgraph\"",
         "\"sources/explorer\"",
         "\"columnar/encode\"",

@@ -87,11 +87,11 @@ impl BaseRegistrar {
         self.registrations.get(&label_hash).map(|r| r.grace_end())
     }
 
-    /// Records a registration. The caller (controller) must have verified
+    /// Records a registration under `label_hash`, the hash of
+    /// `registration.label`. The caller (controller) must have verified
     /// availability and taken payment.
-    pub(crate) fn set_registration(&mut self, registration: Registration) {
-        self.registrations
-            .insert(registration.label.hash(), registration);
+    pub(crate) fn set_registration(&mut self, label_hash: LabelHash, registration: Registration) {
+        self.registrations.insert(label_hash, registration);
     }
 
     /// Extends an existing registration's expiry. Caller must have verified
@@ -156,8 +156,8 @@ mod tests {
     fn grace_period_blocks_availability_for_90_days() {
         let mut r = BaseRegistrar::new();
         let expiry = Timestamp::from_ymd(2022, 1, 1);
-        r.set_registration(reg("gold", "alice", expiry));
         let h = label("gold").hash();
+        r.set_registration(h, reg("gold", "alice", expiry));
 
         assert!(!r.available(h, expiry - Duration::from_secs(1)));
         // Expired but in grace: still unavailable.
@@ -172,8 +172,8 @@ mod tests {
     fn registrant_of_is_none_after_expiry() {
         let mut r = BaseRegistrar::new();
         let expiry = Timestamp::from_ymd(2022, 1, 1);
-        r.set_registration(reg("gold", "alice", expiry));
         let h = label("gold").hash();
+        r.set_registration(h, reg("gold", "alice", expiry));
         assert_eq!(
             r.registrant_of(h, expiry - Duration::from_secs(1)),
             Some(Address::derive(b"alice"))
@@ -191,8 +191,8 @@ mod tests {
     fn extend_moves_expiry() {
         let mut r = BaseRegistrar::new();
         let expiry = Timestamp::from_ymd(2022, 1, 1);
-        r.set_registration(reg("gold", "alice", expiry));
         let h = label("gold").hash();
+        r.set_registration(h, reg("gold", "alice", expiry));
         r.extend(h, expiry + Duration::from_years(1));
         assert!(r
             .registrant_of(h, expiry + Duration::from_days(10))
@@ -203,7 +203,7 @@ mod tests {
     fn available_at_reports_grace_end() {
         let mut r = BaseRegistrar::new();
         let expiry = Timestamp::from_ymd(2022, 1, 1);
-        r.set_registration(reg("gold", "alice", expiry));
+        r.set_registration(label("gold").hash(), reg("gold", "alice", expiry));
         assert_eq!(
             r.available_at(label("gold").hash()),
             Some(expiry + GRACE_PERIOD)

@@ -4,7 +4,8 @@
 use std::collections::HashMap;
 
 use ens_types::{
-    keccak256, Address, Duration, EnsName, Hash32, Label, Timestamp, TxHash, UsdCents, Wei,
+    keccak256, Address, Duration, EnsName, Hash32, Label, LabelHash, NameHash, Timestamp, TxHash,
+    UsdCents, Wei, ETH_NODE,
 };
 use serde::{Deserialize, Serialize};
 use sim_chain::{Chain, TxKind};
@@ -142,8 +143,19 @@ impl EnsSystem {
         duration: Duration,
         now: Timestamp,
     ) -> (UsdCents, UsdCents) {
+        self.quote(label, label.hash(), duration, now)
+    }
+
+    /// [`EnsSystem::price_usd`] for a label whose hash the caller holds.
+    fn quote(
+        &self,
+        label: &Label,
+        hash: LabelHash,
+        duration: Duration,
+        now: Timestamp,
+    ) -> (UsdCents, UsdCents) {
         let rent = self.rents.rent_for(label, duration);
-        let premium = match self.registrar.registration(label.hash()) {
+        let premium = match self.registrar.registration(hash) {
             Some(r) if self.premium_enabled && now >= r.grace_end() => {
                 premium_after_grace(now.saturating_since(r.grace_end()))
             }
@@ -246,7 +258,10 @@ impl EnsSystem {
         self.commitments.insert(commitment, chain.now());
     }
 
-    fn consume_commitment(&mut self, now: Timestamp, commitment: Hash32) -> Result<(), EnsError> {
+    /// Checks that `commitment` exists and is old enough, without consuming
+    /// it: a registration removes its commitment only once payment went
+    /// through, because a reverted transaction leaves chain state as it was.
+    fn check_commitment(&self, now: Timestamp, commitment: Hash32) -> Result<(), EnsError> {
         let made_at = *self
             .commitments
             .get(&commitment)
@@ -258,19 +273,60 @@ impl EnsSystem {
         if age > MAX_COMMITMENT_AGE {
             return Err(EnsError::CommitmentTooOld);
         }
-        self.commitments.remove(&commitment);
+        Ok(())
+    }
+
+    /// Fails with [`EnsError::NotAvailable`] unless anyone may register
+    /// the label (hash `hash`) right now.
+    fn ensure_available(
+        &self,
+        label: &Label,
+        hash: LabelHash,
+        now: Timestamp,
+    ) -> Result<(), EnsError> {
+        if self.registrar.available(hash, now) {
+            return Ok(());
+        }
+        Err(EnsError::NotAvailable {
+            label: label.clone(),
+            available_at: self
+                .registrar
+                .available_at(hash)
+                .unwrap_or(Timestamp(u64::MAX)),
+        })
+    }
+
+    /// Fails unless `caller` is the current (unexpired) registrant of the
+    /// label (hash `hash`).
+    fn ensure_registrant(
+        &self,
+        label: &Label,
+        hash: LabelHash,
+        caller: Address,
+        now: Timestamp,
+    ) -> Result<(), EnsError> {
+        let current = self
+            .registrar
+            .registrant_of(hash, now)
+            .ok_or_else(|| EnsError::NotRegistered(label.clone()))?;
+        if current != caller {
+            return Err(EnsError::NotOwner(label.clone()));
+        }
         Ok(())
     }
 
     // ------------------------------------------------------------------
-    // Write API
+    // Write API. Each write hashes its label once and derives the node
+    // from that hash, so a write costs the keccak calls whose values it
+    // stores, not one namehash recursion per use.
     // ------------------------------------------------------------------
 
     /// Registers `label` to `owner` for `duration`, paying rent + premium at
     /// `cents_per_eth`. Requires a prior [`EnsSystem::commit`] older than
-    /// [`MIN_COMMITMENT_AGE`]. If `resolve_to` is given, the resolver `addr`
-    /// record is set in the same breath (the common "register + set address"
-    /// flow).
+    /// [`MIN_COMMITMENT_AGE`], which a successful registration consumes; a
+    /// failed payment leaves it for a retry. If `resolve_to` is given, the
+    /// resolver `addr` record is set in the same breath (the common
+    /// "register + set address" flow).
     #[allow(clippy::too_many_arguments)]
     pub fn register(
         &mut self,
@@ -286,18 +342,12 @@ impl EnsSystem {
         if duration < MIN_REGISTRATION {
             return Err(EnsError::DurationTooShort);
         }
-        if !self.available(label, now) {
-            return Err(EnsError::NotAvailable {
-                label: label.clone(),
-                available_at: self
-                    .registrar
-                    .available_at(label.hash())
-                    .unwrap_or(Timestamp(u64::MAX)),
-            });
-        }
-        self.consume_commitment(now, Self::make_commitment(label, owner, secret))?;
+        let hash = label.hash();
+        self.ensure_available(label, hash, now)?;
+        let commitment = Self::make_commitment(label, owner, secret);
+        self.check_commitment(now, commitment)?;
 
-        let (rent_usd, premium_usd) = self.price_usd(label, duration, now);
+        let (rent_usd, premium_usd) = self.quote(label, hash, duration, now);
         let base_cost = usd_to_wei(rent_usd, cents_per_eth);
         let premium = usd_to_wei(premium_usd, cents_per_eth);
         let tx = chain.transfer(
@@ -308,22 +358,25 @@ impl EnsSystem {
                 contract: "ens-controller".to_string(),
             },
         )?;
+        self.commitments.remove(&commitment);
 
         let expires = now + duration;
-        self.registrar.set_registration(Registration {
-            label: label.clone(),
-            registrant: owner,
-            expiry: expires,
-            registered_at: now,
-        });
-        let name = EnsName::from_label(label.clone());
-        let node = name.namehash();
+        self.registrar.set_registration(
+            hash,
+            Registration {
+                label: label.clone(),
+                registrant: owner,
+                expiry: expires,
+                registered_at: now,
+            },
+        );
+        let node = ETH_NODE.child(hash);
         self.registry.set_owner(node, owner, now);
         self.emit(
             chain,
             Some(tx),
             EnsEventKind::NameRegistered {
-                label_hash: label.hash(),
+                label_hash: hash,
                 label: Some(label.clone()),
                 owner,
                 expires,
@@ -357,9 +410,10 @@ impl EnsSystem {
         cents_per_eth: u64,
     ) -> Result<Receipt, EnsError> {
         let now = chain.now();
+        let hash = label.hash();
         let reg = self
             .registrar
-            .registration(label.hash())
+            .registration(hash)
             .ok_or_else(|| EnsError::NotRegistered(label.clone()))?;
         if now >= reg.grace_end() {
             return Err(EnsError::PastGracePeriod(label.clone()));
@@ -375,12 +429,12 @@ impl EnsSystem {
                 contract: "ens-controller".to_string(),
             },
         )?;
-        self.registrar.extend(label.hash(), expires);
+        self.registrar.extend(hash, expires);
         self.emit(
             chain,
             Some(tx),
             EnsEventKind::NameRenewed {
-                label_hash: label.hash(),
+                label_hash: hash,
                 label: Some(label.clone()),
                 expires,
                 cost,
@@ -405,21 +459,15 @@ impl EnsSystem {
         to: Address,
     ) -> Result<(), EnsError> {
         let now = chain.now();
-        let current = self
-            .registrar
-            .registrant_of(label.hash(), now)
-            .ok_or_else(|| EnsError::NotRegistered(label.clone()))?;
-        if current != from {
-            return Err(EnsError::NotOwner(label.clone()));
-        }
-        self.registrar.set_registrant(label.hash(), to);
-        let node = EnsName::from_label(label.clone()).namehash();
-        self.registry.set_owner(node, to, now);
+        let hash = label.hash();
+        self.ensure_registrant(label, hash, from, now)?;
+        self.registrar.set_registrant(hash, to);
+        self.registry.set_owner(ETH_NODE.child(hash), to, now);
         self.emit(
             chain,
             None,
             EnsEventKind::NameTransferred {
-                label_hash: label.hash(),
+                label_hash: hash,
                 from,
                 to,
             },
@@ -438,15 +486,9 @@ impl EnsSystem {
         caller: Address,
         addr: Address,
     ) -> Result<(), EnsError> {
-        let now = chain.now();
-        let current = self
-            .registrar
-            .registrant_of(label.hash(), now)
-            .ok_or_else(|| EnsError::NotRegistered(label.clone()))?;
-        if current != caller {
-            return Err(EnsError::NotOwner(label.clone()));
-        }
-        let node = EnsName::from_label(label.clone()).namehash();
+        let hash = label.hash();
+        self.ensure_registrant(label, hash, caller, chain.now())?;
+        let node = ETH_NODE.child(hash);
         self.resolver.set_addr(node, addr);
         self.emit(chain, None, EnsEventKind::AddrChanged { node, addr });
         Ok(())
@@ -462,17 +504,12 @@ impl EnsSystem {
         sub_label: &Label,
         sub_owner: Address,
         resolve_to: Option<Address>,
-    ) -> Result<ens_types::NameHash, EnsError> {
+    ) -> Result<NameHash, EnsError> {
         let now = chain.now();
-        let current = self
-            .registrar
-            .registrant_of(label.hash(), now)
-            .ok_or_else(|| EnsError::NotRegistered(label.clone()))?;
-        if current != caller {
-            return Err(EnsError::NotOwner(label.clone()));
-        }
-        let parent = EnsName::from_label(label.clone()).namehash();
-        let node = ens_types::name::namehash_labels([sub_label.as_str(), label.as_str(), "eth"]);
+        let hash = label.hash();
+        self.ensure_registrant(label, hash, caller, now)?;
+        let parent = ETH_NODE.child(hash);
+        let node = parent.child(sub_label.hash());
         self.registry.set_owner(node, sub_owner, now);
         self.emit(
             chain,
@@ -521,28 +558,24 @@ impl EnsSystem {
         publish_label: bool,
     ) -> Result<(), EnsError> {
         let now = chain.now();
-        if !self.available(label, now) {
-            return Err(EnsError::NotAvailable {
+        let hash = label.hash();
+        self.ensure_available(label, hash, now)?;
+        self.registrar.set_registration(
+            hash,
+            Registration {
                 label: label.clone(),
-                available_at: self
-                    .registrar
-                    .available_at(label.hash())
-                    .unwrap_or(Timestamp(u64::MAX)),
-            });
-        }
-        self.registrar.set_registration(Registration {
-            label: label.clone(),
-            registrant: owner,
-            expiry,
-            registered_at: now,
-        });
-        let node = EnsName::from_label(label.clone()).namehash();
+                registrant: owner,
+                expiry,
+                registered_at: now,
+            },
+        );
+        let node = ETH_NODE.child(hash);
         self.registry.set_owner(node, owner, now);
         self.emit(
             chain,
             None,
             EnsEventKind::NameRegistered {
-                label_hash: label.hash(),
+                label_hash: hash,
                 label: publish_label.then(|| label.clone()),
                 owner,
                 expires: expiry,
@@ -936,6 +969,24 @@ mod tests {
         assert!(matches!(err, EnsError::Payment(_)));
         assert!(ens.available(&gold, chain.now()));
         assert_eq!(ens.resolve(&EnsName::parse("gold.eth").unwrap()), None);
+
+        // The reverted registration leaves its commitment in place, as on
+        // chain: once funded, a retry with the same secret goes through.
+        chain.mint(pauper, Wei::from_eth(1));
+        ens.register(
+            &mut chain,
+            &gold,
+            pauper,
+            1,
+            Duration::from_years(1),
+            PRICE,
+            Some(pauper),
+        )
+        .unwrap();
+        assert_eq!(
+            ens.resolve(&EnsName::parse("gold.eth").unwrap()),
+            Some(pauper)
+        );
     }
 
     #[test]

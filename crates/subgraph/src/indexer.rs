@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use ens_registry::{EnsEvent, EnsEventKind};
-use ens_types::{keccak256, Address, EnsName, LabelHash, NameHash, Timestamp};
+use ens_types::{keccak256, Address, EnsName, LabelHash, NameHash, Timestamp, ETH_NODE};
 use serde::{Deserialize, Serialize};
 
 use crate::model::{
@@ -91,9 +91,11 @@ impl IndexState {
                         ..DomainRecord::default()
                     });
                 if let Some(label) = label {
-                    let name = EnsName::from_label(label.clone());
-                    self.node_to_label.insert(name.namehash(), *label_hash);
-                    record.name = Some(name);
+                    // The event carries the label hash, so the node is one
+                    // keccak away.
+                    self.node_to_label
+                        .insert(ETH_NODE.child(*label_hash), *label_hash);
+                    record.name = Some(EnsName::from_label(label.clone()));
                 }
                 record.registrations.push(RegistrationEntry {
                     owner: *owner,

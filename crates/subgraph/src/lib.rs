@@ -86,12 +86,9 @@ impl SubgraphIndexer {
 /// The queryable subgraph.
 #[derive(Clone, Debug)]
 pub struct Subgraph {
-    /// Domains ordered by label hash (the endpoint's stable order).
+    /// Domains ordered by label hash (the endpoint's stable order, and
+    /// what point lookups binary-search).
     ordered: Vec<DomainRecord>,
-    /// label hash → index into `ordered`.
-    by_hash: HashMap<LabelHash, usize>,
-    /// full name → index into `ordered` (only for recovered names).
-    by_name: HashMap<String, usize>,
     /// addr → (claim time, full name) primary-name history. Shared so that
     /// dataset assembly can take an owned snapshot without a deep copy.
     reverse_history: Arc<HashMap<Address, Vec<(Timestamp, String)>>>,
@@ -129,16 +126,6 @@ impl Subgraph {
             .collect();
         ordered.sort_by_key(|r| r.label_hash);
 
-        let by_hash = ordered
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.label_hash, i))
-            .collect();
-        let by_name = ordered
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.name.as_ref().map(|n| (n.to_full(), i)))
-            .collect();
         let stats = SubgraphStats {
             domains: ordered.len(),
             subdomains: state.subdomain_count,
@@ -150,8 +137,6 @@ impl Subgraph {
         };
         Subgraph {
             ordered,
-            by_hash,
-            by_name,
             reverse_history: Arc::new(state.reverse_history),
             stats,
             unattributed_addr_changes: state.unattributed_addr_changes,
@@ -165,12 +150,17 @@ impl Subgraph {
 
     /// Looks up one domain by label hash.
     pub fn domain(&self, label_hash: LabelHash) -> Option<&DomainRecord> {
-        self.by_hash.get(&label_hash).map(|&i| &self.ordered[i])
+        self.ordered
+            .binary_search_by_key(&label_hash, |r| r.label_hash)
+            .ok()
+            .map(|i| &self.ordered[i])
     }
 
-    /// Looks up one domain by (recovered) name.
+    /// Looks up one domain by (recovered) name. A domain whose name the
+    /// endpoint lost is found by [`Subgraph::domain`] but not here.
     pub fn domain_by_name(&self, name: &EnsName) -> Option<&DomainRecord> {
-        self.by_name.get(&name.to_full()).map(|&i| &self.ordered[i])
+        self.domain(name.label().hash())
+            .filter(|r| r.name.as_ref() == Some(name))
     }
 
     /// Aggregate statistics.
@@ -402,6 +392,41 @@ mod tests {
         let lost = sg.iter().find(|r| r.name.is_none()).unwrap();
         assert_eq!(lost.registrations.len(), 1);
         assert!((stats.recovery_rate() - 0.9).abs() < 0.1);
+    }
+
+    #[test]
+    fn a_lost_name_is_found_by_hash_but_not_by_name() {
+        let (mut ens, mut chain) = world();
+        for i in 0..300 {
+            register(&mut ens, &mut chain, &format!("name{i:03}"), "alice", 1, i);
+        }
+        let sg = Subgraph::index(
+            ens.events(),
+            SubgraphConfig {
+                name_loss_rate: 0.10,
+                seed: 7,
+            },
+        );
+        let mut lost = 0;
+        for i in 0..300 {
+            let name = EnsName::parse(&format!("name{i:03}")).unwrap();
+            let record = sg
+                .domain(name.label().hash())
+                .expect("every domain is indexed");
+            if record.name.is_some() {
+                assert_eq!(record.name.as_ref(), Some(&name));
+                assert_eq!(sg.domain_by_name(&name), Some(record));
+            } else {
+                lost += 1;
+                assert_eq!(sg.domain_by_name(&name), None, "{name} was lost");
+            }
+        }
+        assert_eq!(lost, sg.stats().unrecoverable_names);
+        assert!(lost > 0);
+        // A name never registered is found by neither lookup.
+        let absent = EnsName::parse("absent.eth").unwrap();
+        assert_eq!(sg.domain(absent.label().hash()), None);
+        assert_eq!(sg.domain_by_name(&absent), None);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use address::Address;
 pub use amount::{UsdCents, Wei, WEI_PER_ETH};
 pub use hash::{Hash32, LabelHash, NameHash, TxHash};
 pub use keccak::{keccak256, Keccak256};
-pub use name::{namehash, EnsName, Label, NameError};
+pub use name::{namehash, EnsName, Label, NameError, ETH_NODE};
 pub use paged::{
     ChaosSource, FaultKind, FaultProfile, FlakySource, KillSwitch, PageError, PagedBatch,
     PagedSource, ShardKey, PPM,

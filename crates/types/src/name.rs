@@ -4,6 +4,11 @@
 //! lives on chain as `namehash("gold.eth")` and its registration token as
 //! `keccak256("gold")`. This module implements both hashes plus the (ENSIP-1
 //! inspired, ASCII-subset) normalization rules the simulators enforce.
+//!
+//! A node's namehash is one keccak over its parent's node and its own label
+//! hash ([`NameHash::child`]), so code that already holds a label hash
+//! derives the `.eth` node from [`ETH_NODE`] in one call instead of
+//! rehashing the whole name from the root.
 
 use std::fmt;
 
@@ -159,9 +164,10 @@ impl EnsName {
         format!("{}.eth", self.label)
     }
 
-    /// The recursive namehash of the full name.
+    /// The recursive namehash of the full name: two keccak calls, the
+    /// label hash and the node under [`ETH_NODE`].
     pub fn namehash(&self) -> NameHash {
-        namehash_labels([self.label.as_str(), "eth"])
+        ETH_NODE.child(self.label.hash())
     }
 }
 
@@ -181,6 +187,23 @@ impl std::str::FromStr for EnsName {
     type Err = NameError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         EnsName::parse(s)
+    }
+}
+
+/// `namehash("eth")`: the node every second-level `.eth` name hangs off.
+pub const ETH_NODE: NameHash = NameHash(Hash32([
+    0x93, 0xcd, 0xeb, 0x70, 0x8b, 0x75, 0x45, 0xdc, 0x66, 0x8e, 0xb9, 0x28, 0x01, 0x76, 0x16, 0x9d,
+    0x1c, 0x33, 0xcf, 0xd8, 0xed, 0x6f, 0x04, 0x69, 0x0a, 0x0b, 0xcc, 0x88, 0xa9, 0x3f, 0xc4, 0xae,
+]));
+
+impl NameHash {
+    /// The node of the child labelled `label` under this node,
+    /// `keccak256(self || label)`: one step of the namehash recursion.
+    pub fn child(self, label: LabelHash) -> NameHash {
+        let mut buf = [0u8; 64];
+        buf[..32].copy_from_slice(&self.0 .0);
+        buf[32..].copy_from_slice(&label.0 .0);
+        NameHash(Hash32(keccak256(&buf)))
     }
 }
 
@@ -231,6 +254,24 @@ mod tests {
     fn ens_name_namehash_matches_generic_namehash() {
         let name = EnsName::parse("gold.eth").unwrap();
         assert_eq!(name.namehash(), namehash("gold.eth"));
+    }
+
+    #[test]
+    fn eth_node_is_the_namehash_of_eth() {
+        assert_eq!(ETH_NODE, namehash("eth"));
+        // ...which is one `child` step below the root node.
+        let eth = Label::parse("eth").unwrap();
+        assert_eq!(NameHash(Hash32::ZERO).child(eth.hash()), ETH_NODE);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn ens_name_namehash_matches_the_reference_for_any_label(
+            label in proptest::string::string_regex("[a-z0-9][a-z0-9_-]{2,18}").unwrap(),
+        ) {
+            let name = EnsName::parse(&label).unwrap();
+            proptest::prop_assert_eq!(name.namehash(), namehash(&format!("{label}.eth")));
+        }
     }
 
     #[test]

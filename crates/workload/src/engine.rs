@@ -5,13 +5,17 @@
 //! the world the measurement pipeline will crawl. Execution is strict: any
 //! protocol error aborts with context, so planner bugs surface as test
 //! failures instead of silently skewing the data.
+//!
+//! Every payment is priced at its day's close, read from one
+//! [`PriceTable`] built over the plan's time span before the replay: one
+//! oracle evaluation per day instead of one per event.
 
 use ens_registry::{usd_to_wei, EnsSystem};
 use ens_types::{Address, Duration, Label, UsdCents, Wei};
 
 use etherscan_sim::LabelService;
 use opensea_sim::OpenSea;
-use price_oracle::PriceOracle;
+use price_oracle::{PriceOracle, PriceTable};
 use sim_chain::{Chain, TxKind};
 
 use crate::config::WorldConfig;
@@ -109,11 +113,14 @@ fn execute_events(
         kind: etherscan_sim::LabelKind::Contract,
     });
 
+    // The table equals the oracle on every day, and falls back to it
+    // outside the span, so the replay prices exactly as the oracle would.
+    let prices = oracle.day_table(chain.now(), events.last().map_or(chain.now(), |e| e.at));
     let mut exec = Executor {
         chain: &mut chain,
         ens: &mut ens,
         opensea: &mut opensea,
-        oracle: &oracle,
+        prices: &prices,
     };
     for (index, event) in events.iter().enumerate() {
         exec.apply(event).map_err(|message| {
@@ -138,7 +145,7 @@ struct Executor<'a> {
     chain: &'a mut Chain,
     ens: &'a mut EnsSystem,
     opensea: &'a mut OpenSea,
-    oracle: &'a PriceOracle,
+    prices: &'a PriceTable,
 }
 
 impl Executor<'_> {
@@ -149,7 +156,7 @@ impl Executor<'_> {
                 .map_err(|e| format!("clock: {e}"))?;
         }
         let now = self.chain.now();
-        let price = self.oracle.cents_per_eth(now);
+        let price = self.prices.cents_per_eth(now);
 
         match &event.action {
             PlannedAction::ImportLegacy {

@@ -42,23 +42,30 @@ pub struct World {
 }
 
 impl WorldConfig {
-    /// Plans and executes the world. Panics on planner/executor
-    /// inconsistencies (they are bugs, not data). The plan's event vector
-    /// is consumed and freed as soon as the replay finishes, keeping the
-    /// paper-scale build's peak memory at one copy of the event stream.
+    /// Plans and executes the world: [`build_plan`], then
+    /// [`World::from_plan`].
     pub fn build(self) -> World {
-        let plan: Plan = build_plan(&self);
-        let (executed, truth) =
-            execute_consuming(&self, plan).unwrap_or_else(|e| panic!("execution failed: {e}"));
-        World {
-            config: self,
-            executed,
-            truth,
-        }
+        let plan = build_plan(&self);
+        World::from_plan(self, plan)
     }
 }
 
 impl World {
+    /// Executes `plan`, which [`build_plan`] made from `config`. Panics on
+    /// planner/executor inconsistencies (they are bugs, not data). The
+    /// plan's event vector is consumed and freed as soon as the replay
+    /// finishes, keeping the paper-scale build's peak memory at one copy of
+    /// the event stream.
+    pub fn from_plan(config: WorldConfig, plan: Plan) -> World {
+        let (executed, truth) =
+            execute_consuming(&config, plan).unwrap_or_else(|e| panic!("execution failed: {e}"));
+        World {
+            config,
+            executed,
+            truth,
+        }
+    }
+
     /// The ledger.
     pub fn chain(&self) -> &sim_chain::Chain {
         &self.executed.chain
