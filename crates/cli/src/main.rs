@@ -143,6 +143,25 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The most `--threads` or `--workers` a run may ask for: far above any
+/// host's core count, and low enough that a typo cannot start 100,000.
+const MAX_THREADS: usize = 1024;
+
+/// Parses a count flag's value, rejecting `0` (a typo must not pass as 1)
+/// and anything above `max`.
+fn parse_count(flag: &str, value: Option<String>, max: usize) -> Option<usize> {
+    let n = value?.parse::<usize>().ok()?;
+    if n == 0 {
+        eprintln!("error: {flag} must be >= 1 (got 0)");
+        return None;
+    }
+    if n > max {
+        eprintln!("error: {flag} must be <= {max} (got {n})");
+        return None;
+    }
+    Some(n)
+}
+
 /// Parses `PROFILE` or `PROFILE:SEED` into a fault profile.
 fn parse_chaos(spec: &str) -> Option<FaultProfile> {
     let (name, seed) = match spec.split_once(':') {
@@ -193,15 +212,7 @@ fn parse(mut args: impl Iterator<Item = String>) -> Option<Args> {
                 };
             }
             "--seed" => out.seed = args.next()?.parse().ok()?,
-            "--threads" => {
-                out.threads = args.next()?.parse::<usize>().ok()?;
-                if out.threads == 0 {
-                    // `0` used to be silently promoted to 1; reject it so a
-                    // typo'd thread count cannot masquerade as sequential.
-                    eprintln!("error: --threads must be >= 1 (got 0)");
-                    return None;
-                }
-            }
+            "--threads" => out.threads = parse_count("--threads", args.next(), MAX_THREADS)?,
             "--dataset" => out.dataset = Some(PathBuf::from(args.next()?)),
             "--csv" => out.csv = Some(PathBuf::from(args.next()?)),
             "--metrics-json" => out.metrics_json = Some(PathBuf::from(args.next()?)),
@@ -232,23 +243,13 @@ fn parse(mut args: impl Iterator<Item = String>) -> Option<Args> {
             }
             "--checkpoint" => out.checkpoint = Some(PathBuf::from(args.next()?)),
             "--checkpoint-every" => {
-                let every = args.next()?.parse::<usize>().ok()?;
-                if every == 0 {
-                    eprintln!("error: --checkpoint-every must be >= 1 (got 0)");
-                    return None;
-                }
-                out.checkpoint_every = Some(every);
+                out.checkpoint_every =
+                    Some(parse_count("--checkpoint-every", args.next(), usize::MAX)?)
             }
             "--resume" => out.resume = true,
             "--kill-after" => out.kill_after = Some(args.next()?.parse().ok()?),
             "--addr" => out.addr = Some(args.next()?),
-            "--workers" => {
-                out.workers = Some(args.next()?.parse::<usize>().ok()?);
-                if out.workers == Some(0) {
-                    eprintln!("error: --workers must be >= 1 (got 0)");
-                    return None;
-                }
-            }
+            "--workers" => out.workers = Some(parse_count("--workers", args.next(), MAX_THREADS)?),
             "--fail-policy" => {
                 out.failure = match args.next()?.as_str() {
                     "fail-fast" => FailurePolicy::FailFast,
@@ -258,7 +259,9 @@ fn parse(mut args: impl Iterator<Item = String>) -> Option<Args> {
             }
             "--loss-budget" => loss_budget = Some(args.next()?.parse().ok()?),
             "--max-retries" => out.max_retries = args.next()?.parse().ok()?,
-            "--page-size" => out.page_size = Some(args.next()?.parse::<usize>().ok()?.max(1)),
+            "--page-size" => {
+                out.page_size = Some(parse_count("--page-size", args.next(), usize::MAX)?)
+            }
             "--min-recovery" => {
                 out.min_recovery = args.next()?.parse().ok()?;
                 if !(0.0..=1.0).contains(&out.min_recovery) {
@@ -594,30 +597,27 @@ fn run(args: Args, full_study: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Re-analyzes a previously exported dataset file (JSON or columnar — the
-/// format is auto-detected from the magic bytes, never the extension).
-fn analyze(args: Args) -> ExitCode {
+/// Reads `--dataset` for `command`: detects the format from the file's
+/// magic bytes (never the extension), checks it against `--format`, and
+/// decodes it under `metrics`. On failure the error is already reported
+/// and the exit code is returned.
+fn load_dataset(args: &Args, command: &str, metrics: &Metrics) -> Result<Dataset, ExitCode> {
     let Some(path) = &args.dataset else {
-        eprintln!("analyze requires --dataset FILE");
-        return ExitCode::from(2);
+        eprintln!("{command} requires --dataset FILE");
+        return Err(ExitCode::from(2));
     };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let bytes = std::fs::read(path).map_err(|e| {
+        eprintln!("cannot read {}: {e}", path.display());
+        ExitCode::FAILURE
+    })?;
     let detected = Format::detect(&bytes);
-    if let Some(flag) = args.format {
-        if flag != detected {
-            eprintln!(
-                "error: --format {flag} contradicts {}, which is a {detected} file \
-                 (analyze auto-detects the input format; the flag is only a check)",
-                path.display()
-            );
-            return ExitCode::from(2);
-        }
+    if let Some(flag) = args.format.filter(|&flag| flag != detected) {
+        eprintln!(
+            "error: --format {flag} contradicts {}, which is a {detected} file \
+             ({command} auto-detects the input format; the flag is only a check)",
+            path.display()
+        );
+        return Err(ExitCode::from(2));
     }
     if args.verbose {
         eprintln!(
@@ -626,17 +626,12 @@ fn analyze(args: Args) -> ExitCode {
             bytes.len()
         );
     }
-    let metrics = args.metrics();
-    let dataset = match Dataset::from_bytes_metered(&bytes, &metrics) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("cannot parse dataset: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    drop(bytes);
+    let dataset = Dataset::from_bytes_metered(&bytes, metrics).map_err(|e| {
+        eprintln!("cannot parse dataset: {e}");
+        ExitCode::FAILURE
+    })?;
     eprintln!(
-        "loaded {} domains, {} transactions",
+        "loaded {} domains, {} transactions ({detected})",
         dataset.domains.len(),
         dataset.crawl_report.transactions
     );
@@ -647,6 +642,16 @@ fn analyze(args: Args) -> ExitCode {
             dataset.crawl_report.lost_items_estimate
         );
     }
+    Ok(dataset)
+}
+
+/// Re-analyzes a previously exported dataset file (JSON or columnar).
+fn analyze(args: Args) -> ExitCode {
+    let metrics = args.metrics();
+    let dataset = match load_dataset(&args, "analyze", &metrics) {
+        Ok(d) => d,
+        Err(code) => return code,
+    };
 
     // Offline re-analysis is fully self-contained: the dataset carries its
     // own labels, reverse claims and marketplace events, so every section
@@ -669,41 +674,10 @@ fn analyze(args: Args) -> ExitCode {
 /// Loads a dataset file, builds the resident serving state (index, study,
 /// name directory) once, and serves queries over HTTP until killed.
 fn serve(args: Args) -> ExitCode {
-    let Some(path) = &args.dataset else {
-        eprintln!("serve requires --dataset FILE");
-        return ExitCode::from(2);
-    };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let detected = Format::detect(&bytes);
-    if let Some(flag) = args.format {
-        if flag != detected {
-            eprintln!(
-                "error: --format {flag} contradicts {}, which is a {detected} file \
-                 (serve auto-detects the input format; the flag is only a check)",
-                path.display()
-            );
-            return ExitCode::from(2);
-        }
-    }
-    let dataset = match Dataset::from_bytes(&bytes) {
+    let dataset = match load_dataset(&args, "serve", &Metrics::disabled()) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("cannot parse dataset: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
-    drop(bytes);
-    eprintln!(
-        "loaded {} domains, {} transactions ({detected})",
-        dataset.domains.len(),
-        dataset.crawl_report.transactions
-    );
     let state = ens_serve::ServeState::build(dataset, args.threads);
     eprintln!(
         "resident: {} incoming / {} outgoing transfers indexed, {} names resolvable, \

@@ -184,19 +184,52 @@ fn bad_arguments_exit_nonzero_with_usage() {
 
 #[test]
 fn threads_zero_is_rejected_with_a_clear_message() {
-    let output = bin()
-        .args(["run", "--names", "50", "--threads", "0"])
-        .output()
-        .expect("binary runs");
-    assert!(!output.status.success(), "--threads 0 must be rejected");
-    assert_eq!(output.status.code(), Some(2), "argument errors exit 2");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("--threads must be >= 1"),
-        "missing clear message, got: {stderr}"
-    );
-    assert!(stderr.contains("usage"), "usage follows the error");
-    assert!(output.stdout.is_empty(), "no report on stdout");
+    // Out-of-range counts exit 2 with the error, then the usage. The `run`
+    // rows build a 50-name world and the `serve` rows name a missing file,
+    // so a binary that took the value would start few threads and finish.
+    let run = ["run", "--names", "50"];
+    let serve = ["serve", "--dataset", "no-such-dataset.ensc"];
+    for (command, flag, value) in [
+        (run, "--threads", "0"),
+        (run, "--threads", "1025"),
+        (serve, "--workers", "0"),
+        (serve, "--workers", "1025"),
+        (run, "--page-size", "0"),
+    ] {
+        let output = bin()
+            .args(command)
+            .args([flag, value])
+            .output()
+            .expect("binary runs");
+        assert_eq!(output.status.code(), Some(2), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let bound = if value == "0" { ">= 1" } else { "<= 1024" };
+        let message = format!("{flag} must be {bound} (got {value})");
+        assert!(stderr.contains(&message), "got: {stderr}");
+        assert!(stderr.contains("usage"), "usage follows the error");
+        assert!(output.stdout.is_empty(), "no report on stdout");
+    }
+}
+
+#[test]
+fn serve_rejects_a_bad_dataset_before_it_starts() {
+    let dir = std::env::temp_dir().join(format!("ens-cli-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Bytes without the columnar magic are a JSON file.
+    let json = dir.join("dataset.json");
+    std::fs::write(&json, "{}").unwrap();
+    let serve = |args: &[&str]| bin().arg("serve").args(args).output().expect("binary runs");
+
+    let output = serve(&["--dataset", dir.join("missing.ensc").to_str().unwrap()]);
+    assert_eq!(output.status.code(), Some(1), "unreadable file");
+    assert!(String::from_utf8_lossy(&output.stderr).contains("cannot read"));
+    assert!(output.stdout.is_empty(), "no server announced");
+
+    let output = serve(&["--dataset", json.to_str().unwrap(), "--format", "columnar"]);
+    assert_eq!(output.status.code(), Some(2), "contradicting --format");
+    assert!(String::from_utf8_lossy(&output.stderr).contains("contradicts"));
+    assert!(output.stdout.is_empty(), "no server announced");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //!
 //! Pagination, typed-fault retry and partial-failure recovery live in
 //! exactly one place: `drain`, the workspace's single pagination loop. On
-//! top of it, [`Crawler`] runs one shard engine across `std::thread::scope`
+//! top of it, [`Crawler`] runs one shard engine on [`shard_map`](crate::shard_map)
 //! workers — a source with a known total is split into fixed page ranges,
 //! a set of keyed sources (addresses) into one shard per key — claiming
 //! shards in canonical order and merging their results in that order, so
@@ -34,14 +34,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use ens_subgraph::DomainRecord;
 use ens_types::paged::{FaultKind, PageError, PagedSource};
 use ens_types::Address;
 use serde::{Deserialize, Serialize};
+
+use crate::shard::shard_map;
 
 /// Retries broken down by the [`FaultKind`] that caused them. Part of
 /// [`SourceStats`], so per-kind pressure (how often was this endpoint
@@ -838,17 +839,16 @@ impl Crawler {
 
     /// The one shard engine under every crawl. Shard `i` is drained by
     /// `drain_shard(i)` unless `spliced[i]` holds its committed result.
-    /// Workers — `threads` of them, the calling thread among them — claim
-    /// shards in canonical order from one atomic counter and fill one
-    /// write-once slot per shard, handing each newly drained shard to
-    /// `commit`. Once a shard has failed no worker claims another: the
-    /// merge would discard it anyway.
+    /// [`shard_map`] runs the drains on `threads` workers, which claim
+    /// shards in canonical order; each newly drained shard goes to `commit`
+    /// on the worker that drained it. A shard past the lowest failed one is
+    /// not drained: the merge would discard it anyway.
     ///
     /// The merge walks the shards in canonical order and stops at the first
     /// failure, folding everything merged before it into the error, so a
     /// failed crawl reports the same partial accounting at any thread
-    /// count. Claims are in order, so every shard before a failed one has
-    /// filled its slot. The loss budget is checked last, on the merged gaps.
+    /// count. Claims are in order, so every shard before the first failure
+    /// was drained. The loss budget is checked last, on the merged gaps.
     fn run_shards<T, D, C>(
         &self,
         source: &'static str,
@@ -861,35 +861,23 @@ impl Crawler {
         D: Fn(usize) -> Result<CommittedShard<T>, CrawlError> + Sync,
         C: Fn(usize, &CommittedShard<T>) + Sync,
     {
-        type Slot<T> = OnceLock<Result<CommittedShard<T>, CrawlError>>;
         let shards = spliced.len();
-        let slots: Vec<Slot<T>> = (0..shards).map(|_| OnceLock::new()).collect();
-        // Both atomics publish no data — shard results reach the merge
-        // through the slots and the scope's join — so `Relaxed` suffices.
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let worker = || {
-            while !failed.load(Ordering::Relaxed) {
-                let shard = next.fetch_add(1, Ordering::Relaxed);
-                if shard >= shards {
-                    break;
-                }
-                if spliced[shard].is_some() {
-                    continue;
-                }
-                let result = drain_shard(shard);
-                match &result {
-                    Ok(c) => commit(shard, c),
-                    Err(_) => failed.store(true, Ordering::Relaxed),
-                }
-                let _ = slots[shard].set(result);
+        // The lowest failed shard so far. It publishes no data — results
+        // reach the merge through `shard_map` — so `Relaxed` suffices.
+        let failed = AtomicUsize::new(usize::MAX);
+        let indices: Vec<usize> = (0..shards).collect();
+        let drained = shard_map(&indices, self.threads, |&shard| {
+            if spliced[shard].is_some() || shard > failed.load(Ordering::Relaxed) {
+                return None;
             }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..self.threads.clamp(1, shards.max(1)) {
-                scope.spawn(worker);
+            let result = drain_shard(shard);
+            match &result {
+                Ok(c) => commit(shard, c),
+                Err(_) => {
+                    failed.fetch_min(shard, Ordering::Relaxed);
+                }
             }
-            worker();
+            Some(result)
         });
 
         let mut merged = Merged {
@@ -897,12 +885,10 @@ impl Crawler {
             stats: SourceStats::default(),
             gaps: Vec::new(),
         };
-        for (spliced, slot) in spliced.into_iter().zip(slots) {
+        for (spliced, drained) in spliced.into_iter().zip(drained) {
             let outcome = match spliced {
                 Some(c) => Ok(c),
-                None => slot
-                    .into_inner()
-                    .expect("every shard before the first failure was claimed"),
+                None => drained.expect("every shard before the first failure was drained"),
             };
             match outcome {
                 Ok(c) => {
@@ -950,6 +936,7 @@ mod tests {
     use super::*;
     use ens_subgraph::SubgraphConfig;
     use ens_types::paged::{ChaosSource, FaultProfile, FlakySource, PageError, PagedBatch};
+    use std::sync::atomic::AtomicBool;
     use workload::WorldConfig;
 
     #[test]

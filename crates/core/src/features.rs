@@ -16,10 +16,11 @@ use price_oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
-use crate::index::{shard_map_weighted, AnalysisIndex};
+use crate::index::AnalysisIndex;
 use crate::registrations::{
     classify, classify_with_detected, effective_owner_at_expiry, DomainOutcome,
 };
+use crate::shard::shard_map;
 use crate::stats::{two_proportion_z_test, welch_t_test, Ecdf, TestResult};
 
 /// Features of one domain's *previous owner* era (the registration that
@@ -355,30 +356,14 @@ pub fn compare_features_metered(
         metrics.add("features/control_domains", control.len() as u64);
     }
 
-    // Extraction cost per domain is the owner's incoming-slice length
-    // (income + unique-senders queries), which is hub-skewed — weight the
-    // shards by it instead of splitting by domain count.
-    let weigh = |d: &&DomainRecord| {
-        effective_owner_at_expiry(d, 0)
-            .map(|o| index.transfer_count(o))
-            .unwrap_or(0)
+    let extract = |domains: &[&DomainRecord]| -> Vec<DomainFeatures> {
+        shard_map(domains, threads, |d| extract_features_with(index, d))
+            .into_iter()
+            .flatten()
+            .collect()
     };
-    let w_rereg: Vec<usize> = rereg.iter().map(weigh).collect();
-    let w_control: Vec<usize> = control.iter().map(weigh).collect();
-    let f_rereg: Vec<DomainFeatures> = shard_map_weighted(&rereg, &w_rereg, threads, |d| {
-        extract_features_with(index, d)
-    })
-    .expect("weights cover re-registered domains one-to-one")
-    .into_iter()
-    .flatten()
-    .collect();
-    let f_control: Vec<DomainFeatures> = shard_map_weighted(&control, &w_control, threads, |d| {
-        extract_features_with(index, d)
-    })
-    .expect("weights cover control domains one-to-one")
-    .into_iter()
-    .flatten()
-    .collect();
+    let f_rereg = extract(&rereg);
+    let f_control = extract(&control);
     if metrics.is_enabled() {
         metrics.add(
             "features/vectors_extracted",

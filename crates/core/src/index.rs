@@ -30,12 +30,10 @@
 //! # Determinism
 //!
 //! The index is a pure function of `(dataset, oracle)`. The sharded build
-//! fans disjoint addresses across scoped worker threads and merges results
-//! in address order, so any thread count produces the identical index —
-//! the same guarantee the crawl engine gives, extended to the study side.
-//! [`shard_map`] is the one primitive behind every internally-sharded
-//! analysis pass: contiguous chunks, one scoped thread per chunk, results
-//! concatenated in input order.
+//! maps disjoint addresses through [`shard_map`](crate::shard_map), whose
+//! output equals the sequential map's, so any thread count produces the
+//! identical index — the same guarantee the crawl engine gives, through
+//! the same scheduler.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,6 +46,7 @@ use sim_chain::{Transaction, TxKind};
 
 use crate::dataset::Dataset;
 use crate::registrations::{detect_all_with_threads, ReRegistration};
+use crate::shard::shard_map;
 
 /// One pre-filtered, pre-priced incoming value transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -230,58 +229,40 @@ impl AnalysisIndex {
     ) -> AnalysisIndex {
         let build_span = metrics.span("index");
         let entries: Vec<(&Address, &Vec<Transaction>)> = dataset.transactions.iter().collect();
-        // Per-address transaction counts are Zipf-skewed, so every sharded
-        // loop below cuts its chunks by cumulative transaction weight —
-        // count-sized chunks would hand one worker nearly all the work.
-        let weights: Vec<usize> = entries.iter().map(|(_, txs)| txs.len()).collect();
         // One oracle close per day of the dataset's span, instead of one
         // oracle evaluation (noise hash + interpolation) per transfer.
         let prices = {
             let _phase = metrics.span("price_table");
-            let span = shard_map_weighted(&entries, &weights, threads, |(_, txs)| {
-                txs.iter()
-                    .fold(None, |span, tx| widen(span, (tx.timestamp, tx.timestamp)))
-            })
-            .expect("weights cover entries one-to-one")
-            .into_iter()
-            .flatten()
-            .fold(None, widen);
+            let span = entries
+                .iter()
+                .flat_map(|(_, txs)| txs.iter())
+                .fold(None, |span, tx| widen(span, (tx.timestamp, tx.timestamp)));
             day_table(oracle, span)
         };
         let prices = &prices;
         let built = {
             let _phase = metrics.span("shard_build");
-            shard_map_weighted(&entries, &weights, threads, |(addr, txs)| {
+            shard_map(&entries, threads, |(addr, txs)| {
                 TransferTable::incoming(**addr, txs, prices)
             })
-            .expect("weights cover entries one-to-one")
         };
-        let transfers_indexed = built.iter().map(|a| a.txs.len()).sum();
+        let transfers_indexed: usize = built.iter().map(|a| a.txs.len()).sum();
         if metrics.is_enabled() {
             metrics.add("index/price_table_days", prices.days() as u64);
             // Every indexed transfer was priced exactly once at build time;
             // split those lookups into materialized-table hits and oracle
             // fallbacks (the table spans all tx timestamps, so fallbacks
-            // flag a span-computation regression). Weighted by indexed
-            // transfer count — the audit walks exactly those entries.
-            let built_weights: Vec<usize> = built.iter().map(|a| a.txs.len()).collect();
-            let tallies = shard_map_weighted(&built, &built_weights, threads, |entry| {
-                let (mut hits, mut misses) = (0u64, 0u64);
-                for t in &entry.txs {
-                    if prices.is_materialized(t.timestamp) {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
-                }
-                (hits, misses)
-            })
-            .expect("weights cover built entries one-to-one");
-            let (hits, misses) = tallies
+            // flag a span-computation regression).
+            let hits = built
                 .iter()
-                .fold((0u64, 0u64), |(h, m), (a, b)| (h + a, m + b));
-            metrics.add("index/price_lookups/memoized_hit", hits);
-            metrics.add("index/price_lookups/oracle_fallback", misses);
+                .flat_map(|entry| &entry.txs)
+                .filter(|t| prices.is_materialized(t.timestamp))
+                .count();
+            metrics.add("index/price_lookups/memoized_hit", hits as u64);
+            metrics.add(
+                "index/price_lookups/oracle_fallback",
+                (transfers_indexed - hits) as u64,
+            );
         }
         let incoming: BTreeMap<Address, TransferTable> =
             entries.iter().map(|(addr, _)| **addr).zip(built).collect();
@@ -420,13 +401,6 @@ impl AnalysisIndex {
             .map(|&i| &self.reregistrations[i])
     }
 
-    /// Number of indexed transfers held for `address` — a work-size hint
-    /// for weight-balanced sharding of the passes, not a window query
-    /// (deliberately not tallied in the query counters).
-    pub fn transfer_count(&self, address: Address) -> usize {
-        self.entry(address).txs.len()
-    }
-
     /// Addresses with an indexed transfer list (every crawled address).
     pub fn indexed_addresses(&self) -> usize {
         self.incoming.len()
@@ -471,8 +445,8 @@ impl OutgoingIndex {
     }
 
     /// Builds the outgoing index sharded across `threads` scoped workers;
-    /// any thread count produces the identical index (same contiguous
-    /// weight-balanced sharding as the incoming build).
+    /// any thread count produces the identical index (the same
+    /// [`shard_map`](crate::shard_map) as the incoming build).
     pub fn build_with_threads(
         dataset: &Dataset,
         oracle: &PriceOracle,
@@ -503,8 +477,7 @@ impl OutgoingIndex {
         }
         let prices = &day_table(oracle, span);
         let entries: Vec<(&Address, &Vec<&Transaction>)> = by_sender.iter().collect();
-        let weights: Vec<usize> = entries.iter().map(|(_, txs)| txs.len()).collect();
-        let built = shard_map_weighted(&entries, &weights, threads, |(_, txs)| {
+        let built = shard_map(&entries, threads, |(_, txs)| {
             TransferTable::new(
                 txs.iter()
                     .map(|tx| IndexedTransfer {
@@ -515,8 +488,7 @@ impl OutgoingIndex {
                     })
                     .collect(),
             )
-        })
-        .expect("weights cover entries one-to-one");
+        });
         let transfers_indexed = built.iter().map(|a| a.txs.len()).sum();
         let outgoing: BTreeMap<Address, TransferTable> =
             entries.iter().map(|(addr, _)| **addr).zip(built).collect();
@@ -569,127 +541,6 @@ impl OutgoingIndex {
     pub fn indexed_transfers(&self) -> usize {
         self.transfers_indexed
     }
-}
-
-/// Maps `f` over `items`, fanning contiguous chunks across up to `threads`
-/// scoped worker threads and concatenating the results in input order —
-/// the output is identical to `items.iter().map(f).collect()` for any
-/// thread count. The deterministic-sharding primitive behind the internal
-/// parallelism of the analysis passes.
-pub fn shard_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| scope.spawn(move || c.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("analysis worker panicked"))
-            .collect()
-    })
-}
-
-/// Error from [`shard_map_weighted`]: the weight slice must cover every
-/// item one-to-one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WeightLengthMismatch {
-    /// Number of items to map.
-    pub items: usize,
-    /// Number of weights supplied.
-    pub weights: usize,
-}
-
-impl std::fmt::Display for WeightLengthMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard_map_weighted: {} weights for {} items",
-            self.weights, self.items
-        )
-    }
-}
-
-impl std::error::Error for WeightLengthMismatch {}
-
-/// [`shard_map`] with *work-sized* chunks: contiguous chunk boundaries are
-/// cut where the cumulative `weights` cross `k·total/threads`, so every
-/// worker gets approximately equal total weight rather than equal item
-/// count. Per-address transaction counts are heavily skewed (a handful of
-/// hub addresses hold most of the transfers), so count-sized chunks load
-/// one worker with nearly all the work and make thread scaling *negative*;
-/// weight-sized chunks restore balance while keeping the same contiguous
-/// deterministic merge — the output is still identical to
-/// `items.iter().map(f).collect()` at any thread count.
-///
-/// Zero total weight falls back to count-sized chunks. A weight slice that
-/// does not match `items` one-to-one is an error, not a guess.
-pub fn shard_map_weighted<T, R, F>(
-    items: &[T],
-    weights: &[usize],
-    threads: usize,
-    f: F,
-) -> Result<Vec<R>, WeightLengthMismatch>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if weights.len() != items.len() {
-        return Err(WeightLengthMismatch {
-            items: items.len(),
-            weights: weights.len(),
-        });
-    }
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 {
-        return Ok(items.iter().map(f).collect());
-    }
-    let total: u128 = weights.iter().map(|w| *w as u128).sum();
-    if total == 0 {
-        return Ok(shard_map(items, threads, f));
-    }
-    // Chunk k ends at the smallest index whose cumulative weight reaches
-    // k·total/threads; a single giant item simply fills (and may spill
-    // past) its chunk, leaving later chunks empty rather than unbalanced.
-    let mut bounds = Vec::with_capacity(threads + 1);
-    bounds.push(0usize);
-    let mut acc: u128 = 0;
-    let mut idx = 0usize;
-    for k in 1..threads as u128 {
-        let target = (k * total).div_ceil(threads as u128);
-        while idx < items.len() && acc < target {
-            acc += weights[idx] as u128;
-            idx += 1;
-        }
-        bounds.push(idx);
-    }
-    bounds.push(items.len());
-    Ok(std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = bounds
-            .windows(2)
-            .filter(|b| b[0] < b[1])
-            .map(|b| {
-                let c = &items[b[0]..b[1]];
-                scope.spawn(move || c.iter().map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("analysis worker panicked"))
-            .collect()
-    }))
 }
 
 #[cfg(test)]
@@ -878,57 +729,6 @@ mod tests {
         assert!(baseline.outgoing(nobody, None).is_empty());
         assert_eq!(baseline.spend_and_count(nobody, None), (UsdCents::ZERO, 0));
         assert_eq!(baseline.unique_recipients(nobody, None), 0);
-    }
-
-    #[test]
-    fn shard_map_preserves_order_at_any_thread_count() {
-        let items: Vec<u64> = (0..1000).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
-        for threads in [1, 2, 3, 7, 16, 2000] {
-            assert_eq!(shard_map(&items, threads, |x| x * 3), expect);
-        }
-        let empty: Vec<u64> = Vec::new();
-        assert!(shard_map(&empty, 4, |x| *x).is_empty());
-    }
-
-    #[test]
-    fn weighted_shard_map_matches_sequential_under_adversarial_skew() {
-        let items: Vec<u64> = (0..500).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 7).collect();
-        let mut giant = vec![1usize; items.len()];
-        giant[250] = 1_000_000; // one hub address dwarfs everything
-        let weight_sets: Vec<Vec<usize>> = vec![
-            giant,
-            vec![0; items.len()], // zero total → count fallback
-            (0..items.len()).map(|i| i * i).collect(), // steep ramp
-            (0..items.len()).map(|i| 500 - i).collect(), // reverse ramp
-            (0..items.len()).map(|i| (i % 7 == 0) as usize).collect(), // sparse
-        ];
-        for weights in &weight_sets {
-            for threads in [1, 2, 3, 7, 16] {
-                assert_eq!(
-                    shard_map_weighted(&items, weights, threads, |x| x * 7).unwrap(),
-                    expect,
-                    "threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_shard_map_rejects_mismatched_weights() {
-        let items: Vec<u64> = (0..10).collect();
-        let err = shard_map_weighted(&items, &[1, 2, 3], 4, |x| *x).unwrap_err();
-        assert_eq!(err.items, 10);
-        assert_eq!(err.weights, 3);
-        assert!(err.to_string().contains("3 weights for 10 items"));
-        // Too many weights is just as wrong as too few.
-        assert!(shard_map_weighted(&items, &[1; 11], 4, |x| *x).is_err());
-        // Empty inputs agree and succeed.
-        let empty: Vec<u64> = Vec::new();
-        assert!(shard_map_weighted(&empty, &[], 4, |x| *x)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

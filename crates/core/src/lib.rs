@@ -63,6 +63,7 @@ pub mod query;
 pub mod registrations;
 pub mod report;
 pub mod resale;
+mod shard;
 pub mod stats;
 pub mod storage;
 
@@ -81,10 +82,7 @@ pub use features::{
     compare_features, compare_features_metered, compare_features_naive, compare_features_with,
     extract_features, extract_features_with, DomainFeatures, FeatureComparison, FeatureRow,
 };
-pub use index::{
-    shard_map, shard_map_weighted, AnalysisIndex, IndexedTransfer, OutgoingIndex,
-    WeightLengthMismatch,
-};
+pub use index::{AnalysisIndex, IndexedTransfer, OutgoingIndex};
 pub use losses::{
     analyze_losses, analyze_losses_metered, analyze_losses_naive, analyze_losses_with,
     upper_bound_losses, upper_bound_losses_with, DomainLoss, LossReport, SenderKind,
@@ -101,6 +99,7 @@ pub use registrations::{
     detect_reregistrations_ignoring_transfers, window_contains, DomainOutcome, ReRegistration,
 };
 pub use resale::{analyze_resales, ResaleReport};
+pub use shard::shard_map;
 
 /// Glob-import convenience.
 pub mod prelude {

@@ -17,8 +17,9 @@ use serde::{Deserialize, Serialize};
 use ens_obs::Metrics;
 
 use crate::dataset::Dataset;
-use crate::index::{shard_map_weighted, AnalysisIndex};
+use crate::index::AnalysisIndex;
 use crate::registrations::{detect_all, window_contains, ReRegistration};
+use crate::shard::shard_map;
 use crate::stats::Ecdf;
 
 /// How a common sender is custodied — the filter dimension of §4.4.
@@ -565,10 +566,10 @@ pub fn analyze_losses_with(
 
 /// [`analyze_losses_with`] under a `losses` span, recording pass-level
 /// counters and the per-re-registration common-sender histogram. The
-/// per-shard outputs come back from [`shard_map_weighted`] in input order, so they
-/// are observed in a sequence independent of the thread count — the
-/// recorded metrics (like the report itself) are byte-identical at any
-/// `threads` value.
+/// per-re-registration outputs come back from [`shard_map`](crate::shard_map)
+/// in input order, so they are observed in a sequence independent of the
+/// thread count — the recorded metrics (like the report itself) are
+/// byte-identical at any `threads` value.
 pub fn analyze_losses_metered(
     dataset: &Dataset,
     oracle: &PriceOracle,
@@ -578,17 +579,7 @@ pub fn analyze_losses_metered(
 ) -> LossReport {
     let span = metrics.span("losses");
     let rereg = index.reregistrations();
-    // The common-sender search walks both wallets' incoming slices, and a
-    // few catcher wallets hold most of the indexed transfers — weight the
-    // shards by slice length so one worker doesn't end up with every hub.
-    let weights: Vec<usize> = rereg
-        .iter()
-        .map(|r| index.transfer_count(r.prev_wallet) + index.transfer_count(r.new_owner))
-        .collect();
-    let senders_per = shard_map_weighted(rereg, &weights, threads, |r| {
-        common_senders_with(dataset, index, r)
-    })
-    .expect("weights cover re-registrations one-to-one");
+    let senders_per = shard_map(rereg, threads, |r| common_senders_with(dataset, index, r));
     if metrics.is_enabled() {
         metrics.add("losses/reregistrations_scanned", rereg.len() as u64);
         metrics.add(

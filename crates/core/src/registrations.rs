@@ -162,14 +162,12 @@ pub fn detect_all(domains: &[DomainRecord]) -> Vec<ReRegistration> {
     domains.iter().flat_map(detect_reregistrations).collect()
 }
 
-/// [`detect_all`] with the per-domain detection fanned across contiguous
-/// domain chunks on up to `threads` scoped workers, results concatenated
-/// in domain order — the output is identical to [`detect_all`] at any
-/// thread count. Detection work per domain is near-uniform (few domains
-/// have more than a couple of registrations), so count-sized chunks are
-/// the right partition here, unlike the transfer-skewed per-address build.
+/// [`detect_all`] with the per-domain detection fanned across up to
+/// `threads` scoped workers by [`shard_map`](crate::shard_map), results
+/// concatenated in domain order — the output is identical to
+/// [`detect_all`] at any thread count.
 pub fn detect_all_with_threads(domains: &[DomainRecord], threads: usize) -> Vec<ReRegistration> {
-    crate::index::shard_map(domains, threads, detect_reregistrations)
+    crate::shard::shard_map(domains, threads, detect_reregistrations)
         .into_iter()
         .flatten()
         .collect()

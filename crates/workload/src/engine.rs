@@ -19,7 +19,7 @@ use price_oracle::{PriceOracle, PriceTable};
 use sim_chain::{Chain, TxKind};
 
 use crate::config::WorldConfig;
-use crate::plan::{Plan, PlannedAction, PlannedEvent};
+use crate::plan::{NameTruth, Plan, PlannedAction, PlannedEvent};
 
 /// An execution failure, annotated with the offending event.
 #[derive(Debug)]
@@ -58,21 +58,16 @@ pub struct Executed {
     pub oracle: PriceOracle,
 }
 
-/// Executes a plan.
-pub fn execute(cfg: &WorldConfig, plan: &Plan) -> Result<Executed, Box<ExecError>> {
-    execute_events(cfg, &plan.events, &plan.custodial_pool, &plan.coinbase_pool)
-}
-
-/// [`execute`], consuming the plan: the replay is identical, but the
-/// event vector — the bulk of a paper-scale plan's memory (~10M planned
-/// events at 3.1M names) — is freed the moment the replay loop finishes,
-/// so the caller builds the measurement views (subgraph, explorer,
-/// dataset) without the whole plan still resident. Returns the executed
-/// substrates together with the plan's ground truth.
-pub fn execute_consuming(
+/// Executes a plan, consuming it: the event vector — the bulk of a
+/// paper-scale plan's memory (~10M planned events at 3.1M names) — is
+/// freed the moment the replay loop finishes, so the caller builds the
+/// measurement views (subgraph, explorer, dataset) without the whole plan
+/// still resident. Returns the executed substrates together with the
+/// plan's ground truth.
+pub fn execute(
     cfg: &WorldConfig,
     plan: Plan,
-) -> Result<(Executed, Vec<crate::plan::NameTruth>), Box<ExecError>> {
+) -> Result<(Executed, Vec<NameTruth>), Box<ExecError>> {
     let Plan {
         events,
         truth,
@@ -80,17 +75,6 @@ pub fn execute_consuming(
         custodial_pool,
         coinbase_pool,
     } = plan;
-    let executed = execute_events(cfg, &events, &custodial_pool, &coinbase_pool)?;
-    drop(events);
-    Ok((executed, truth))
-}
-
-fn execute_events(
-    cfg: &WorldConfig,
-    events: &[PlannedEvent],
-    custodial_pool: &[ens_types::Address],
-    coinbase_pool: &[ens_types::Address],
-) -> Result<Executed, Box<ExecError>> {
     let oracle = PriceOracle::new();
     let mut chain = Chain::new(cfg.start - Duration::from_days(3));
     let mut ens = if cfg.behavior.auction_enabled {
@@ -131,14 +115,18 @@ fn execute_events(
             })
         })?;
     }
+    drop(events);
 
-    Ok(Executed {
-        chain,
-        ens,
-        opensea,
-        labels,
-        oracle,
-    })
+    Ok((
+        Executed {
+            chain,
+            ens,
+            opensea,
+            labels,
+            oracle,
+        },
+        truth,
+    ))
 }
 
 struct Executor<'a> {
@@ -397,7 +385,7 @@ mod tests {
                 },
             ),
         ]);
-        let executed = execute(&cfg(), &plan).expect("consistent plan executes");
+        let (executed, _) = execute(&cfg(), plan).expect("consistent plan executes");
         let name = ens_types::EnsName::from_label(label);
         assert_eq!(executed.ens.resolve(&name), Some(owner));
         assert_eq!(executed.ens.primary_name(owner), Some(&name));
@@ -428,7 +416,7 @@ mod tests {
                 years: 1,
             },
         )]);
-        let Err(err) = execute(&cfg(), &plan) else {
+        let Err(err) = execute(&cfg(), plan) else {
             panic!("inconsistent plan must fail");
         };
         assert_eq!(err.index, 0);
@@ -463,7 +451,7 @@ mod tests {
         // advance_to is only called for future times, so an out-of-order
         // event silently executes at the later clock -- verify it does NOT
         // error but also does not rewind time.
-        let executed = execute(&cfg(), &plan).expect("executes at the current clock");
+        let (executed, _) = execute(&cfg(), plan).expect("executes at the current clock");
         let times: Vec<_> = executed
             .chain
             .transactions()

@@ -9,7 +9,7 @@ use price_oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
 
 use crate::config::WorldConfig;
-use crate::engine::{execute_consuming, Executed};
+use crate::engine::{execute, Executed};
 use crate::plan::{build_plan, NameTruth, OwnerKind, Plan};
 
 /// Headline counts of a built world.
@@ -58,7 +58,7 @@ impl World {
     /// the event stream.
     pub fn from_plan(config: WorldConfig, plan: Plan) -> World {
         let (executed, truth) =
-            execute_consuming(&config, plan).unwrap_or_else(|e| panic!("execution failed: {e}"));
+            execute(&config, plan).unwrap_or_else(|e| panic!("execution failed: {e}"));
         World {
             config,
             executed,
