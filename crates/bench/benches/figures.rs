@@ -4,20 +4,32 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use ens_bench::bench_fixture;
-use ens_dropcatch::countermeasures::evaluate_countermeasure;
+use ens_bench::{bench_fixture, Fixture};
+use ens_dropcatch::countermeasures::evaluate_countermeasure_with;
 use ens_dropcatch::losses::{analyze_losses, hijackable_funds};
 use ens_dropcatch::overview::{
     fig2_timeline, fig3_delays, fig4_domain_frequency, fig5_catcher_concentration,
 };
 use ens_dropcatch::stats::Ecdf;
-use ens_dropcatch::{analyze_resales, compare_features, detect_all};
+use ens_dropcatch::{analyze_resales, compare_features, detect_all, AnalysisIndex, Metrics};
 use ens_types::Duration;
+
+/// The fixture's analysis index, built once outside the measured loops.
+fn index(f: &Fixture) -> AnalysisIndex {
+    AnalysisIndex::build(&f.dataset, f.world.oracle(), 1, &Metrics::disabled())
+}
 
 fn fig2(c: &mut Criterion) {
     let f = bench_fixture();
+    let rereg = detect_all(&f.dataset.domains);
     c.bench_function("fig2_timeline", |b| {
-        b.iter(|| fig2_timeline(black_box(&f.dataset.domains), f.dataset.observation_end))
+        b.iter(|| {
+            fig2_timeline(
+                black_box(&f.dataset.domains),
+                f.dataset.observation_end,
+                &rereg,
+            )
+        })
     });
 }
 
@@ -45,33 +57,47 @@ fn fig5(c: &mut Criterion) {
 
 fn table1_and_fig6(c: &mut Criterion) {
     let f = bench_fixture();
+    let index = index(f);
     let mut g = c.benchmark_group("table1");
     g.sample_size(10);
     g.bench_function("table1_features_fig6_income", |b| {
-        b.iter(|| compare_features(black_box(&f.dataset), f.world.oracle(), 7))
+        b.iter(|| compare_features(black_box(&f.dataset), 7, &index, 1, &Metrics::disabled()))
     });
     g.finish();
 }
 
 fn fig7(c: &mut Criterion) {
     let f = bench_fixture();
+    let index = index(f);
     let mut g = c.benchmark_group("fig7");
     g.sample_size(10);
     g.bench_function("fig7_hijackable", |b| {
-        b.iter(|| hijackable_funds(black_box(&f.dataset), f.world.oracle()))
+        b.iter(|| {
+            hijackable_funds(black_box(&f.dataset), |wallet, window| {
+                index.income_usd(wallet, Some(window))
+            })
+        })
     });
     g.finish();
 }
 
 fn figs8_to_11(c: &mut Criterion) {
     let f = bench_fixture();
+    let index = index(f);
+    let losses = || {
+        analyze_losses(
+            &f.dataset,
+            f.world.oracle(),
+            &index,
+            1,
+            &Metrics::disabled(),
+        )
+    };
     let mut g = c.benchmark_group("losses");
     g.sample_size(10);
     // The shared §4.4 pass that Figs 8–11 all derive from.
-    g.bench_function("common_sender_analysis", |b| {
-        b.iter(|| analyze_losses(black_box(&f.dataset), f.world.oracle()))
-    });
-    let losses = analyze_losses(&f.dataset, f.world.oracle());
+    g.bench_function("common_sender_analysis", |b| b.iter(losses));
+    let losses = losses();
     g.bench_function("fig8_misdirected_amounts", |b| {
         b.iter(|| black_box(&losses).fig8_amounts())
     });
@@ -97,9 +123,23 @@ fn resale(c: &mut Criterion) {
 
 fn table2(c: &mut Criterion) {
     let f = bench_fixture();
-    let losses = analyze_losses(&f.dataset, f.world.oracle());
+    let index = index(f);
+    let losses = analyze_losses(
+        &f.dataset,
+        f.world.oracle(),
+        &index,
+        1,
+        &Metrics::disabled(),
+    );
     c.bench_function("table2_countermeasure_eval", |b| {
-        b.iter(|| evaluate_countermeasure(black_box(&losses), &f.dataset, Duration::from_days(365)))
+        b.iter(|| {
+            evaluate_countermeasure_with(
+                black_box(&losses),
+                &f.dataset,
+                &index,
+                Duration::from_days(365),
+            )
+        })
     });
 }
 

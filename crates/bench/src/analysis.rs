@@ -6,8 +6,8 @@
 use std::time::Instant;
 
 use ens_dropcatch::{
-    analyze_losses_naive, analyze_losses_with, compare_features_naive, compare_features_with,
-    run_study_on, run_study_on_naive, AnalysisIndex, Dataset, Metrics, StudyConfig,
+    analyze_losses, compare_features, naive, run_study_on, AnalysisIndex, Dataset, Metrics,
+    StudyConfig,
 };
 use price_oracle::PriceOracle;
 use serde::Serialize;
@@ -223,9 +223,9 @@ fn naive_baseline(
     config: &StudyConfig,
     repeats: usize,
 ) -> (PassTimings, String) {
-    let (naive_losses_ms, _) = time_ms(repeats, || analyze_losses_naive(dataset, oracle));
+    let (naive_losses_ms, _) = time_ms(repeats, || naive::analyze_losses(dataset, oracle));
     let (naive_features_ms, _) = time_ms(repeats, || {
-        compare_features_naive(dataset, oracle, config.control_seed)
+        naive::compare_features(dataset, oracle, config.control_seed)
     });
     let naive = PassTimings {
         analyze_losses_ms: naive_losses_ms,
@@ -233,7 +233,7 @@ fn naive_baseline(
         total_ms: naive_losses_ms + naive_features_ms,
     };
     let naive_report_json =
-        serde_json::to_string(&run_study_on_naive(dataset, oracle, config)).expect("serializes");
+        serde_json::to_string(&naive::run_study_on(dataset, oracle, config)).expect("serializes");
     (naive, naive_report_json)
 }
 
@@ -257,27 +257,28 @@ fn threaded_runs(
     // run first by 5-10x). Paying those process-lifecycle costs here puts
     // every measured thread count on the same warm footing.
     let warm_threads = thread_counts.iter().copied().max().unwrap_or(1);
-    drop(AnalysisIndex::build_with_threads(dataset, oracle, 1));
+    let build = |threads| AnalysisIndex::build(dataset, oracle, threads, &Metrics::disabled());
+    drop(build(1));
     if warm_threads > 1 {
-        drop(AnalysisIndex::build_with_threads(
-            dataset,
-            oracle,
-            warm_threads,
-        ));
+        drop(build(warm_threads));
     }
     let mut runs = Vec::new();
     let mut reregistrations = 0;
     for &threads in thread_counts {
-        let (index_build_ms, index) = time_ms(repeats, || {
-            AnalysisIndex::build_with_threads(dataset, oracle, threads)
-        });
+        let (index_build_ms, index) = time_ms(repeats, || build(threads));
         reregistrations = index.reregistrations().len();
 
         let (losses_ms, _) = time_ms(repeats, || {
-            analyze_losses_with(dataset, oracle, &index, threads)
+            analyze_losses(dataset, oracle, &index, threads, &Metrics::disabled())
         });
         let (features_ms, _) = time_ms(repeats, || {
-            compare_features_with(dataset, config.control_seed, &index, threads)
+            compare_features(
+                dataset,
+                config.control_seed,
+                &index,
+                threads,
+                &Metrics::disabled(),
+            )
         });
         let passes = PassTimings {
             analyze_losses_ms: losses_ms,
@@ -346,7 +347,7 @@ pub fn run_paper_scale_bench(
     // The complete pipeline at the widest fan-out: what one study costs
     // end to end at the paper's dataset size.
     let max_threads = thread_counts.iter().copied().max().unwrap_or(1);
-    let index = AnalysisIndex::build_with_threads(dataset, oracle, max_threads);
+    let index = AnalysisIndex::build(dataset, oracle, max_threads, &Metrics::disabled());
     let study_config = StudyConfig {
         threads: max_threads,
         ..config
@@ -418,7 +419,7 @@ pub fn run_analysis_bench(
     // interleave the two variants pairwise — back-to-back blocks would
     // fold clock/cache drift between the blocks into the delta.
     let overhead_repeats = repeats.max(5);
-    let overhead_index = AnalysisIndex::build_with_threads(dataset, oracle, 1);
+    let overhead_index = AnalysisIndex::build(dataset, oracle, 1, &Metrics::disabled());
     let mut unmetered_study_ms = f64::INFINITY;
     let mut metered_study_ms = f64::INFINITY;
     let mut metrics = Metrics::disabled();

@@ -16,9 +16,10 @@
 //! ```
 
 use ens_bench::Fixture;
-use ens_dropcatch::countermeasures::evaluate_countermeasure;
+use ens_dropcatch::countermeasures::evaluate_countermeasure_with;
 use ens_dropcatch::losses::{analyze_losses, upper_bound_losses, SenderKind};
 use ens_dropcatch::registrations::{detect_all, detect_reregistrations_ignoring_transfers};
+use ens_dropcatch::{AnalysisIndex, Metrics};
 use ens_types::Duration;
 
 fn parse_args() -> (usize, u64) {
@@ -70,7 +71,8 @@ fn main() {
 
     // ------------------------------------------------------------------
     println!("\n== Ablation 2: loss estimate bracketing ==");
-    let losses = analyze_losses(dataset, world.oracle());
+    let index = AnalysisIndex::build(dataset, world.oracle(), 1, &Metrics::disabled());
+    let losses = analyze_losses(dataset, world.oracle(), &index, 1, &Metrics::disabled());
     let upper = upper_bound_losses(dataset, world.oracle());
     let truth_usd: f64 = world
         .truth()
@@ -123,7 +125,7 @@ fn main() {
     println!("\n== Ablation 4: warning-policy trade-off ==");
     println!("policy                          intercepts   false-positive rate");
     for days in [7u64, 30, 90, 365] {
-        let r = evaluate_countermeasure(&losses, dataset, Duration::from_days(days));
+        let r = evaluate_countermeasure_with(&losses, dataset, &index, Duration::from_days(days));
         println!(
             "naive freshness, {days:>3}d           {:5.1}%       {:6.2}%",
             r.risk_policy.interception_rate() * 100.0,
@@ -135,7 +137,7 @@ fn main() {
             r.rereg_policy.annoyance_rate() * 100.0
         );
     }
-    let r = evaluate_countermeasure(&losses, dataset, Duration::from_days(365));
+    let r = evaluate_countermeasure_with(&losses, dataset, &index, Duration::from_days(365));
     println!(
         "reverse-record check            {:5.1}%       {:6.2}%",
         r.reverse_policy.interception_rate() * 100.0,
@@ -167,7 +169,14 @@ fn main() {
         &ens_dropcatch::CrawlConfig::default(),
     )
     .expect("clean endpoints cannot fail");
-    let cf_losses = analyze_losses(&cf_ds, cf_world.oracle());
+    let cf_index = AnalysisIndex::build(&cf_ds, cf_world.oracle(), 1, &Metrics::disabled());
+    let cf_losses = analyze_losses(
+        &cf_ds,
+        cf_world.oracle(),
+        &cf_index,
+        1,
+        &Metrics::disabled(),
+    );
 
     let rereg = detect_all(&dataset.domains);
     let cf_rereg = detect_all(&cf_ds.domains);

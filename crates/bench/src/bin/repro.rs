@@ -8,12 +8,11 @@
 
 use std::time::Instant;
 
-use ens_bench::{compare_to_paper, render_comparison_markdown, run_analysis_bench, Fixture};
+use ens_bench::{compare_to_paper, render_comparison_markdown, Fixture};
 
-fn parse_args() -> (usize, u64, Option<String>) {
+fn parse_args() -> (usize, u64) {
     let mut names = 60_000usize;
     let mut seed = 1u64;
-    let mut bench_json = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -29,11 +28,8 @@ fn parse_args() -> (usize, u64, Option<String>) {
                     .and_then(|v| v.parse().ok())
                     .expect("--seed needs a number");
             }
-            "--bench-json" => {
-                bench_json = Some(args.next().expect("--bench-json needs a path"));
-            }
             "--help" | "-h" => {
-                eprintln!("usage: repro [--names N] [--seed S] [--bench-json PATH]");
+                eprintln!("usage: repro [--names N] [--seed S]");
                 std::process::exit(0);
             }
             other => {
@@ -42,11 +38,11 @@ fn parse_args() -> (usize, u64, Option<String>) {
             }
         }
     }
-    (names, seed, bench_json)
+    (names, seed)
 }
 
 fn main() {
-    let (names, seed, bench_json) = parse_args();
+    let (names, seed) = parse_args();
 
     eprintln!("building the world ({names} names, seed {seed})...");
     let t0 = Instant::now();
@@ -75,25 +71,4 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("all {} shape expectations hold", rows.len());
-
-    if let Some(path) = bench_json {
-        eprintln!("benching analysis passes (naive vs indexed at 1/2/8 threads)...");
-        let bench = run_analysis_bench(&fixture, &[1, 2, 8], 3);
-        std::fs::write(&path, bench.to_json()).expect("write bench json");
-        eprintln!(
-            "  wrote {path} (best speedup {:.1}x, outputs identical: {})",
-            bench.best_speedup(),
-            bench.outputs_identical
-        );
-        eprintln!(
-            "  metrics overhead: study {:.1} ms unmetered vs {:.1} ms metered ({:+.2}%)",
-            bench.metrics_overhead.unmetered_study_ms,
-            bench.metrics_overhead.metered_study_ms,
-            bench.metrics_overhead.overhead_pct
-        );
-        if !bench.outputs_identical {
-            eprintln!("FAIL: an indexed report diverged from the naive baseline");
-            std::process::exit(1);
-        }
-    }
 }

@@ -13,7 +13,7 @@
 //! export (`JSON → columnar → JSON` must be a fixed point), so the bench
 //! doubles as a cross-format equivalence gate on realistic datasets.
 
-use ens_dropcatch::Dataset;
+use ens_dropcatch::{Dataset, Metrics};
 use serde::Serialize;
 
 /// One scale point of the columnar bench.
@@ -100,7 +100,10 @@ pub fn run_columnar_bench(
         let (json_encode_ms, json) =
             best_of(repeats, || fixture.dataset.to_json().expect("json export"));
         let (columnar_encode_ms, columnar) = best_of(repeats, || {
-            fixture.dataset.to_columnar().expect("columnar export")
+            fixture
+                .dataset
+                .to_columnar(&Metrics::disabled())
+                .expect("columnar export")
         });
         let json_bytes = json.len();
         let columnar_bytes = columnar.len();
@@ -109,7 +112,7 @@ pub fn run_columnar_bench(
             Dataset::from_json(&json).expect("streaming decode")
         });
         let (columnar_load_ms, decoded) = best_of(repeats, || {
-            Dataset::from_columnar(&columnar).expect("columnar decode")
+            Dataset::from_columnar(&columnar, &Metrics::disabled()).expect("columnar decode")
         });
         let roundtrip_identical = decoded.to_json().expect("re-serialize") == json;
 

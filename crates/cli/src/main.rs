@@ -556,7 +556,7 @@ fn run(args: Args, full_study: bool) -> ExitCode {
     );
 
     if let Some(path) = &args.dataset {
-        match dataset.save_metered(path, format, &metrics) {
+        match dataset.save(path, format, &metrics) {
             Ok(()) => {
                 if args.verbose {
                     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);

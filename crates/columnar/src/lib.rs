@@ -431,13 +431,6 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    /// Reads a little-endian `u128`.
-    pub fn take_u128(&mut self) -> Result<u128> {
-        Ok(u128::from_le_bytes(
-            self.take(16)?.try_into().expect("16 bytes"),
-        ))
-    }
-
     /// Reads a `u64` and converts it to `usize`, failing on 32-bit
     /// platforms if it does not fit.
     pub fn take_len(&mut self) -> Result<usize> {

@@ -16,14 +16,15 @@
 //! forward-and-back (reverse-record) check that exploits how rarely
 //! dropcatchers claim primary names, and the freshness-or-reverse
 //! combination. [`evaluate_countermeasure_with`] scores all four in one
-//! sweep over the transactions; [`evaluate_countermeasure`] keeps one naive
-//! sweep per policy as the equivalence oracle.
+//! sweep over the transactions;
+//! [`naive::evaluate_countermeasure`](crate::naive::evaluate_countermeasure)
+//! keeps one sweep per policy as the equivalence reference.
 
 use std::collections::HashSet;
 
 use ens_types::{Address, Duration, Timestamp};
 use serde::{Deserialize, Serialize};
-use wallet_sim::{production_wallets, ResolutionContext, WalletProfile, WarningPolicy};
+use wallet_sim::{production_wallets, ResolutionContext, WarningPolicy};
 
 use crate::dataset::{primary_name_in, Dataset};
 use crate::index::AnalysisIndex;
@@ -136,17 +137,10 @@ pub fn canonical_expired_context() -> ResolutionContext {
     }
 }
 
-fn wallet_with(policy: WarningPolicy) -> WalletProfile {
-    WalletProfile {
-        policy,
-        ..production_wallets().remove(0)
-    }
-}
-
 /// The four policies the report scores, in report order: the naive
 /// freshness warning, the history-aware one, the reverse-record check,
 /// and the freshness-or-reverse combination.
-fn policies(window: Duration) -> [WarningPolicy; 4] {
+pub(crate) fn policies(window: Duration) -> [WarningPolicy; 4] {
     [
         WarningPolicy::WarnOnRisk {
             recent_window: window,
@@ -161,96 +155,13 @@ fn policies(window: Duration) -> [WarningPolicy; 4] {
     ]
 }
 
-/// Evaluates one policy against every misdirected transaction (interception)
-/// and every legitimate incoming transaction (annoyance) with the naive
-/// full-vector scans of the seed. This is the naive reference only:
-/// [`evaluate_countermeasure`] runs it once per policy, and the fused
-/// sweep behind [`evaluate_countermeasure_with`] must match it byte for
-/// byte.
-fn evaluate_policy(losses: &LossReport, dataset: &Dataset, policy: WarningPolicy) -> PolicyOutcome {
-    let wallet = wallet_with(policy);
-    let mut outcome = PolicyOutcome::default();
-
-    // --- Interception over the flagged misdirected transfers. ---
-    let mut flagged_set: HashSet<(Address, u64)> = HashSet::new();
-    for finding in &losses.findings {
-        let name = finding.name.as_deref();
-        for sender in &finding.senders {
-            if sender.kind == SenderKind::OtherCustodial {
-                continue;
-            }
-            for &(send_time, usd) in &sender.transfers_to_new {
-                flagged_set.insert((sender.sender, send_time.0));
-                let reverse_matches =
-                    name.map(|n| dataset.primary_name_at(finding.new_owner, send_time) == Some(n));
-                let ctx = ResolutionContext {
-                    resolved: Some(finding.new_owner),
-                    expiry: None,
-                    registered_at: Some(finding.caught_at),
-                    // Misdirected sends by definition follow a catch.
-                    owner_changed_at: Some(finding.caught_at),
-                    reverse_matches,
-                    now: send_time,
-                };
-                outcome.misdirected_txs += 1;
-                outcome.misdirected_usd += usd;
-                if wallet.displays_warning(&ctx) {
-                    outcome.flagged_txs += 1;
-                    outcome.flagged_usd += usd;
-                }
-            }
-        }
-    }
-
-    // --- Annoyance over legitimate sends: every incoming transaction to a
-    //     current registrant during their tenure, minus the flagged set. ---
-    for domain in &dataset.domains {
-        let name = domain.name.as_ref().map(|n| n.to_full());
-        for (idx, reg) in domain.registrations.iter().enumerate() {
-            let Some(expiry) = domain.expiry_of_registration(idx) else {
-                continue;
-            };
-            let window_end = expiry.min(dataset.observation_end);
-            if reg.registered_at >= window_end {
-                continue;
-            }
-            // Did this registration change the name's owner (a dropcatch)?
-            let owner_changed_at = (idx > 0
-                && effective_owner_at_expiry(domain, idx - 1) != Some(reg.owner))
-            .then_some(reg.registered_at);
-            for tx in dataset.incoming(reg.owner, Some((reg.registered_at, window_end))) {
-                if flagged_set.contains(&(tx.from, tx.timestamp.0)) {
-                    continue;
-                }
-                let reverse_matches = name
-                    .as_deref()
-                    .map(|n| dataset.primary_name_at(reg.owner, tx.timestamp) == Some(n));
-                let ctx = ResolutionContext {
-                    resolved: Some(reg.owner),
-                    expiry: Some(expiry),
-                    registered_at: Some(reg.registered_at),
-                    owner_changed_at,
-                    reverse_matches,
-                    now: tx.timestamp,
-                };
-                outcome.legit_txs += 1;
-                if wallet.displays_warning(&ctx) {
-                    outcome.false_positive_txs += 1;
-                }
-            }
-        }
-    }
-
-    outcome
-}
-
 /// Every policy of `policies` in one sweep: the same interception and
-/// annoyance loops as [`evaluate_policy`], but each registration's name,
-/// expiry, owner-change time, tenure slice and reverse claims are looked
-/// up once, the flagged set is built once, and each transaction's
-/// [`ResolutionContext`] is built once and handed to every policy. Each
-/// outcome accumulates in the naive sweep's order, so its f64 sums are
-/// bit-identical to a separate [`evaluate_policy`] call.
+/// annoyance loops as the naive reference's one sweep per policy, but each
+/// registration's name, expiry, owner-change time, tenure slice and
+/// reverse claims are looked up once, the flagged set is built once, and
+/// each transaction's [`ResolutionContext`] is built once and handed to
+/// every policy. Each outcome accumulates in the naive sweep's order, so
+/// its f64 sums are bit-identical to a separate per-policy sweep.
 fn evaluate_policies(
     losses: &LossReport,
     dataset: &Dataset,
@@ -330,24 +241,11 @@ fn evaluate_policies(
     outcomes
 }
 
-/// Evaluates the proposed countermeasure (and the reverse-check variant)
-/// against a loss report, on the naive scan path: one full sweep per
-/// policy, kept as the equivalence oracle for
-/// [`evaluate_countermeasure_with`].
-pub fn evaluate_countermeasure(
-    losses: &LossReport,
-    dataset: &Dataset,
-    window: Duration,
-) -> CountermeasureReport {
-    report(
-        policies(window).map(|policy| evaluate_policy(losses, dataset, policy)),
-        window,
-    )
-}
-
-/// [`evaluate_countermeasure`] on the analysis substrate — identical
-/// output from one sweep that scores all four policies, with the
-/// annoyance loop's tenure scans served by the index.
+/// Evaluates the proposed countermeasure (and the reverse-check variants)
+/// against a loss report on the analysis substrate: one sweep scores all
+/// four policies, with the annoyance loop's tenure scans served by the
+/// index. The report is identical to
+/// [`naive::evaluate_countermeasure`](crate::naive::evaluate_countermeasure)'s.
 pub fn evaluate_countermeasure_with(
     losses: &LossReport,
     dataset: &Dataset,
@@ -361,7 +259,7 @@ pub fn evaluate_countermeasure_with(
 }
 
 /// The report for the four outcomes of [`policies`], in that order.
-fn report(
+pub(crate) fn report(
     [risk_policy, rereg_policy, reverse_policy, combined_policy]: [PolicyOutcome; 4],
     window: Duration,
 ) -> CountermeasureReport {
@@ -382,14 +280,16 @@ mod tests {
     use super::*;
     use crate::dataset::{collect_clean, Dataset};
     use crate::losses::analyze_losses;
+    use ens_obs::Metrics;
     use ens_subgraph::SubgraphConfig;
     use workload::WorldConfig;
 
-    fn setup() -> (Dataset, LossReport) {
+    fn setup() -> (Dataset, AnalysisIndex, LossReport) {
         let world = WorldConfig::default().with_seed(80).build();
         let ds = collect_clean(&world, SubgraphConfig::lossless());
-        let losses = analyze_losses(&ds, world.oracle());
-        (ds, losses)
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
+        let losses = analyze_losses(&ds, world.oracle(), &index, 1, &Metrics::disabled());
+        (ds, index, losses)
     }
 
     #[test]
@@ -410,10 +310,10 @@ mod tests {
 
     #[test]
     fn risk_policy_interception_scales_with_window() {
-        let (ds, losses) = setup();
+        let (ds, index, losses) = setup();
         assert!(!losses.findings.is_empty());
 
-        let year = evaluate_countermeasure(&losses, &ds, Duration::from_days(365));
+        let year = evaluate_countermeasure_with(&losses, &ds, &index, Duration::from_days(365));
         assert!(year.risk_policy.misdirected_txs > 0);
         assert!(
             year.interception_rate() > 0.95,
@@ -421,17 +321,17 @@ mod tests {
             year.interception_rate()
         );
 
-        let month = evaluate_countermeasure(&losses, &ds, Duration::from_days(30));
+        let month = evaluate_countermeasure_with(&losses, &ds, &index, Duration::from_days(30));
         assert!(month.interception_rate() < year.interception_rate());
 
-        let none = evaluate_countermeasure(&losses, &ds, Duration::ZERO);
+        let none = evaluate_countermeasure_with(&losses, &ds, &index, Duration::ZERO);
         assert_eq!(none.risk_policy.flagged_txs, 0);
     }
 
     #[test]
     fn risk_policy_annoyance_is_low_but_nonzero() {
-        let (ds, losses) = setup();
-        let report = evaluate_countermeasure(&losses, &ds, Duration::from_days(90));
+        let (ds, index, losses) = setup();
+        let report = evaluate_countermeasure_with(&losses, &ds, &index, Duration::from_days(90));
         let annoyance = report.risk_policy.annoyance_rate();
         assert!(report.risk_policy.legit_txs > 10_000);
         // Legit sends to freshly registered names do trigger the warning —
@@ -442,8 +342,8 @@ mod tests {
 
     #[test]
     fn history_aware_policy_has_far_lower_annoyance_at_equal_interception() {
-        let (ds, losses) = setup();
-        let report = evaluate_countermeasure(&losses, &ds, Duration::from_days(365));
+        let (ds, index, losses) = setup();
+        let report = evaluate_countermeasure_with(&losses, &ds, &index, Duration::from_days(365));
         // Same (or better) interception than the naive freshness warning...
         assert!(
             report.rereg_policy.interception_rate() >= report.risk_policy.interception_rate() * 0.9
@@ -460,8 +360,8 @@ mod tests {
 
     #[test]
     fn reverse_policy_catches_most_misdirections_but_annoys_more() {
-        let (ds, losses) = setup();
-        let report = evaluate_countermeasure(&losses, &ds, Duration::from_days(90));
+        let (ds, index, losses) = setup();
+        let report = evaluate_countermeasure_with(&losses, &ds, &index, Duration::from_days(90));
         // Catchers claim reverse records only ~5% of the time → very high
         // interception.
         assert!(

@@ -35,7 +35,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ens_subgraph::DomainRecord;
 use ens_types::paged::{FaultKind, PageError, PagedSource};
@@ -408,8 +408,8 @@ impl FailurePolicy {
 }
 
 /// The result of draining one source: items in the endpoint's stable
-/// order, deterministic accounting, recorded gaps (under a `Degrade`
-/// policy), and the (non-deterministic) wall time.
+/// order, deterministic accounting, and recorded gaps (under a `Degrade`
+/// policy).
 #[derive(Clone, Debug)]
 pub struct Crawled<T> {
     /// All recovered items, in the source's stable order.
@@ -418,8 +418,6 @@ pub struct Crawled<T> {
     pub stats: SourceStats,
     /// Ranges the crawl gave up on (empty for a clean crawl).
     pub gaps: Vec<CrawlGap>,
-    /// Wall-clock time of this crawl.
-    pub elapsed: Duration,
 }
 
 /// The result of draining a family of keyed sources (one `txlist` per
@@ -432,8 +430,6 @@ pub struct KeyedCrawl<K, T> {
     pub stats: SourceStats,
     /// Gaps across all keys (empty for a clean crawl).
     pub gaps: Vec<CrawlGap>,
-    /// Wall-clock time of the whole keyed crawl.
-    pub elapsed: Duration,
 }
 
 /// One crawl shard's result — what `drain` recovered over the shard's
@@ -721,7 +717,6 @@ impl Crawler {
         S::Item: Send + Sync,
         F: Fn(u64, &CommittedShard<S::Item>) + Sync,
     {
-        let started = Instant::now();
         let page_size = self.page_size.max(1);
         // Fixed page-range shards: boundaries depend only on the total and
         // the page size — never on the thread count — so every page is
@@ -762,7 +757,6 @@ impl Crawler {
             items,
             stats: merged.stats,
             gaps: merged.gaps,
-            elapsed: started.elapsed(),
         })
     }
 
@@ -800,7 +794,6 @@ impl Crawler {
         S::Item: Send + Sync,
         F: Fn(&K, &CommittedShard<S::Item>) + Sync,
     {
-        let started = Instant::now();
         let page_size = self.page_size.max(1);
         let spliced = sources
             .iter()
@@ -833,7 +826,6 @@ impl Crawler {
                 .collect(),
             stats: merged.stats,
             gaps: merged.gaps,
-            elapsed: started.elapsed(),
         })
     }
 

@@ -25,9 +25,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ens_obs::Metrics;
-use ens_subgraph::{DomainRecord, Subgraph, SubgraphConfig};
+use ens_subgraph::{DomainRecord, Subgraph};
 use ens_types::paged::{
     ChaosSource, FaultProfile, KillSwitch, PageError, PagedBatch, PagedSource, ShardKey,
 };
@@ -388,7 +389,7 @@ impl DataSources<'_> {
                 remove_chain(&spec.path);
             }
         }
-        let (subgraph, txlist, market) = crawls?;
+        let (subgraph, txlist, market, timings) = crawls?;
 
         // Gaps concatenate in collection order (subgraph, txlist, market)
         // — deterministic because each crawl's gaps already merge in
@@ -435,11 +436,6 @@ impl DataSources<'_> {
                 lost_items: crawl_report.lost_items_estimate,
             });
         }
-        let timings = CrawlTimings {
-            subgraph: subgraph.elapsed,
-            txlist: txlist.elapsed,
-            market: market.elapsed,
-        };
         let dataset = Dataset {
             domains: subgraph.items,
             transactions: txlist.map,
@@ -490,10 +486,11 @@ impl DataSources<'_> {
         Ok((resumed, Some(journal)))
     }
 
-    /// The three crawls, in collection order. Shards in `done` are spliced
-    /// instead of refetched, and every newly completed shard goes to the
-    /// `journal`, whose errors abort collection at the next phase boundary
-    /// (commit hooks cannot propagate them through the crawler).
+    /// The three crawls, in collection order, and their wall times. Shards
+    /// in `done` are spliced instead of refetched, and every newly
+    /// completed shard goes to the `journal`, whose errors abort collection
+    /// at the next phase boundary (commit hooks cannot propagate them
+    /// through the crawler).
     #[allow(clippy::type_complexity)]
     fn crawl_sources(
         &self,
@@ -506,6 +503,7 @@ impl DataSources<'_> {
             Crawled<DomainRecord>,
             KeyedCrawl<Address, Transaction>,
             Crawled<MarketEvent>,
+            CrawlTimings,
         ),
         CollectError,
     > {
@@ -533,7 +531,7 @@ impl DataSources<'_> {
         };
 
         let subgraph = Endpoint::new(self.subgraph, derive("subgraph"), kill.clone());
-        let subgraph = metered_crawl(
+        let (subgraph, subgraph_time) = metered_crawl(
             metrics,
             "subgraph",
             |c: &Crawled<_>| (&c.stats, &c.gaps),
@@ -561,7 +559,7 @@ impl DataSources<'_> {
                 (a, Endpoint::new(source, profile, kill.clone()))
             })
             .collect();
-        let txlist = metered_crawl(
+        let (txlist, txlist_time) = metered_crawl(
             metrics,
             "txlist",
             |c: &KeyedCrawl<_, _>| (&c.stats, &c.gaps),
@@ -579,7 +577,7 @@ impl DataSources<'_> {
         phase_done(true)?;
 
         let market = Endpoint::new(self.opensea, derive("market"), kill.clone());
-        let market = metered_crawl(
+        let (market, market_time) = metered_crawl(
             metrics,
             "market",
             |c: &Crawled<_>| (&c.stats, &c.gaps),
@@ -596,24 +594,31 @@ impl DataSources<'_> {
             },
         )?;
         phase_done(false)?;
-        Ok((subgraph, txlist, market))
+        let timings = CrawlTimings {
+            subgraph: subgraph_time,
+            txlist: txlist_time,
+            market: market_time,
+        };
+        Ok((subgraph, txlist, market, timings))
     }
 }
 
-/// Runs one source's crawl under its `crawl/<source>` span and records its
-/// merged accounting (pages, items, retries by kind, virtual backoff, gaps,
-/// lost-item estimates) into `metrics` — from the error's partial
-/// accounting when the crawl failed. The recording happens once, from the
-/// post-merge totals, so the recorded values inherit the crawl's
-/// thread-count independence.
+/// Runs one source's crawl under its `crawl/<source>` span, returning it
+/// with its wall time, and records its merged accounting (pages, items,
+/// retries by kind, virtual backoff, gaps, lost-item estimates) into
+/// `metrics` — from the error's partial accounting when the crawl failed.
+/// The recording happens once, from the post-merge totals, so the recorded
+/// values inherit the crawl's thread-count independence.
 fn metered_crawl<R>(
     metrics: &Metrics,
     source: &str,
     accounting: impl Fn(&R) -> (&SourceStats, &Vec<CrawlGap>),
     crawl: impl FnOnce() -> Result<R, CrawlError>,
-) -> Result<R, CrawlError> {
+) -> Result<(R, Duration), CrawlError> {
     let span = metrics.span(&format!("crawl/{source}"));
+    let started = Instant::now();
     let result = crawl();
+    let elapsed = started.elapsed();
     let (stats, gaps) = match &result {
         Ok(crawled) => accounting(crawled),
         Err(e) => (&e.stats, &e.gaps),
@@ -642,7 +647,7 @@ fn metered_crawl<R>(
             metrics.incr(&key(&format!("gaps_by_kind/{}", gap.kind.metric_key())));
         }
     }
-    result
+    result.map(|crawled| (crawled, elapsed))
 }
 
 /// An endpoint as one collection run crawls it: bare, or wrapped in a
@@ -691,7 +696,10 @@ impl<S: PagedSource> PagedSource for Endpoint<S> {
 /// A clean, sequential collection from `world`'s endpoints, its subgraph
 /// indexed under `subgraph` — the dataset most unit tests start from.
 #[cfg(test)]
-pub(crate) fn collect_clean(world: &workload::World, subgraph: SubgraphConfig) -> Dataset {
+pub(crate) fn collect_clean(
+    world: &workload::World,
+    subgraph: ens_subgraph::SubgraphConfig,
+) -> Dataset {
     let sg = world.subgraph(subgraph);
     let scan = world.etherscan();
     let (ds, _) = Dataset::try_collect_with(
@@ -703,12 +711,6 @@ pub(crate) fn collect_clean(world: &workload::World, subgraph: SubgraphConfig) -
     )
     .expect("clean endpoints cannot fail");
     ds
-}
-
-/// Builds a subgraph with the paper's default loss model from raw events —
-/// a convenience for examples.
-pub fn default_subgraph(events: &[ens_registry::EnsEvent]) -> Subgraph {
-    Subgraph::index(events, SubgraphConfig::default())
 }
 
 #[cfg(test)]

@@ -164,33 +164,32 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
 }
 
 impl Dataset {
-    /// Serializes the dataset into `format`'s in-memory bytes.
-    pub fn to_bytes(&self, format: Format) -> Result<Vec<u8>, StorageError> {
-        self.to_bytes_metered(format, &Metrics::disabled())
-    }
-
-    /// [`Dataset::to_bytes`] recording encode metrics.
-    pub fn to_bytes_metered(
-        &self,
-        format: Format,
-        metrics: &Metrics,
-    ) -> Result<Vec<u8>, StorageError> {
+    /// Serializes the dataset into `format`'s in-memory bytes, recording
+    /// encode metrics.
+    fn encode(&self, format: Format, metrics: &Metrics) -> Result<Vec<u8>, StorageError> {
         Ok(match format {
             Format::Json => self.to_json()?.into_bytes(),
-            Format::Columnar => self.to_columnar_metered(metrics)?,
+            Format::Columnar => self.to_columnar(metrics)?,
         })
     }
 
-    /// Deserializes a dataset from bytes, auto-detecting the format (see
-    /// [`Format::detect`]).
+    /// Serializes the dataset into `format`'s in-memory bytes: a forward
+    /// kept for `perfbench/tracer`, deleted with ROADMAP item 1b.
+    pub fn to_bytes(&self, format: Format) -> Result<Vec<u8>, StorageError> {
+        self.encode(format, &Metrics::disabled())
+    }
+
+    /// [`Dataset::from_bytes_metered`] without metrics: a forward kept for
+    /// `perfbench/tracer`, deleted with ROADMAP item 1b.
     pub fn from_bytes(bytes: &[u8]) -> Result<Dataset, StorageError> {
         Dataset::from_bytes_metered(bytes, &Metrics::disabled())
     }
 
-    /// [`Dataset::from_bytes`] recording decode metrics.
+    /// Deserializes a dataset from bytes, auto-detecting the format (see
+    /// [`Format::detect`]) and recording decode metrics.
     pub fn from_bytes_metered(bytes: &[u8], metrics: &Metrics) -> Result<Dataset, StorageError> {
         match Format::detect(bytes) {
-            Format::Columnar => Ok(Dataset::from_columnar_metered(bytes, metrics)?),
+            Format::Columnar => Ok(Dataset::from_columnar(bytes, metrics)?),
             Format::Json => {
                 let text = std::str::from_utf8(bytes).map_err(|e| {
                     StorageError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
@@ -200,20 +199,10 @@ impl Dataset {
         }
     }
 
-    /// Writes the dataset to `path` in `format`.
-    pub fn save(&self, path: &Path, format: Format) -> Result<(), StorageError> {
-        self.save_metered(path, format, &Metrics::disabled())
-    }
-
-    /// [`Dataset::save`] recording encode metrics and a `storage/write`
-    /// span around the file write.
-    pub fn save_metered(
-        &self,
-        path: &Path,
-        format: Format,
-        metrics: &Metrics,
-    ) -> Result<(), StorageError> {
-        let bytes = self.to_bytes_metered(format, metrics)?;
+    /// Writes the dataset to `path` in `format`, recording encode metrics
+    /// and a `storage/write` span around the file write.
+    pub fn save(&self, path: &Path, format: Format, metrics: &Metrics) -> Result<(), StorageError> {
+        let bytes = self.encode(format, metrics)?;
         let _span = metrics.span("storage/write");
         write_atomic(path, &bytes)
     }
@@ -221,13 +210,7 @@ impl Dataset {
     /// Reads a dataset from `path`, auto-detecting the format from the
     /// file's magic bytes (the extension is never consulted).
     pub fn load(path: &Path) -> Result<Dataset, StorageError> {
-        Dataset::load_metered(path, &Metrics::disabled())
-    }
-
-    /// [`Dataset::load`] recording decode metrics.
-    pub fn load_metered(path: &Path, metrics: &Metrics) -> Result<Dataset, StorageError> {
-        let bytes = std::fs::read(path)?;
-        Dataset::from_bytes_metered(&bytes, metrics)
+        Dataset::from_bytes(&std::fs::read(path)?)
     }
 }
 

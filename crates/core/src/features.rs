@@ -12,14 +12,11 @@ use std::collections::HashSet;
 use ens_obs::Metrics;
 use ens_subgraph::DomainRecord;
 use ens_types::{keccak256, LabelHash, Timestamp};
-use price_oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::index::AnalysisIndex;
-use crate::registrations::{
-    classify, classify_with_detected, effective_owner_at_expiry, DomainOutcome,
-};
+use crate::registrations::{classify_with_detected, effective_owner_at_expiry, DomainOutcome};
 use crate::shard::shard_map;
 use crate::stats::{two_proportion_z_test, welch_t_test, Ecdf, TestResult};
 
@@ -59,7 +56,7 @@ pub struct DomainFeatures {
 /// its first (expired) registration — everything a feature vector needs
 /// except the transactional queries.
 #[allow(clippy::type_complexity)]
-fn feature_frame(
+pub(crate) fn feature_frame(
     record: &DomainRecord,
 ) -> Option<(
     ens_types::Address,
@@ -99,7 +96,7 @@ fn feature_frame(
 }
 
 #[allow(clippy::type_complexity)]
-fn assemble_features(
+pub(crate) fn assemble_features(
     lex: Option<(
         String,
         usize,
@@ -133,35 +130,11 @@ fn assemble_features(
     }
 }
 
-/// Extracts the feature vector for the first (expired) registration period
-/// of a domain — the naive baseline path: three separate scans of the
-/// owner's full transaction vector (income, unique senders, count).
-pub fn extract_features(
-    dataset: &Dataset,
-    oracle: &PriceOracle,
-    record: &DomainRecord,
-) -> Option<DomainFeatures> {
-    let (owner, window, lex) = feature_frame(record)?;
-    let window = Some(window);
-    let income_usd = dataset.income_usd(owner, window, oracle).as_dollars_f64();
-    let num_unique_senders = dataset.unique_senders(owner, window);
-    let num_transactions = dataset.incoming(owner, window).count();
-    Some(assemble_features(
-        lex,
-        income_usd,
-        num_unique_senders,
-        num_transactions,
-    ))
-}
-
-/// [`extract_features`] on the analysis substrate: income and transaction
-/// count come from a single prefix-sum range lookup (the seed scanned the
-/// vector once for income and again for the count), unique senders from
-/// the same pre-filtered slice.
-pub fn extract_features_with(
-    index: &AnalysisIndex,
-    record: &DomainRecord,
-) -> Option<DomainFeatures> {
+/// The feature vector for the first (expired) registration period of a
+/// domain, on the analysis substrate: income and transaction count come
+/// from a single prefix-sum range lookup, unique senders from the same
+/// pre-filtered slice.
+fn extract_features(index: &AnalysisIndex, record: &DomainRecord) -> Option<DomainFeatures> {
     let (owner, window, lex) = feature_frame(record)?;
     let window = Some(window);
     let (income, num_transactions) = index.income_and_count(owner, window);
@@ -248,7 +221,7 @@ impl FeatureComparison {
 /// Deterministic pseudo-random sampling of `k` items, keyed by each item's
 /// label hash and a seed — the stand-in for the paper's "randomly sampled"
 /// control group that keeps every run reproducible.
-fn sample_control(pool: Vec<&DomainRecord>, k: usize, seed: u64) -> Vec<&DomainRecord> {
+pub(crate) fn sample_control(pool: Vec<&DomainRecord>, k: usize, seed: u64) -> Vec<&DomainRecord> {
     let mut keyed: Vec<(u64, &DomainRecord)> = pool
         .into_iter()
         .map(|d| {
@@ -263,69 +236,14 @@ fn sample_control(pool: Vec<&DomainRecord>, k: usize, seed: u64) -> Vec<&DomainR
     keyed.into_iter().take(k).map(|(_, d)| d).collect()
 }
 
-/// Runs the full §4.3 comparison on the naive baseline path: per-domain
-/// re-registration detection for the group split and triple full-vector
-/// scans per feature vector, sequentially. Kept as the reference
-/// implementation the equivalence tests and `BENCH_analysis.json` regress
-/// against.
-pub fn compare_features_naive(
-    dataset: &Dataset,
-    oracle: &PriceOracle,
-    control_seed: u64,
-) -> FeatureComparison {
-    let mut rereg: Vec<&DomainRecord> = Vec::new();
-    let mut expired_pool: Vec<&DomainRecord> = Vec::new();
-    for d in &dataset.domains {
-        match classify(d, dataset.observation_end) {
-            DomainOutcome::ReRegistered => rereg.push(d),
-            DomainOutcome::ExpiredNotReRegistered => expired_pool.push(d),
-            DomainOutcome::ActiveOriginal => {}
-        }
-    }
-    let control = sample_control(expired_pool, rereg.len(), control_seed);
-
-    let f_rereg: Vec<DomainFeatures> = rereg
-        .iter()
-        .filter_map(|d| extract_features(dataset, oracle, d))
-        .collect();
-    let f_control: Vec<DomainFeatures> = control
-        .iter()
-        .filter_map(|d| extract_features(dataset, oracle, d))
-        .collect();
-    build_comparison(f_rereg, f_control)
-}
-
-/// Runs the full §4.3 comparison. Builds a one-shot [`AnalysisIndex`];
-/// callers running multiple passes should build the index once and use
-/// [`compare_features_with`].
-pub fn compare_features(
-    dataset: &Dataset,
-    oracle: &PriceOracle,
-    control_seed: u64,
-) -> FeatureComparison {
-    let index = AnalysisIndex::build(dataset, oracle);
-    compare_features_with(dataset, control_seed, &index, 1)
-}
-
-/// Runs the full §4.3 comparison on the analysis substrate: the group
+/// Runs the full §4.3 comparison on the analysis substrate under a
+/// `features` span, recording group sizes and extraction counts: the group
 /// split reuses the index's re-registration list instead of re-detecting
-/// per domain, and the per-domain feature extraction fans across
-/// `threads` scoped workers with a deterministic ordered merge. The
-/// comparison is identical to [`compare_features_naive`] at any thread
-/// count.
-pub fn compare_features_with(
-    dataset: &Dataset,
-    control_seed: u64,
-    index: &AnalysisIndex,
-    threads: usize,
-) -> FeatureComparison {
-    compare_features_metered(dataset, control_seed, index, threads, &Metrics::disabled())
-}
-
-/// [`compare_features_with`] under a `features` span, recording group
-/// sizes and extraction counts. Per-shard feature vectors merge in input
-/// order, so the recorded metrics are byte-identical at any thread count.
-pub fn compare_features_metered(
+/// per domain, and the per-domain feature extraction fans across `threads`
+/// scoped workers. Per-shard feature vectors merge in input order, so the
+/// comparison (identical to [`naive::compare_features`](crate::naive::compare_features))
+/// and the recorded metrics are byte-identical at any thread count.
+pub fn compare_features(
     dataset: &Dataset,
     control_seed: u64,
     index: &AnalysisIndex,
@@ -357,7 +275,7 @@ pub fn compare_features_metered(
     }
 
     let extract = |domains: &[&DomainRecord]| -> Vec<DomainFeatures> {
-        shard_map(domains, threads, |d| extract_features_with(index, d))
+        shard_map(domains, threads, |d| extract_features(index, d))
             .into_iter()
             .flatten()
             .collect()
@@ -378,10 +296,21 @@ pub fn compare_features_metered(
     comparison
 }
 
+/// [`compare_features`] without metrics: a forward kept for
+/// `perfbench/tracer`, deleted with ROADMAP item 1b.
+pub fn compare_features_with(
+    dataset: &Dataset,
+    control_seed: u64,
+    index: &AnalysisIndex,
+    threads: usize,
+) -> FeatureComparison {
+    compare_features(dataset, control_seed, index, threads, &Metrics::disabled())
+}
+
 /// Builds Table 1 and the Fig 6 distributions from the two groups'
 /// feature vectors — shared by the naive and indexed paths so their
 /// outputs are byte-identical by construction.
-fn build_comparison(
+pub(crate) fn build_comparison(
     f_rereg: Vec<DomainFeatures>,
     f_control: Vec<DomainFeatures>,
 ) -> FeatureComparison {
@@ -447,11 +376,6 @@ fn build_comparison(
     }
 }
 
-/// True for timestamps the comparison should treat as observable.
-pub fn within_window(t: Timestamp, observation_end: Timestamp) -> bool {
-    t < observation_end
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,7 +386,8 @@ mod tests {
     fn comparison() -> FeatureComparison {
         let world = WorldConfig::default().with_seed(50).build();
         let ds = collect_clean(&world, SubgraphConfig::lossless());
-        compare_features(&ds, world.oracle(), 7)
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
+        compare_features(&ds, 7, &index, 1, &Metrics::disabled())
     }
 
     #[test]
@@ -558,9 +483,11 @@ mod tests {
     fn control_sampling_is_deterministic_but_seed_sensitive() {
         let world = WorldConfig::small().with_seed(51).build();
         let ds = collect_clean(&world, SubgraphConfig::lossless());
-        let a = compare_features(&ds, world.oracle(), 1);
-        let b = compare_features(&ds, world.oracle(), 1);
-        let c = compare_features(&ds, world.oracle(), 2);
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
+        let compare = |seed| compare_features(&ds, seed, &index, 1, &Metrics::disabled());
+        let a = compare(1);
+        let b = compare(1);
+        let c = compare(2);
         let income = |x: &FeatureComparison| match x.row("average_income_USD").unwrap() {
             FeatureRow::Numeric { mean_control, .. } => *mean_control,
             _ => unreachable!(),

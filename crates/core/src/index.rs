@@ -200,28 +200,14 @@ pub struct AnalysisIndex {
 }
 
 impl AnalysisIndex {
-    /// Builds the index on one thread.
-    pub fn build(dataset: &Dataset, oracle: &PriceOracle) -> AnalysisIndex {
-        AnalysisIndex::build_with_threads(dataset, oracle, 1)
-    }
-
     /// Builds the index with the per-address work (filter, sort, USD
-    /// memoization) sharded across `threads` scoped workers. Any thread
-    /// count produces the identical index.
-    pub fn build_with_threads(
-        dataset: &Dataset,
-        oracle: &PriceOracle,
-        threads: usize,
-    ) -> AnalysisIndex {
-        AnalysisIndex::build_metered(dataset, oracle, threads, &Metrics::disabled())
-    }
-
-    /// [`AnalysisIndex::build_with_threads`] under an `index` span with one
-    /// child span per build phase (price-table materialization, sharded
-    /// per-address build, re-registration detection), recording size and
-    /// price-memoization counters. The index itself is identical to the
-    /// unmetered build.
-    pub fn build_metered(
+    /// memoization) sharded across `threads` scoped workers, under an
+    /// `index` span with one child span per build phase (price-table
+    /// materialization, sharded per-address build, re-registration
+    /// detection), recording size and price-memoization counters. Any
+    /// thread count, with or without live `metrics`, produces the
+    /// identical index.
+    pub fn build(
         dataset: &Dataset,
         oracle: &PriceOracle,
         threads: usize,
@@ -293,6 +279,16 @@ impl AnalysisIndex {
             transfers_indexed,
             queries: Arc::new(QueryCounters::default()),
         }
+    }
+
+    /// [`AnalysisIndex::build`] without metrics: a forward kept for
+    /// `perfbench/tracer`, deleted with ROADMAP item 1b.
+    pub fn build_with_threads(
+        dataset: &Dataset,
+        oracle: &PriceOracle,
+        threads: usize,
+    ) -> AnalysisIndex {
+        AnalysisIndex::build(dataset, oracle, threads, &Metrics::disabled())
     }
 
     /// Drains the raw window-query tallies accumulated since the last
@@ -439,11 +435,6 @@ pub struct OutgoingIndex {
 }
 
 impl OutgoingIndex {
-    /// Builds the outgoing index on one thread.
-    pub fn build(dataset: &Dataset, oracle: &PriceOracle) -> OutgoingIndex {
-        OutgoingIndex::build_with_threads(dataset, oracle, 1)
-    }
-
     /// Builds the outgoing index sharded across `threads` scoped workers;
     /// any thread count produces the identical index (the same
     /// [`shard_map`](crate::shard_map) as the incoming build).
@@ -560,7 +551,7 @@ mod tests {
     #[test]
     fn indexed_incoming_matches_naive_for_every_address_and_window() {
         let (world, ds) = dataset();
-        let index = AnalysisIndex::build(&ds, world.oracle());
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
         let end = ds.observation_end;
         let mid = Timestamp(end.0 / 2);
         let windows = [
@@ -602,7 +593,7 @@ mod tests {
     #[test]
     fn memoized_usd_matches_the_oracle() {
         let (world, ds) = dataset();
-        let index = AnalysisIndex::build(&ds, world.oracle());
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
         for &addr in ds.transactions.keys() {
             for t in index.incoming(addr, None) {
                 assert_eq!(t.usd, world.oracle().to_usd(t.value, t.timestamp));
@@ -613,9 +604,9 @@ mod tests {
     #[test]
     fn sharded_build_is_identical_to_sequential() {
         let (world, ds) = dataset();
-        let a = AnalysisIndex::build_with_threads(&ds, world.oracle(), 1);
+        let a = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
         for threads in [2, 3, 8] {
-            let b = AnalysisIndex::build_with_threads(&ds, world.oracle(), threads);
+            let b = AnalysisIndex::build(&ds, world.oracle(), threads, &Metrics::disabled());
             assert_eq!(a.indexed_addresses(), b.indexed_addresses());
             assert_eq!(a.indexed_transfers(), b.indexed_transfers());
             assert_eq!(a.reregistrations(), b.reregistrations());
@@ -628,14 +619,14 @@ mod tests {
     #[test]
     fn reregistrations_match_detect_all() {
         let (world, ds) = dataset();
-        let index = AnalysisIndex::build(&ds, world.oracle());
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
         assert_eq!(index.reregistrations(), detect_all(&ds.domains).as_slice());
     }
 
     #[test]
     fn rereg_lookups_agree_with_linear_scans() {
         let (world, ds) = dataset();
-        let index = AnalysisIndex::build(&ds, world.oracle());
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
         let all = index.reregistrations();
         assert!(!all.is_empty(), "fixture has catches");
         for r in all {
@@ -664,7 +655,7 @@ mod tests {
     #[test]
     fn outgoing_index_matches_a_naive_filter_at_any_thread_count() {
         let (world, ds) = dataset();
-        let baseline = OutgoingIndex::build(&ds, world.oracle());
+        let baseline = OutgoingIndex::build_with_threads(&ds, world.oracle(), 1);
         assert!(
             baseline.indexed_transfers() > 0,
             "the fixture world has outgoing transfer rows"
@@ -734,7 +725,7 @@ mod tests {
     #[test]
     fn unknown_addresses_are_empty() {
         let (world, ds) = dataset();
-        let index = AnalysisIndex::build(&ds, world.oracle());
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
         let nobody = Address::derive(b"nobody-at-all");
         assert!(index.incoming(nobody, None).is_empty());
         assert_eq!(index.income_usd(nobody, None), UsdCents::ZERO);

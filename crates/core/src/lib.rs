@@ -26,6 +26,8 @@
 //! - [`resale`] — §4.2: the OpenSea listing/sale join;
 //! - [`countermeasures`] — Appendix B's Table 2 and §6's proposed wallet
 //!   warning, *evaluated* rather than just proposed;
+//! - [`naive`] — the pre-index reference passes the equivalence tests and
+//!   the analysis bench compare the production passes against;
 //! - [`query`] — the read-only serving layer shared with `ens-serve`:
 //!   typed [`QueryError`](query::QueryError)s, the name → domain
 //!   directory, ownership/premium-status accessors;
@@ -57,6 +59,7 @@ pub mod export;
 pub mod features;
 pub mod index;
 pub mod losses;
+pub mod naive;
 pub mod overview;
 pub mod pipeline;
 pub mod query;
@@ -79,23 +82,21 @@ pub use dataset::{CollectError, CrawlConfig, DataSources, Dataset};
 pub use ens_obs::{Metrics, MetricsSnapshot};
 pub use export::{CsvArtifact, Format, StorageError};
 pub use features::{
-    compare_features, compare_features_metered, compare_features_naive, compare_features_with,
-    extract_features, extract_features_with, DomainFeatures, FeatureComparison, FeatureRow,
+    compare_features, compare_features_with, DomainFeatures, FeatureComparison, FeatureRow,
 };
 pub use index::{AnalysisIndex, IndexedTransfer, OutgoingIndex};
 pub use losses::{
-    analyze_losses, analyze_losses_metered, analyze_losses_naive, analyze_losses_with,
-    upper_bound_losses, upper_bound_losses_with, DomainLoss, LossReport, SenderKind,
+    analyze_losses, analyze_losses_with, upper_bound_losses, DomainLoss, LossReport, SenderKind,
     UpperBoundLoss,
 };
-pub use overview::{overview, overview_from, overview_from_metered, OverviewReport};
-pub use pipeline::{run_study, run_study_on, run_study_on_naive, StudyConfig, StudyReport};
+pub use overview::{overview, overview_from, OverviewReport};
+pub use pipeline::{run_study, run_study_on, StudyConfig, StudyReport};
 pub use query::{
     current_owner, domain_status, parse_address, parse_window, DomainStatus, NameDirectory,
     QueryError, REPORT_SECTIONS,
 };
 pub use registrations::{
-    classify, classify_with_detected, detect_all, detect_all_with_threads, detect_reregistrations,
+    classify, classify_with_detected, detect_all, detect_reregistrations,
     detect_reregistrations_ignoring_transfers, window_contains, DomainOutcome, ReRegistration,
 };
 pub use resale::{analyze_resales, ResaleReport};

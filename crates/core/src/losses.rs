@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use ens_types::{Address, LabelHash, Timestamp};
+use ens_types::{Address, LabelHash, Timestamp, UsdCents};
 use etherscan_sim::LabelService;
 use price_oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
@@ -237,9 +237,9 @@ pub struct UpperBoundLoss {
     pub per_domain_usd: Vec<f64>,
 }
 
-/// Computes the upper-bound estimate over all re-registrations — the naive
-/// baseline path, which re-detects re-registrations and filter-scans whole
-/// transaction vectors. Prefer [`upper_bound_losses_with`].
+/// Computes the upper-bound estimate over all re-registrations. It
+/// re-detects re-registrations and filter-scans whole transaction vectors:
+/// it runs only in the ablations, never in the study.
 pub fn upper_bound_losses(dataset: &Dataset, oracle: &PriceOracle) -> UpperBoundLoss {
     let rereg = detect_all(&dataset.domains);
     let mut out = UpperBoundLoss::default();
@@ -276,51 +276,14 @@ pub fn upper_bound_losses(dataset: &Dataset, oracle: &PriceOracle) -> UpperBound
     out
 }
 
-/// [`upper_bound_losses`] on the analysis substrate: the re-registration
-/// list comes from the index (detected once per study) and every window
-/// query is a binary-search slice with memoized USD valuations.
-pub fn upper_bound_losses_with(dataset: &Dataset, index: &AnalysisIndex) -> UpperBoundLoss {
-    let mut out = UpperBoundLoss::default();
-    let mut seen: std::collections::HashSet<(Address, Address, u64)> = Default::default();
-    for r in index.reregistrations() {
-        let a2 = r.new_owner;
-        let known: std::collections::HashSet<Address> = index
-            .incoming(a2, Some(r.prev_window()))
-            .iter()
-            .map(|tx| tx.from)
-            .collect();
-        let mut domain_usd = 0.0;
-        for tx in index.incoming(a2, Some(r.new_window())) {
-            if known.contains(&tx.from)
-                || tx.from == r.prev_wallet
-                || dataset.labels.is_non_coinbase_custodial(tx.from)
-            {
-                continue;
-            }
-            if !seen.insert((a2, tx.from, tx.timestamp.0)) {
-                continue;
-            }
-            let usd = tx.usd.as_dollars_f64();
-            domain_usd += usd;
-            out.txs += 1;
-            out.total_usd += usd;
-        }
-        if domain_usd > 0.0 {
-            out.domains += 1;
-            out.per_domain_usd.push(domain_usd);
-        }
-    }
-    out
-}
-
 /// Fig 7: funds sent to the lapsed wallet between expiry and the next
-/// registration (or the window end for never-re-registered names). The
-/// expiry-gap income query is either a naive full-vector filter (`None`
-/// index — the baseline path) or an O(log n) prefix-sum lookup.
-fn hijackable_funds_inner(
+/// registration (or the window end for never-re-registered names), valued
+/// by `income_usd(wallet, window)` — [`AnalysisIndex::income_usd`]'s
+/// O(log n) prefix sums on the study path, [`Dataset::income_usd`]'s
+/// full-vector filter in the naive reference.
+pub fn hijackable_funds(
     dataset: &Dataset,
-    oracle: &PriceOracle,
-    index: Option<&AnalysisIndex>,
+    income_usd: impl Fn(Address, (Timestamp, Timestamp)) -> UsdCents,
 ) -> Fig7Hijackable {
     let mut fig = Fig7Hijackable::default();
     for d in &dataset.domains {
@@ -343,32 +306,13 @@ fn hijackable_funds_inner(
                 .or_else(|| crate::registrations::effective_owner_at_expiry(d, idx));
             let Some(wallet) = wallet else { continue };
             fig.domains_considered += 1;
-            let window = Some((expiry, gap_end));
-            let usd = match index {
-                Some(ix) => ix.income_usd(wallet, window),
-                None => dataset.income_usd(wallet, window, oracle),
-            }
-            .as_dollars_f64();
+            let usd = income_usd(wallet, (expiry, gap_end)).as_dollars_f64();
             if usd > 0.0 {
                 fig.usd_per_domain.push(usd);
             }
         }
     }
     fig
-}
-
-/// Fig 7 on the naive path (full-vector filters, per-call USD pricing).
-pub fn hijackable_funds(dataset: &Dataset, oracle: &PriceOracle) -> Fig7Hijackable {
-    hijackable_funds_inner(dataset, oracle, None)
-}
-
-/// Fig 7 on the analysis substrate.
-pub fn hijackable_funds_with(
-    dataset: &Dataset,
-    oracle: &PriceOracle,
-    index: &AnalysisIndex,
-) -> Fig7Hijackable {
-    hijackable_funds_inner(dataset, oracle, Some(index))
 }
 
 /// Classifies a sender address.
@@ -382,68 +326,10 @@ fn sender_kind(labels: &LabelService, addr: Address) -> SenderKind {
     }
 }
 
-/// Finds common senders for one re-registration.
-fn common_senders_for(
-    dataset: &Dataset,
-    oracle: &PriceOracle,
-    r: &ReRegistration,
-) -> Vec<CommonSender> {
-    let a1 = r.prev_wallet;
-    let a2 = r.new_owner;
-    if a1 == a2 {
-        return Vec::new();
-    }
-
-    // Senders to a1 inside the half-open `[0, at)` window, and whether
-    // they ever sent to a1 afterwards (which disqualifies them). A tx at
-    // exactly `r.at` is outside `prev_window` — new-owner side only.
-    let mut to_prev: HashMap<Address, usize> = HashMap::new();
-    let mut disqualified: Vec<Address> = Vec::new();
-    for tx in dataset.incoming(a1, None) {
-        if tx.from == a2 {
-            continue;
-        }
-        if window_contains(r.prev_window(), tx.timestamp) {
-            *to_prev.entry(tx.from).or_default() += 1;
-        } else {
-            disqualified.push(tx.from);
-        }
-    }
-    for d in disqualified {
-        to_prev.remove(&d);
-    }
-    if to_prev.is_empty() {
-        return Vec::new();
-    }
-
-    // Senders to a2: count only txs inside the `[at, new_expiry)` tenure;
-    // any earlier tx to a2 means c already knew a2 — not a misdirection.
-    let mut to_new: HashMap<Address, Vec<(Timestamp, f64)>> = HashMap::new();
-    let mut knew_a2: Vec<Address> = Vec::new();
-    for tx in dataset.incoming(a2, None) {
-        if tx.from == a1 {
-            continue;
-        }
-        if window_contains(r.prev_window(), tx.timestamp) {
-            knew_a2.push(tx.from);
-        } else if window_contains(r.new_window(), tx.timestamp) {
-            to_new.entry(tx.from).or_default().push((
-                tx.timestamp,
-                oracle.to_usd(tx.value, tx.timestamp).as_dollars_f64(),
-            ));
-        }
-    }
-    for k in knew_a2 {
-        to_new.remove(&k);
-    }
-
-    finish_common_senders(&dataset.labels, to_prev, to_new)
-}
-
-/// [`common_senders_for`] on the analysis substrate: both address scans
-/// become walks over the pre-filtered incoming slices, with the USD value
-/// of every `c → a2` transfer already memoized.
-fn common_senders_with(
+/// Finds the common senders for one re-registration by walking the two
+/// wallets' pre-filtered incoming slices, with the USD value of every
+/// `c → a2` transfer already memoized.
+fn common_senders(
     dataset: &Dataset,
     index: &AnalysisIndex,
     r: &ReRegistration,
@@ -502,7 +388,7 @@ fn common_senders_with(
 
 /// Joins the qualified-sender maps into the sorted finding list, *moving*
 /// each sender's transfer vector out of the map instead of cloning it.
-fn finish_common_senders(
+pub(crate) fn finish_common_senders(
     labels: &LabelService,
     to_prev: HashMap<Address, usize>,
     mut to_new: HashMap<Address, Vec<(Timestamp, f64)>>,
@@ -525,52 +411,14 @@ fn finish_common_senders(
     out
 }
 
-/// Runs the full §4.4 analysis on the naive baseline path: re-detects
-/// re-registrations and filter-scans the full transaction vectors for
-/// every one of them, sequentially. Kept as the reference implementation
-/// the equivalence tests and `BENCH_analysis.json` regress against.
-pub fn analyze_losses_naive(dataset: &Dataset, oracle: &PriceOracle) -> LossReport {
-    let rereg = detect_all(&dataset.domains);
-    let senders_per: Vec<Vec<CommonSender>> = rereg
-        .iter()
-        .map(|r| common_senders_for(dataset, oracle, r))
-        .collect();
-    assemble_loss_report(
-        &rereg,
-        senders_per,
-        oracle,
-        hijackable_funds(dataset, oracle),
-    )
-}
-
-/// Runs the full §4.4 analysis. Builds a one-shot [`AnalysisIndex`];
-/// callers running multiple passes should build the index once and use
-/// [`analyze_losses_with`].
-pub fn analyze_losses(dataset: &Dataset, oracle: &PriceOracle) -> LossReport {
-    let index = AnalysisIndex::build(dataset, oracle);
-    analyze_losses_with(dataset, oracle, &index, 1)
-}
-
-/// Runs the full §4.4 analysis on the analysis substrate, fanning the
-/// per-re-registration common-sender search across `threads` scoped
-/// workers with a deterministic ordered merge — the report is identical
-/// to [`analyze_losses_naive`] at any thread count.
-pub fn analyze_losses_with(
-    dataset: &Dataset,
-    oracle: &PriceOracle,
-    index: &AnalysisIndex,
-    threads: usize,
-) -> LossReport {
-    analyze_losses_metered(dataset, oracle, index, threads, &Metrics::disabled())
-}
-
-/// [`analyze_losses_with`] under a `losses` span, recording pass-level
-/// counters and the per-re-registration common-sender histogram. The
-/// per-re-registration outputs come back from [`shard_map`](crate::shard_map)
-/// in input order, so they are observed in a sequence independent of the
-/// thread count — the recorded metrics (like the report itself) are
-/// byte-identical at any `threads` value.
-pub fn analyze_losses_metered(
+/// Runs the full §4.4 analysis on the analysis substrate under a `losses`
+/// span, fanning the per-re-registration common-sender search across
+/// `threads` scoped workers, and records pass-level counters and the
+/// per-re-registration common-sender histogram. The per-re-registration
+/// outputs come back from [`shard_map`](crate::shard_map) in input order,
+/// so the report (identical to [`naive::analyze_losses`](crate::naive::analyze_losses))
+/// and the recorded metrics are byte-identical at any `threads` value.
+pub fn analyze_losses(
     dataset: &Dataset,
     oracle: &PriceOracle,
     index: &AnalysisIndex,
@@ -579,7 +427,7 @@ pub fn analyze_losses_metered(
 ) -> LossReport {
     let span = metrics.span("losses");
     let rereg = index.reregistrations();
-    let senders_per = shard_map(rereg, threads, |r| common_senders_with(dataset, index, r));
+    let senders_per = shard_map(rereg, threads, |r| common_senders(dataset, index, r));
     if metrics.is_enabled() {
         metrics.add("losses/reregistrations_scanned", rereg.len() as u64);
         metrics.add(
@@ -595,7 +443,9 @@ pub fn analyze_losses_metered(
         rereg,
         senders_per,
         oracle,
-        hijackable_funds_with(dataset, oracle, index),
+        hijackable_funds(dataset, |wallet, window| {
+            index.income_usd(wallet, Some(window))
+        }),
     );
     if metrics.is_enabled() {
         metrics.add("losses/findings", report.findings.len() as u64);
@@ -612,10 +462,21 @@ pub fn analyze_losses_metered(
     report
 }
 
+/// [`analyze_losses`] without metrics: a forward kept for
+/// `perfbench/tracer`, deleted with ROADMAP item 1b.
+pub fn analyze_losses_with(
+    dataset: &Dataset,
+    oracle: &PriceOracle,
+    index: &AnalysisIndex,
+    threads: usize,
+) -> LossReport {
+    analyze_losses(dataset, oracle, index, threads, &Metrics::disabled())
+}
+
 /// Folds the per-re-registration findings (in detection order) into the
 /// final report — shared by the naive and indexed paths so their outputs
 /// are byte-identical by construction.
-fn assemble_loss_report(
+pub(crate) fn assemble_loss_report(
     rereg: &[ReRegistration],
     senders_per: Vec<Vec<CommonSender>>,
     oracle: &PriceOracle,
@@ -713,7 +574,8 @@ mod tests {
     fn world_and_report() -> (workload::World, LossReport) {
         let world = WorldConfig::default().with_seed(60).build();
         let ds = collect_clean(&world, SubgraphConfig::lossless());
-        let report = analyze_losses(&ds, world.oracle());
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
+        let report = analyze_losses(&ds, world.oracle(), &index, 1, &Metrics::disabled());
         (world, report)
     }
 

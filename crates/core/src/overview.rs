@@ -10,7 +10,7 @@ use ens_subgraph::DomainRecord;
 use ens_types::{Address, Duration, Timestamp};
 use serde::{Deserialize, Serialize};
 
-use crate::registrations::{detect_all, ReRegistration};
+use crate::registrations::ReRegistration;
 use crate::stats::Ecdf;
 
 /// One month's counts in Fig 2.
@@ -34,27 +34,15 @@ pub struct Fig2Timeline {
 }
 
 impl Fig2Timeline {
-    /// The month with the most re-registrations (the paper reports a peak
-    /// of 25,193/month).
-    pub fn peak_reregistrations(&self) -> Option<&MonthRow> {
-        self.months.iter().max_by_key(|m| m.reregistrations)
-    }
-
     /// Total registrations across the window.
     pub fn total_registrations(&self) -> usize {
         self.months.iter().map(|m| m.registrations).sum()
     }
 }
 
-/// Builds Fig 2 from domain records, re-detecting re-registrations.
-pub fn fig2_timeline(domains: &[DomainRecord], observation_end: Timestamp) -> Fig2Timeline {
-    fig2_timeline_from(domains, observation_end, &detect_all(domains))
-}
-
-/// Builds Fig 2 from domain records and an already-detected
-/// re-registration list (monthly counts are order-insensitive, so the
-/// result is identical to [`fig2_timeline`]).
-pub fn fig2_timeline_from(
+/// Builds Fig 2 from domain records and their detected re-registrations
+/// (monthly counts are order-insensitive).
+pub fn fig2_timeline(
     domains: &[DomainRecord],
     observation_end: Timestamp,
     rereg: &[ReRegistration],
@@ -222,26 +210,11 @@ pub struct OverviewReport {
     pub reregistrations: Vec<ReRegistration>,
 }
 
-/// Runs §4.1 end to end, detecting re-registrations itself. The study
-/// pipeline detects once per study and calls [`overview_from`] instead.
-pub fn overview(domains: &[DomainRecord], observation_end: Timestamp) -> OverviewReport {
-    overview_from(domains, observation_end, detect_all(domains))
-}
-
-/// Runs §4.1 from an already-detected re-registration list (the seed
-/// recomputed [`detect_all`] here, in the loss pass, and in the feature
-/// split — now it is computed once per study and shared).
-pub fn overview_from(
-    domains: &[DomainRecord],
-    observation_end: Timestamp,
-    rereg: Vec<ReRegistration>,
-) -> OverviewReport {
-    overview_from_metered(domains, observation_end, rereg, &Metrics::disabled())
-}
-
-/// [`overview_from`] under an `overview` span, recording timeline and
+/// Runs §4.1 from an already-detected re-registration list (one
+/// [`detect_all`](crate::registrations::detect_all) per study, shared by
+/// every pass) under an `overview` span, recording timeline and
 /// catcher-concentration counters.
-pub fn overview_from_metered(
+pub fn overview(
     domains: &[DomainRecord],
     observation_end: Timestamp,
     rereg: Vec<ReRegistration>,
@@ -249,7 +222,7 @@ pub fn overview_from_metered(
 ) -> OverviewReport {
     let span = metrics.span("overview");
     let report = OverviewReport {
-        timeline: fig2_timeline_from(domains, observation_end, &rereg),
+        timeline: fig2_timeline(domains, observation_end, &rereg),
         delays: fig3_delays(&rereg),
         domain_frequency: fig4_domain_frequency(&rereg),
         catchers: fig5_catcher_concentration(&rereg),
@@ -270,9 +243,20 @@ pub fn overview_from_metered(
     report
 }
 
+/// [`overview`] without metrics: a forward kept for `perfbench/tracer`,
+/// deleted with ROADMAP item 1b.
+pub fn overview_from(
+    domains: &[DomainRecord],
+    observation_end: Timestamp,
+    rereg: Vec<ReRegistration>,
+) -> OverviewReport {
+    overview(domains, observation_end, rereg, &Metrics::disabled())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registrations::detect_all;
     use ens_subgraph::SubgraphConfig;
     use workload::WorldConfig;
 
@@ -280,7 +264,13 @@ mod tests {
         let world = WorldConfig::small().with_seed(40).build();
         let sg = world.subgraph(SubgraphConfig::lossless());
         let domains: Vec<DomainRecord> = sg.iter().cloned().collect();
-        overview(&domains, world.observation_end())
+        let rereg = detect_all(&domains);
+        overview(
+            &domains,
+            world.observation_end(),
+            rereg,
+            &Metrics::disabled(),
+        )
     }
 
     #[test]

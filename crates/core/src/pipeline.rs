@@ -6,17 +6,13 @@ use ens_types::Duration;
 use price_oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
 
-use crate::countermeasures::{
-    evaluate_countermeasure, evaluate_countermeasure_with, CountermeasureReport,
-};
+use crate::countermeasures::{evaluate_countermeasure_with, CountermeasureReport};
 use crate::crawl::CrawlReport;
 use crate::dataset::{CollectError, DataSources, Dataset};
-use crate::features::{
-    compare_features_metered, compare_features_naive, FeatureComparison, FeatureRow,
-};
+use crate::features::{compare_features, FeatureComparison, FeatureRow};
 use crate::index::AnalysisIndex;
-use crate::losses::{analyze_losses_metered, analyze_losses_naive, LossReport};
-use crate::overview::{overview, overview_from_metered, OverviewReport};
+use crate::losses::{analyze_losses, LossReport};
+use crate::overview::{overview, OverviewReport};
 use crate::resale::{analyze_resales, ResaleReport};
 
 /// Study knobs.
@@ -112,8 +108,8 @@ pub fn run_study(
 /// bench harness times the build separately), otherwise one built here.
 /// The index build and the loss and feature passes shard *internally*
 /// across [`StudyConfig::threads`] workers with ordered merges, so the
-/// report is byte-identical at any thread count — and to
-/// [`run_study_on_naive`]. Every pass records spans and counters into
+/// report is byte-identical at any thread count — and to the reference
+/// study of [`crate::naive`]. Every pass records spans and counters into
 /// `metrics`, and the index's query counters are flushed into it at the
 /// end; instrumentation never changes the report.
 pub fn run_study_on(
@@ -128,19 +124,18 @@ pub fn run_study_on(
     let index = match index {
         Some(index) => index,
         None => {
-            built = AnalysisIndex::build_metered(dataset, oracle, config.threads, metrics);
+            built = AnalysisIndex::build(dataset, oracle, config.threads, metrics);
             &built
         }
     };
-    let overview = overview_from_metered(
+    let overview = overview(
         &dataset.domains,
         dataset.observation_end,
         index.reregistrations().to_vec(),
         metrics,
     );
-    let features =
-        compare_features_metered(dataset, config.control_seed, index, config.threads, metrics);
-    let losses = analyze_losses_metered(dataset, oracle, index, config.threads, metrics);
+    let features = compare_features(dataset, config.control_seed, index, config.threads, metrics);
+    let losses = analyze_losses(dataset, oracle, index, config.threads, metrics);
     let resale = {
         let _span = metrics.span("resale");
         analyze_resales(&overview.reregistrations, &dataset.market)
@@ -158,29 +153,6 @@ pub fn run_study_on(
         );
     }
     index.flush_query_counters(metrics);
-    StudyReport {
-        crawl: dataset.crawl_report.clone(),
-        overview,
-        features,
-        losses,
-        resale,
-        countermeasures,
-    }
-}
-
-/// The pre-index study path, kept as the equivalence baseline: every pass
-/// re-detects re-registrations and re-scans the raw transaction vectors.
-/// Produces a report byte-identical to [`run_study_on`].
-pub fn run_study_on_naive(
-    dataset: &Dataset,
-    oracle: &PriceOracle,
-    config: &StudyConfig,
-) -> StudyReport {
-    let overview = overview(&dataset.domains, dataset.observation_end);
-    let features = compare_features_naive(dataset, oracle, config.control_seed);
-    let losses = analyze_losses_naive(dataset, oracle);
-    let resale = analyze_resales(&overview.reregistrations, &dataset.market);
-    let countermeasures = evaluate_countermeasure(&losses, dataset, config.warning_window);
     StudyReport {
         crawl: dataset.crawl_report.clone(),
         overview,

@@ -166,7 +166,10 @@ pub fn detect_all(domains: &[DomainRecord]) -> Vec<ReRegistration> {
 /// `threads` scoped workers by [`shard_map`](crate::shard_map), results
 /// concatenated in domain order — the output is identical to
 /// [`detect_all`] at any thread count.
-pub fn detect_all_with_threads(domains: &[DomainRecord], threads: usize) -> Vec<ReRegistration> {
+pub(crate) fn detect_all_with_threads(
+    domains: &[DomainRecord],
+    threads: usize,
+) -> Vec<ReRegistration> {
     crate::shard::shard_map(domains, threads, detect_reregistrations)
         .into_iter()
         .flatten()

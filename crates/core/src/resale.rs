@@ -7,7 +7,6 @@ use opensea_sim::{MarketEvent, OpenSea};
 use serde::{Deserialize, Serialize};
 
 use crate::registrations::ReRegistration;
-use crate::stats::Ecdf;
 
 /// §4.2 aggregates.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -37,11 +36,6 @@ impl ResaleReport {
             return 0.0;
         }
         self.sold as f64 / self.listed as f64
-    }
-
-    /// Distribution of sale prices.
-    pub fn price_ecdf(&self) -> Ecdf {
-        Ecdf::new(self.sale_prices_usd.clone())
     }
 }
 

@@ -8,9 +8,13 @@ use std::sync::OnceLock;
 /// skewed input; one item per claim slowed the cheap per-domain detection.
 const BLOCKS_PER_WORKER: usize = 16;
 
-/// Maps `f` over `items` on up to `threads` scoped workers, the calling
-/// thread among them; the result is `items.iter().map(f).collect()` at any
-/// thread count. Workers claim contiguous blocks in input order from one
+/// The most workers one call runs, whatever thread count it is handed, so
+/// no caller can make it start thousands of OS threads.
+const MAX_WORKERS: usize = 64;
+
+/// Maps `f` over `items` on up to `min(threads, items.len(), 64)` scoped
+/// workers, the calling thread among them; the result is
+/// `items.iter().map(f).collect()` at any thread count. Workers claim contiguous blocks in input order from one
 /// counter and write each result into its item's slot, so a worker held up
 /// by one expensive item leaves the rest to the others: skewed work
 /// balances itself, without a cost hint. One thread maps inline.
@@ -20,7 +24,7 @@ where
     R: Send + Sync,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = threads.clamp(1, items.len().max(1));
+    let threads = threads.min(MAX_WORKERS).clamp(1, items.len().max(1));
     if threads == 1 {
         return items.iter().map(f).collect();
     }
@@ -67,5 +71,19 @@ mod tests {
         }
         let empty: Vec<u64> = Vec::new();
         assert!(shard_map(&empty, 4, |x| *x).is_empty());
+    }
+
+    #[test]
+    fn shard_map_runs_at_most_max_workers_threads() {
+        let items: Vec<u64> = (0..1000).collect();
+        let workers: std::collections::HashSet<std::thread::ThreadId> =
+            shard_map(&items, 2000, |_| std::thread::current().id())
+                .into_iter()
+                .collect();
+        assert!(
+            workers.len() <= MAX_WORKERS,
+            "{} workers ran",
+            workers.len()
+        );
     }
 }

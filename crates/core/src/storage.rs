@@ -419,16 +419,11 @@ fn encode_meta(ds: &Dataset) -> serde_json::Result<Vec<u8>> {
 }
 
 impl Dataset {
-    /// Encodes the dataset into the columnar container format.
-    /// Byte-identical for any thread count; see the module docs.
-    pub fn to_columnar(&self) -> serde_json::Result<Vec<u8>> {
-        self.to_columnar_metered(&Metrics::disabled())
-    }
-
-    /// [`Dataset::to_columnar`] under a `columnar/encode` span, recording
-    /// output bytes, per-section bytes and intern-table hit rates.
-    /// Instrumentation never changes the encoded bytes.
-    pub fn to_columnar_metered(&self, metrics: &Metrics) -> serde_json::Result<Vec<u8>> {
+    /// Encodes the dataset into the columnar container format under a
+    /// `columnar/encode` span, recording output bytes, per-section bytes
+    /// and intern-table hit rates. Byte-identical for any thread count (see
+    /// the module docs); instrumentation never changes the encoded bytes.
+    pub fn to_columnar(&self, metrics: &Metrics) -> serde_json::Result<Vec<u8>> {
         let span = metrics.span("columnar/encode");
         let mut it = Interner::new();
 
@@ -493,22 +488,14 @@ impl Dataset {
         Ok(out)
     }
 
-    /// Decodes a columnar file back into a dataset. The inverse of
-    /// [`Dataset::to_columnar`]: the result is logically equal to the
-    /// encoded dataset, and its [`Dataset::to_json`] export is
-    /// byte-identical to the original's.
-    pub fn from_columnar(bytes: &[u8]) -> Result<Dataset, ColumnarError> {
-        Dataset::from_columnar_metered(bytes, &Metrics::disabled())
-    }
-
-    /// [`Dataset::from_columnar`] under a `columnar/decode` span.
+    /// Decodes a columnar file back into a dataset under a
+    /// `columnar/decode` span. The inverse of [`Dataset::to_columnar`]: the
+    /// result is logically equal to the encoded dataset, and its
+    /// [`Dataset::to_json`] export is byte-identical to the original's.
     ///
     /// Every column is read in place through a borrowed view, and every row
     /// is built once, straight into the `Vec` it ends up in.
-    pub fn from_columnar_metered(
-        bytes: &[u8],
-        metrics: &Metrics,
-    ) -> Result<Dataset, ColumnarError> {
+    pub fn from_columnar(bytes: &[u8], metrics: &Metrics) -> Result<Dataset, ColumnarError> {
         let span = metrics.span("columnar/decode");
         let view = FileView::parse(bytes)?;
         let pools = Pools::decode(
@@ -1143,9 +1130,9 @@ mod tests {
     fn columnar_round_trip_is_json_byte_identical() {
         let ds = dataset();
         let json = ds.to_json().unwrap();
-        let bytes = ds.to_columnar().unwrap();
+        let bytes = ds.to_columnar(&Metrics::disabled()).unwrap();
         assert!(sniff_columnar(&bytes));
-        let back = Dataset::from_columnar(&bytes).unwrap();
+        let back = Dataset::from_columnar(&bytes, &Metrics::disabled()).unwrap();
         assert_eq!(back.to_json().unwrap(), json);
     }
 
@@ -1153,7 +1140,7 @@ mod tests {
     fn columnar_is_smaller_than_json() {
         let ds = dataset();
         let json = ds.to_json().unwrap();
-        let bytes = ds.to_columnar().unwrap();
+        let bytes = ds.to_columnar(&Metrics::disabled()).unwrap();
         assert!(
             bytes.len() * 2 <= json.len(),
             "columnar {} bytes vs JSON {} bytes: footprint above 50%",
@@ -1165,11 +1152,11 @@ mod tests {
     #[test]
     fn encoding_is_deterministic_and_metrics_free() {
         let ds = dataset();
-        let a = ds.to_columnar().unwrap();
-        let b = ds.to_columnar().unwrap();
+        let a = ds.to_columnar(&Metrics::disabled()).unwrap();
+        let b = ds.to_columnar(&Metrics::disabled()).unwrap();
         assert_eq!(a, b, "two encodes differ");
         let metrics = Metrics::new();
-        let c = ds.to_columnar_metered(&metrics).unwrap();
+        let c = ds.to_columnar(&metrics).unwrap();
         assert_eq!(a, c, "a live metrics handle changed the bytes");
         let snap = metrics.snapshot();
         assert!(snap.counter("columnar/encode/bytes") > 0);
@@ -1194,7 +1181,7 @@ mod tests {
             )
             .unwrap()
             .0
-            .to_columnar()
+            .to_columnar(&Metrics::disabled())
             .unwrap()
         };
         assert_eq!(encode(1), encode(4));
@@ -1220,7 +1207,11 @@ mod tests {
         .unwrap();
         assert!(ds.crawl_report.degraded);
         let json = ds.to_json().unwrap();
-        let back = Dataset::from_columnar(&ds.to_columnar().unwrap()).unwrap();
+        let back = Dataset::from_columnar(
+            &ds.to_columnar(&Metrics::disabled()).unwrap(),
+            &Metrics::disabled(),
+        )
+        .unwrap();
         assert_eq!(back.to_json().unwrap(), json);
         assert_eq!(back.crawl_report, ds.crawl_report);
     }
@@ -1228,17 +1219,17 @@ mod tests {
     #[test]
     fn truncated_and_flipped_files_fail_typed() {
         let ds = dataset();
-        let bytes = ds.to_columnar().unwrap();
+        let bytes = ds.to_columnar(&Metrics::disabled()).unwrap();
         assert!(matches!(
-            Dataset::from_columnar(&bytes[..bytes.len() / 2]),
+            Dataset::from_columnar(&bytes[..bytes.len() / 2], &Metrics::disabled()),
             Err(ColumnarError::Truncated { .. }) | Err(ColumnarError::DirectoryChecksumMismatch)
         ));
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
-        assert!(Dataset::from_columnar(&flipped).is_err());
+        assert!(Dataset::from_columnar(&flipped, &Metrics::disabled()).is_err());
         assert!(matches!(
-            Dataset::from_columnar(b"{\"domains\": []}"),
+            Dataset::from_columnar(b"{\"domains\": []}", &Metrics::disabled()),
             Err(ColumnarError::BadMagic)
         ));
     }

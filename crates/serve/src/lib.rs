@@ -72,7 +72,7 @@ impl ServeState {
     /// after it is read-only.
     pub fn build(dataset: Dataset, threads: usize) -> ServeState {
         let oracle = PriceOracle::new();
-        let index = AnalysisIndex::build_with_threads(&dataset, &oracle, threads);
+        let index = AnalysisIndex::build(&dataset, &oracle, threads, &Metrics::disabled());
         let outgoing = OutgoingIndex::build_with_threads(&dataset, &oracle, threads);
         let names = NameDirectory::build(&dataset.domains);
         let config = StudyConfig {

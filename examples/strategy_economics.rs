@@ -19,7 +19,10 @@
 //! cargo run --release --example strategy_economics
 //! ```
 
-use ens_dropcatch_suite::analysis::{analyze_losses, detect_all, CrawlConfig, Dataset};
+use ens_dropcatch_suite::analysis::countermeasures::evaluate_countermeasure_with;
+use ens_dropcatch_suite::analysis::{
+    analyze_losses, detect_all, AnalysisIndex, CrawlConfig, Dataset, Metrics,
+};
 use ens_dropcatch_suite::lexicon;
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::Duration;
@@ -93,7 +96,8 @@ fn main() {
     )
     .expect("clean endpoints cannot fail")
     .0;
-    let losses = analyze_losses(&dataset, world.oracle());
+    let index = AnalysisIndex::build(&dataset, world.oracle(), 1, &Metrics::disabled());
+    let losses = analyze_losses(&dataset, world.oracle(), &index, 1, &Metrics::disabled());
     let rereg = detect_all(&dataset.domains);
 
     // Index misdirected income by (domain, catch index).
@@ -156,11 +160,7 @@ fn main() {
 
     // The countermeasure changes the economics: how much of each flow would
     // a history-aware warning stop?
-    let report = ens_dropcatch_suite::analysis::countermeasures::evaluate_countermeasure(
-        &losses,
-        &dataset,
-        Duration::from_days(180),
-    );
+    let report = evaluate_countermeasure_with(&losses, &dataset, &index, Duration::from_days(180));
     println!(
         "\nonly broad, zero-premium sniping nets out positive — a volume play, \
          which is exactly why Fig 5's top addresses hold thousands of catches"

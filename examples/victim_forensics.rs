@@ -7,7 +7,9 @@
 //! cargo run --release --example victim_forensics
 //! ```
 
-use ens_dropcatch_suite::analysis::{analyze_losses, detect_all, DataSources, Metrics};
+use ens_dropcatch_suite::analysis::{
+    analyze_losses, detect_all, AnalysisIndex, DataSources, Metrics,
+};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::workload::WorldConfig;
 
@@ -27,7 +29,8 @@ fn main() {
     let (dataset, _) = sources
         .collect(&Metrics::disabled(), None, None)
         .expect("clean endpoints cannot fail");
-    let losses = analyze_losses(&dataset, world.oracle());
+    let index = AnalysisIndex::build(&dataset, world.oracle(), 1, &Metrics::disabled());
+    let losses = analyze_losses(&dataset, world.oracle(), &index, 1, &Metrics::disabled());
 
     // Pick the most damaging finding: the domain whose new owner received
     // the most misdirected USD.

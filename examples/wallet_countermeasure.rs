@@ -8,7 +8,8 @@
 //! cargo run --release --example wallet_countermeasure
 //! ```
 
-use ens_dropcatch_suite::analysis::{analyze_losses, DataSources, Metrics};
+use ens_dropcatch_suite::analysis::countermeasures::evaluate_countermeasure_with;
+use ens_dropcatch_suite::analysis::{analyze_losses, AnalysisIndex, DataSources, Metrics};
 use ens_dropcatch_suite::chain::Chain;
 use ens_dropcatch_suite::ens::{commit_and_register, EnsSystem, GRACE_PERIOD, PREMIUM_PERIOD};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
@@ -105,12 +106,14 @@ fn main() {
     let (dataset, _) = sources
         .collect(&Metrics::disabled(), None, None)
         .expect("clean endpoints cannot fail");
-    let losses = analyze_losses(&dataset, world.oracle());
+    let index = AnalysisIndex::build(&dataset, world.oracle(), 1, &Metrics::disabled());
+    let losses = analyze_losses(&dataset, world.oracle(), &index, 1, &Metrics::disabled());
     println!("  policy                         intercepts   annoys (false-positive rate)");
     for window_days in [7u64, 30, 90, 365] {
-        let report = ens_dropcatch_suite::analysis::countermeasures::evaluate_countermeasure(
+        let report = evaluate_countermeasure_with(
             &losses,
             &dataset,
+            &index,
             Duration::from_days(window_days),
         );
         println!(

@@ -1,13 +1,20 @@
 //! Cross-crate invariants behind the ablation study: estimate bracketing,
 //! detection equivalences, and warning-policy dominance.
 
-use ens_dropcatch::countermeasures::evaluate_countermeasure;
-use ens_dropcatch::losses::{analyze_losses, upper_bound_losses};
+use ens_dropcatch::countermeasures::evaluate_countermeasure_with;
+use ens_dropcatch::losses::{analyze_losses, upper_bound_losses, LossReport};
 use ens_dropcatch::registrations::{detect_all, detect_reregistrations_ignoring_transfers};
-use ens_dropcatch::{CrawlConfig, Dataset};
+use ens_dropcatch::{AnalysisIndex, CrawlConfig, Dataset, Metrics};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::Duration;
 use ens_dropcatch_suite::workload::WorldConfig;
+
+/// The dataset's index and the §4.4 pass over it.
+fn index_and_losses(world: &workload::World, ds: &Dataset) -> (AnalysisIndex, LossReport) {
+    let index = AnalysisIndex::build(ds, world.oracle(), 1, &Metrics::disabled());
+    let losses = analyze_losses(ds, world.oracle(), &index, 1, &Metrics::disabled());
+    (index, losses)
+}
 
 fn setup() -> (workload::World, Dataset) {
     let world = WorldConfig::default().with_seed(99).build();
@@ -28,7 +35,7 @@ fn setup() -> (workload::World, Dataset) {
 #[test]
 fn loss_estimates_bracket_the_ground_truth() {
     let (world, ds) = setup();
-    let losses = analyze_losses(&ds, world.oracle());
+    let (_, losses) = index_and_losses(&world, &ds);
     let upper = upper_bound_losses(&ds, world.oracle());
 
     let truth_usd: f64 = world
@@ -98,9 +105,9 @@ fn transfer_unaware_detection_differs_only_on_transferred_domains() {
 #[test]
 fn history_aware_policy_dominates_the_naive_one() {
     let (world, ds) = setup();
-    let losses = analyze_losses(&ds, world.oracle());
+    let (index, losses) = index_and_losses(&world, &ds);
     for days in [30u64, 90, 365] {
-        let r = evaluate_countermeasure(&losses, &ds, Duration::from_days(days));
+        let r = evaluate_countermeasure_with(&losses, &ds, &index, Duration::from_days(days));
         // Identical interception: every misdirected send follows a
         // re-registration, so both warnings key on the same moment.
         assert!(

@@ -207,7 +207,7 @@ fn collect_over_a_schema_1_chain_falls_back_to_a_clean_crawl() {
         .collect(&Metrics::disabled(), None, None)
         .expect("clean endpoints cannot fail")
         .0
-        .to_columnar()
+        .to_columnar(&Metrics::disabled())
         .unwrap();
 
     // A killed run leaves a chain; rewrite its first segment as schema 1.
@@ -228,7 +228,7 @@ fn collect_over_a_schema_1_chain_falls_back_to_a_clean_crawl() {
     assert_eq!(snap.counter("checkpoint/stale_fallback"), 1);
     assert_eq!(snap.counter("checkpoint/corrupt_fallback"), 0);
     assert_eq!(snap.counter("checkpoint/loads"), 0);
-    assert_eq!(resumed.to_columnar().unwrap(), clean);
+    assert_eq!(resumed.to_columnar(&Metrics::disabled()).unwrap(), clean);
 }
 
 #[test]
@@ -248,7 +248,8 @@ fn a_dataset_file_is_not_mistaken_for_a_checkpoint() {
     .expect("clean endpoints cannot fail")
     .0;
     let path = temp_path("dataset-not-checkpoint");
-    ds.save(&path, Format::Columnar).expect("dataset saves");
+    ds.save(&path, Format::Columnar, &Metrics::disabled())
+        .expect("dataset saves");
     let bytes = std::fs::read(&path).unwrap();
     assert!(
         !CrawlCheckpoint::sniff(&bytes),

@@ -53,18 +53,20 @@ fn clean_dataset(names: usize, seed: u64) -> Dataset {
 /// reconstruction reproduces the columnar bytes.
 fn assert_fixed_point(ds: &Dataset) {
     let json = ds.to_json().expect("json export");
-    let cols = ds.to_columnar().expect("columnar export");
+    let cols = ds
+        .to_columnar(&Metrics::disabled())
+        .expect("columnar export");
     assert!(is_columnar(&cols), "missing magic");
     assert_eq!(&cols[0..4], &MAGIC);
 
-    let back = Dataset::from_columnar(&cols).expect("columnar decode");
+    let back = Dataset::from_columnar(&cols, &Metrics::disabled()).expect("columnar decode");
     assert_eq!(
         back.to_json().expect("re-serialize"),
         json,
         "JSON -> columnar -> JSON is not a fixed point"
     );
     assert_eq!(
-        back.to_columnar().expect("re-encode"),
+        back.to_columnar(&Metrics::disabled()).expect("re-encode"),
         cols,
         "columnar -> Dataset -> columnar is not a fixed point"
     );
@@ -115,7 +117,7 @@ fn empty_dataset_round_trips_with_all_sections_present() {
     assert_fixed_point(&ds);
 
     // Every section is present even when empty — readers never probe.
-    let cols = ds.to_columnar().unwrap();
+    let cols = ds.to_columnar(&Metrics::disabled()).unwrap();
     let view = FileView::parse(&cols).expect("parses");
     assert_eq!(view.version(), VERSION);
     assert_eq!(view.section_count(), 13, "all 13 sections present");
@@ -126,7 +128,7 @@ fn duplicate_addresses_intern_once() {
     let ds = clean_dataset(80, 9);
 
     let metrics = Metrics::new();
-    let cols = ds.to_columnar_metered(&metrics).expect("encode");
+    let cols = ds.to_columnar(&metrics).expect("encode");
     let snap = metrics.snapshot();
     let lookups = snap.counter("columnar/encode/addr_lookups");
     let hits = snap.counter("columnar/encode/addr_hits");
@@ -146,7 +148,7 @@ fn duplicate_addresses_intern_once() {
     );
 
     let decode_metrics = Metrics::new();
-    let back = Dataset::from_columnar_metered(&cols, &decode_metrics).expect("decode");
+    let back = Dataset::from_columnar(&cols, &decode_metrics).expect("decode");
     let snap = decode_metrics.snapshot();
     assert_eq!(snap.counter("columnar/decode/bytes"), cols.len() as u64);
     assert_eq!(
@@ -160,7 +162,7 @@ fn duplicate_addresses_intern_once() {
 #[test]
 fn detection_and_corruption_errors_are_typed() {
     let ds = clean_dataset(20, 3);
-    let cols = ds.to_columnar().unwrap();
+    let cols = ds.to_columnar(&Metrics::disabled()).unwrap();
     let json = ds.to_json().unwrap();
 
     // Auto-detection sees through both formats.
@@ -174,13 +176,13 @@ fn detection_and_corruption_errors_are_typed() {
     let last = bad.len() - 1;
     bad[last] ^= 0x40;
     assert!(matches!(
-        Dataset::from_columnar(&bad),
+        Dataset::from_columnar(&bad, &Metrics::disabled()),
         Err(ColumnarError::ChecksumMismatch { .. })
     ));
 
     // Truncation is reported as such.
     assert!(matches!(
-        Dataset::from_columnar(&cols[..cols.len() / 2]),
+        Dataset::from_columnar(&cols[..cols.len() / 2], &Metrics::disabled()),
         Err(ColumnarError::Truncated { .. })
     ));
 }
@@ -280,7 +282,7 @@ fn set_u32(payload: &mut [u8], at: usize, v: u32) {
 
 /// The message of the `Corrupt` error decoding `file` must fail with.
 fn corrupt_message(file: &[u8]) -> String {
-    match Dataset::from_columnar(file) {
+    match Dataset::from_columnar(file, &Metrics::disabled()) {
         Err(ColumnarError::Corrupt(msg)) => msg,
         Err(other) => panic!("expected Corrupt, got {other:?}"),
         Ok(_) => panic!("expected Corrupt, the file decoded"),
@@ -290,7 +292,11 @@ fn corrupt_message(file: &[u8]) -> String {
 /// The columnar bytes of one small clean world, shared by the checks.
 fn decoder_fixture() -> &'static [u8] {
     static FILE: OnceLock<Vec<u8>> = OnceLock::new();
-    FILE.get_or_init(|| clean_dataset(60, 11).to_columnar().unwrap())
+    FILE.get_or_init(|| {
+        clean_dataset(60, 11)
+            .to_columnar(&Metrics::disabled())
+            .unwrap()
+    })
 }
 
 #[test]
@@ -446,6 +452,6 @@ proptest! {
             let i = (at % p.len() as u64) as usize;
             p[i] ^= mask;
         });
-        let _ = Dataset::from_columnar(&bad);
+        let _ = Dataset::from_columnar(&bad, &Metrics::disabled());
     }
 }

@@ -3,7 +3,7 @@
 //! delay distribution left by the 21-day auction and zeroes premium spend,
 //! while the loss machinery keeps working unchanged.
 
-use ens_dropcatch::{overview, CrawlConfig, Dataset};
+use ens_dropcatch::{detect_all, overview, CrawlConfig, Dataset, Metrics};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::workload::WorldConfig;
 
@@ -19,7 +19,8 @@ fn delays(world: &workload::World) -> (Vec<f64>, usize) {
     )
     .expect("clean endpoints cannot fail")
     .0;
-    let report = overview(&ds.domains, ds.observation_end);
+    let rereg = detect_all(&ds.domains);
+    let report = overview(&ds.domains, ds.observation_end, rereg, &Metrics::disabled());
     (report.delays.delays_days.clone(), report.delays.at_premium)
 }
 

@@ -5,11 +5,10 @@
 
 use std::sync::OnceLock;
 
-use ens_dropcatch::countermeasures::{evaluate_countermeasure, evaluate_countermeasure_with};
+use ens_dropcatch::countermeasures::evaluate_countermeasure_with;
 use ens_dropcatch::{
-    analyze_losses_naive, analyze_losses_with, compare_features_naive, compare_features_with,
-    run_study_on, run_study_on_naive, shard_map, AnalysisIndex, CrawlConfig, Dataset, Metrics,
-    StudyConfig,
+    analyze_losses, compare_features, naive, run_study_on, shard_map, AnalysisIndex, CrawlConfig,
+    Dataset, Metrics, StudyConfig,
 };
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::{Duration, Timestamp};
@@ -41,7 +40,7 @@ fn shared() -> &'static (workload::World, Dataset, AnalysisIndex) {
     static CELL: OnceLock<(workload::World, Dataset, AnalysisIndex)> = OnceLock::new();
     CELL.get_or_init(|| {
         let (world, ds) = build(71, 600);
-        let index = AnalysisIndex::build(&ds, world.oracle());
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
         (world, ds, index)
     })
 }
@@ -50,18 +49,18 @@ fn shared() -> &'static (workload::World, Dataset, AnalysisIndex) {
 fn indexed_passes_match_naive_across_worlds() {
     for seed in [7, 71, 400] {
         let (world, ds) = build(seed, 800);
-        let index = AnalysisIndex::build(&ds, world.oracle());
+        let index = AnalysisIndex::build(&ds, world.oracle(), 1, &Metrics::disabled());
 
-        let naive_losses = analyze_losses_naive(&ds, world.oracle());
-        let indexed_losses = analyze_losses_with(&ds, world.oracle(), &index, 1);
+        let naive_losses = naive::analyze_losses(&ds, world.oracle());
+        let indexed_losses = analyze_losses(&ds, world.oracle(), &index, 1, &Metrics::disabled());
         assert_eq!(
             serde_json::to_string(&naive_losses).unwrap(),
             serde_json::to_string(&indexed_losses).unwrap(),
             "loss reports diverge at seed {seed}"
         );
 
-        let naive_features = compare_features_naive(&ds, world.oracle(), 0xC0FFEE);
-        let indexed_features = compare_features_with(&ds, 0xC0FFEE, &index, 1);
+        let naive_features = naive::compare_features(&ds, world.oracle(), 0xC0FFEE);
+        let indexed_features = compare_features(&ds, 0xC0FFEE, &index, 1, &Metrics::disabled());
         assert_eq!(
             serde_json::to_string(&naive_features).unwrap(),
             serde_json::to_string(&indexed_features).unwrap(),
@@ -73,7 +72,7 @@ fn indexed_passes_match_naive_across_worlds() {
         for days in [0, 30, 365] {
             let window = Duration::from_days(days);
             assert_eq!(
-                serde_json::to_string(&evaluate_countermeasure(&naive_losses, &ds, window))
+                serde_json::to_string(&naive::evaluate_countermeasure(&naive_losses, &ds, window))
                     .unwrap(),
                 serde_json::to_string(&evaluate_countermeasure_with(
                     &indexed_losses,
@@ -92,7 +91,7 @@ fn indexed_passes_match_naive_across_worlds() {
 fn full_study_report_is_byte_identical_naive_vs_indexed_at_1_2_8_threads() {
     let (world, ds) = build(90, 2_000);
     let config = StudyConfig::default();
-    let naive = serde_json::to_string(&run_study_on_naive(&ds, world.oracle(), &config)).unwrap();
+    let naive = serde_json::to_string(&naive::run_study_on(&ds, world.oracle(), &config)).unwrap();
     for threads in [1, 2, 8] {
         let threaded = StudyConfig { threads, ..config };
         let report = run_study_on(&ds, world.oracle(), &threaded, None, &Metrics::disabled());
@@ -159,12 +158,16 @@ proptest! {
     #[test]
     fn sharded_passes_are_thread_count_invariant(threads in 2usize..12) {
         let (world, ds, index) = shared();
-        let one = serde_json::to_string(&analyze_losses_with(ds, world.oracle(), index, 1)).unwrap();
-        let many = serde_json::to_string(&analyze_losses_with(ds, world.oracle(), index, threads)).unwrap();
-        prop_assert_eq!(one, many);
-        let one = serde_json::to_string(&compare_features_with(ds, 1, index, 1)).unwrap();
-        let many = serde_json::to_string(&compare_features_with(ds, 1, index, threads)).unwrap();
-        prop_assert_eq!(one, many);
+        let losses = |threads| {
+            serde_json::to_string(&analyze_losses(ds, world.oracle(), index, threads, &Metrics::disabled()))
+                .unwrap()
+        };
+        prop_assert_eq!(losses(1), losses(threads));
+        let features = |threads| {
+            serde_json::to_string(&compare_features(ds, 1, index, threads, &Metrics::disabled()))
+                .unwrap()
+        };
+        prop_assert_eq!(features(1), features(threads));
     }
 
     /// `shard_map` is a drop-in for the sequential map at any thread

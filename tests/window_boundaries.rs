@@ -10,8 +10,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ens_dropcatch_suite::analysis::{
-    analyze_losses_naive, analyze_losses_with, detect_all, window_contains, AnalysisIndex,
-    CrawlReport, Dataset,
+    analyze_losses, detect_all, naive, window_contains, AnalysisIndex, CrawlReport, Dataset,
+    Metrics,
 };
 use ens_dropcatch_suite::chain::{Transaction, TxKind};
 use ens_dropcatch_suite::etherscan::LabelService;
@@ -145,7 +145,8 @@ fn window_contract_is_half_open_with_no_gap_and_no_overlap() {
 fn transfer_at_reregistration_instant_goes_to_new_owner_only() {
     let (dataset, _, _) = boundary_dataset();
     let oracle = PriceOracle::new();
-    let report = analyze_losses_naive(&dataset, &oracle);
+    let index = AnalysisIndex::build(&dataset, &oracle, 1, &Metrics::disabled());
+    let report = analyze_losses(&dataset, &oracle, &index, 1, &Metrics::disabled());
 
     assert_eq!(report.findings.len(), 1);
     let senders = &report.findings[0].senders;
@@ -174,12 +175,14 @@ fn transfer_at_reregistration_instant_goes_to_new_owner_only() {
 fn naive_and_indexed_paths_agree_at_the_exact_boundaries() {
     let (dataset, _, _) = boundary_dataset();
     let oracle = PriceOracle::new();
-    let naive = serde_json::to_string(&analyze_losses_naive(&dataset, &oracle)).unwrap();
+    let naive = serde_json::to_string(&naive::analyze_losses(&dataset, &oracle)).unwrap();
     for threads in [1, 2, 8] {
-        let index = AnalysisIndex::build_with_threads(&dataset, &oracle, threads);
-        let indexed =
-            serde_json::to_string(&analyze_losses_with(&dataset, &oracle, &index, threads))
-                .unwrap();
+        let metrics = Metrics::disabled();
+        let index = AnalysisIndex::build(&dataset, &oracle, threads, &metrics);
+        let indexed = serde_json::to_string(&analyze_losses(
+            &dataset, &oracle, &index, threads, &metrics,
+        ))
+        .unwrap();
         assert_eq!(naive, indexed, "paths diverge at {threads} threads");
     }
 }

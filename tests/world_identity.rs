@@ -35,7 +35,9 @@ fn collected_digest(config: WorldConfig) -> (u64, usize) {
     let (dataset, _) = sources
         .collect(&Metrics::disabled(), None, None)
         .expect("a fault-free crawl completes");
-    let bytes = dataset.to_columnar().expect("dataset encodes");
+    let bytes = dataset
+        .to_columnar(&Metrics::disabled())
+        .expect("dataset encodes");
     (fnv1a(&bytes), bytes.len())
 }
 
