@@ -278,6 +278,7 @@ fn metrics_json_writes_a_snapshot_with_both_sections() {
         "\"sources/explorer\"",
         "\"columnar/encode\"",
         "\"storage/write\"",
+        "\"report/render\"",
     ] {
         assert!(snapshot.contains(key), "snapshot missing {key}");
     }
@@ -313,6 +314,65 @@ fn metrics_json_writes_a_snapshot_with_both_sections() {
         deterministic(&t2),
         "deterministic metrics diverge across thread counts"
     );
+
+    // `analyze` spans every stage of both formats: the file read, the
+    // decode, the study and the render; a JSON export spans its encode.
+    let snapshot_of = |args: &[&str], name: &str| {
+        let path = dir.join(name);
+        let output = bin()
+            .args(args)
+            .args(["--metrics-json", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(
+            output.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        std::fs::read_to_string(&path).expect("snapshot written")
+    };
+    let json = dir.join("dataset.json");
+    let json = json.to_str().unwrap();
+    let ensc = dir.join("dataset.ensc");
+    let ensc = ensc.to_str().unwrap();
+    let cases: [(&[&str], &[&str]); 3] = [
+        (
+            &[
+                "simulate",
+                "--names",
+                "200",
+                "--seed",
+                "5",
+                "--dataset",
+                json,
+            ],
+            &["\"json/encode\"", "\"storage/write\""],
+        ),
+        (
+            &["analyze", "--dataset", ensc],
+            &[
+                "\"storage/read\"",
+                "\"columnar/decode\"",
+                "\"study\"",
+                "\"report/render\"",
+            ],
+        ),
+        (
+            &["analyze", "--dataset", json],
+            &[
+                "\"storage/read\"",
+                "\"json/decode\"",
+                "\"study\"",
+                "\"report/render\"",
+            ],
+        ),
+    ];
+    for (i, (args, keys)) in cases.iter().enumerate() {
+        let snapshot = snapshot_of(args, &format!("stage-{i}.json"));
+        for key in *keys {
+            assert!(snapshot.contains(key), "{args:?} snapshot missing {key}");
+        }
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

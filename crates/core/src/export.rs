@@ -164,11 +164,14 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
 }
 
 impl Dataset {
-    /// Serializes the dataset into `format`'s in-memory bytes, recording
-    /// encode metrics.
+    /// Serializes the dataset into `format`'s in-memory bytes, under a
+    /// `json/encode` or `columnar/encode` span.
     fn encode(&self, format: Format, metrics: &Metrics) -> Result<Vec<u8>, StorageError> {
         Ok(match format {
-            Format::Json => self.to_json()?.into_bytes(),
+            Format::Json => {
+                let _span = metrics.span("json/encode");
+                self.to_json()?.into_bytes()
+            }
             Format::Columnar => self.to_columnar(metrics)?,
         })
     }
@@ -186,11 +189,13 @@ impl Dataset {
     }
 
     /// Deserializes a dataset from bytes, auto-detecting the format (see
-    /// [`Format::detect`]) and recording decode metrics.
+    /// [`Format::detect`]), under a `json/decode` or `columnar/decode`
+    /// span.
     pub fn from_bytes_metered(bytes: &[u8], metrics: &Metrics) -> Result<Dataset, StorageError> {
         match Format::detect(bytes) {
             Format::Columnar => Ok(Dataset::from_columnar(bytes, metrics)?),
             Format::Json => {
+                let _span = metrics.span("json/decode");
                 let text = std::str::from_utf8(bytes).map_err(|e| {
                     StorageError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
                 })?;

@@ -100,7 +100,7 @@ pub use registrations::{
     detect_reregistrations_ignoring_transfers, window_contains, DomainOutcome, ReRegistration,
 };
 pub use resale::{analyze_resales, ResaleReport};
-pub use shard::shard_map;
+pub use shard::{shard_map, MAX_WORKERS};
 
 /// Glob-import convenience.
 pub mod prelude {

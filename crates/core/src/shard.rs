@@ -9,8 +9,9 @@ use std::sync::OnceLock;
 const BLOCKS_PER_WORKER: usize = 16;
 
 /// The most workers one call runs, whatever thread count it is handed, so
-/// no caller can make it start thousands of OS threads.
-const MAX_WORKERS: usize = 64;
+/// no caller can make it start thousands of OS threads. The serving
+/// daemon caps its worker pool at the same count.
+pub const MAX_WORKERS: usize = 64;
 
 /// Maps `f` over `items` on up to `min(threads, items.len(), 64)` scoped
 /// workers, the calling thread among them; the result is

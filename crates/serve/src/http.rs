@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ens_dropcatch::QueryError;
+use ens_dropcatch::{QueryError, MAX_WORKERS};
 
 use crate::{Request, ServeHandle};
 
@@ -36,9 +36,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` and starts `workers` worker threads (at least 1).
-    /// Returns as soon as the listener is accepting; queries are served
-    /// until [`Server::shutdown`].
+    /// Binds `addr` and starts `workers` worker threads, at least 1 and at
+    /// most [`MAX_WORKERS`] (the cap `shard_map` applies), so no caller can
+    /// make the daemon start thousands of OS threads. Returns as soon as
+    /// the listener is accepting; queries are served until
+    /// [`Server::shutdown`].
     pub fn start(handle: ServeHandle, addr: &str, workers: usize) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -46,7 +48,7 @@ impl Server {
         let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) = sync_channel(ACCEPT_QUEUE);
         let rx = Arc::new(Mutex::new(rx));
 
-        let workers = workers.max(1);
+        let workers = workers.clamp(1, MAX_WORKERS);
         let mut pool = Vec::with_capacity(workers);
         for _ in 0..workers {
             let rx = Arc::clone(&rx);
@@ -209,4 +211,23 @@ fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::R
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use ens_dropcatch::Dataset;
+
+    use super::*;
+    use crate::ServeState;
+
+    #[test]
+    fn worker_pool_is_capped_at_the_scheduler_bound() {
+        let handle = ServeHandle::new(Arc::new(ServeState::build(Dataset::default(), 1)));
+        let server = Server::start(handle, "127.0.0.1:0", 200).expect("binds a local port");
+        let started = server.workers.len();
+        server.shutdown();
+        assert_eq!(started, MAX_WORKERS, "asked for 200 workers");
+    }
 }
