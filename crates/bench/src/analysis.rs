@@ -3,16 +3,15 @@
 //! several thread counts, checks the reports stay byte-identical, and
 //! writes the whole trajectory to `BENCH_analysis.json`.
 
-use std::time::Instant;
-
 use ens_dropcatch::{
     analyze_losses, compare_features, naive, run_study_on, AnalysisIndex, Dataset, Metrics,
-    StudyConfig,
+    StudyConfig, StudyReport,
 };
 use price_oracle::PriceOracle;
 use serde::Serialize;
 use workload::WorldConfig;
 
+use crate::harness::{best_of, time_ms};
 use crate::Fixture;
 
 /// Wall time of the two hot passes, milliseconds (min over repeats).
@@ -24,6 +23,16 @@ pub struct PassTimings {
     pub compare_features_ms: f64,
     /// Sum of the two.
     pub total_ms: f64,
+}
+
+impl PassTimings {
+    fn new(analyze_losses_ms: f64, compare_features_ms: f64) -> PassTimings {
+        PassTimings {
+            analyze_losses_ms,
+            compare_features_ms,
+            total_ms: analyze_losses_ms + compare_features_ms,
+        }
+    }
 }
 
 /// One indexed run at a fixed thread count.
@@ -138,118 +147,36 @@ impl AnalysisBenchReport {
             .map(|r| r.speedup_vs_naive)
             .fold(0.0, f64::max)
     }
-
-    /// Serializes (indented) with a trailing newline, ready for disk.
-    pub fn to_json(&self) -> String {
-        let compact = serde_json::to_string(self).expect("bench report serializes");
-        let mut s = indent_json(&compact);
-        s.push('\n');
-        s
-    }
 }
 
-/// Re-indents compact JSON (the vendored `serde_json` has no pretty
-/// printer). String-aware, two-space indent.
-pub(crate) fn indent_json(compact: &str) -> String {
-    let mut out = String::with_capacity(compact.len() * 2);
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let newline = |out: &mut String, depth: usize| {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-    };
-    for c in compact.chars() {
-        if in_string {
-            out.push(c);
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                out.push(c);
-            }
-            '{' | '[' => {
-                out.push(c);
-                depth += 1;
-                newline(&mut out, depth);
-            }
-            '}' | ']' => {
-                depth = depth.saturating_sub(1);
-                newline(&mut out, depth);
-                out.push(c);
-            }
-            ',' => {
-                out.push(c);
-                newline(&mut out, depth);
-            }
-            ':' => out.push_str(": "),
-            _ => out.push(c),
-        }
-    }
-    out
+/// The run a speedup gate reads: the widest requested thread count the
+/// host has `cores` for, or the narrowest requested when it has cores for
+/// none. Every row is still recorded, but more workers than cores cost
+/// about what the index saves, so a gate on them measures the host.
+pub fn gated_run(runs: &[ThreadedRun], cores: usize) -> Option<&ThreadedRun> {
+    runs.iter()
+        .filter(|r| r.threads <= cores)
+        .max_by_key(|r| r.threads)
+        .or_else(|| runs.iter().min_by_key(|r| r.threads))
 }
 
-/// Min wall-clock over `repeats` runs of `f`, in ms, plus the last result.
-fn time_ms<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    assert!(repeats > 0);
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..repeats {
-        // Drop the previous repeat's result *before* starting the clock —
-        // tearing down a paper-scale index costs whole seconds, and that
-        // belongs to the previous repeat, not this one.
-        drop(out.take());
-        let t = Instant::now();
-        out = Some(f());
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, out.expect("repeats > 0"))
+fn report_json(report: &StudyReport) -> String {
+    serde_json::to_string(report).expect("study report serializes")
 }
 
-/// Times the two naive passes and serializes the naive study report —
-/// the baseline every indexed run is compared against.
-fn naive_baseline(
+/// Times the naive passes, and at each thread count the index build and
+/// the indexed passes, each arm min over `repeats`, and checks each thread
+/// count's full report against the naive one. Returns the naive timings,
+/// one [`ThreadedRun`] per thread count and the re-registration count.
+fn naive_vs_indexed(
     dataset: &Dataset,
     oracle: &PriceOracle,
     config: &StudyConfig,
-    repeats: usize,
-) -> (PassTimings, String) {
-    let (naive_losses_ms, _) = time_ms(repeats, || naive::analyze_losses(dataset, oracle));
-    let (naive_features_ms, _) = time_ms(repeats, || {
-        naive::compare_features(dataset, oracle, config.control_seed)
-    });
-    let naive = PassTimings {
-        analyze_losses_ms: naive_losses_ms,
-        compare_features_ms: naive_features_ms,
-        total_ms: naive_losses_ms + naive_features_ms,
-    };
-    let naive_report_json =
-        serde_json::to_string(&naive::run_study_on(dataset, oracle, config)).expect("serializes");
-    (naive, naive_report_json)
-}
-
-/// One [`ThreadedRun`] per requested thread count: index build + indexed
-/// passes timed min-of-`repeats`, with the byte-identical-report gate
-/// against the naive baseline. Returns the runs and the re-registration
-/// count.
-fn threaded_runs(
-    dataset: &Dataset,
-    oracle: &PriceOracle,
-    config: &StudyConfig,
-    naive: &PassTimings,
-    naive_report_json: &str,
     thread_counts: &[usize],
     repeats: usize,
-) -> (Vec<ThreadedRun>, usize) {
+) -> (PassTimings, Vec<ThreadedRun>, usize) {
+    let naive_report_json = report_json(&naive::run_study_on(dataset, oracle, config));
+    let build = |threads| AnalysisIndex::build(dataset, oracle, threads, &Metrics::disabled());
     // Untimed warmup builds, sequential and at the widest fan-out: the
     // first index build after a fresh fixture pays first-touch page
     // faults and cold allocator arenas for gigabytes of index (on the
@@ -257,55 +184,80 @@ fn threaded_runs(
     // run first by 5-10x). Paying those process-lifecycle costs here puts
     // every measured thread count on the same warm footing.
     let warm_threads = thread_counts.iter().copied().max().unwrap_or(1);
-    let build = |threads| AnalysisIndex::build(dataset, oracle, threads, &Metrics::disabled());
     drop(build(1));
     if warm_threads > 1 {
         drop(build(warm_threads));
     }
-    let mut runs = Vec::new();
+
+    // Each repeat times every arm in turn, so a slow stretch of a shared
+    // host lands on the naive and the indexed arms alike, not on whichever
+    // arm's repeats it happened to overlap. Every result is dropped after
+    // its clock stops.
+    let mut naive_ms = [f64::INFINITY; 2];
+    let mut indexed_ms = vec![[f64::INFINITY; 3]; thread_counts.len()];
+    let mut identical = vec![false; thread_counts.len()];
     let mut reregistrations = 0;
-    for &threads in thread_counts {
-        let (index_build_ms, index) = time_ms(repeats, || build(threads));
-        reregistrations = index.reregistrations().len();
-
-        let (losses_ms, _) = time_ms(repeats, || {
-            analyze_losses(dataset, oracle, &index, threads, &Metrics::disabled())
-        });
-        let (features_ms, _) = time_ms(repeats, || {
-            compare_features(
-                dataset,
-                config.control_seed,
-                &index,
-                threads,
-                &Metrics::disabled(),
-            )
-        });
-        let passes = PassTimings {
-            analyze_losses_ms: losses_ms,
-            compare_features_ms: features_ms,
-            total_ms: losses_ms + features_ms,
-        };
-
-        let threaded_config = StudyConfig { threads, ..*config };
-        let indexed_report_json = serde_json::to_string(&run_study_on(
-            dataset,
-            oracle,
-            &threaded_config,
-            Some(&index),
-            &Metrics::disabled(),
-        ))
-        .expect("serializes");
-
-        runs.push(ThreadedRun {
-            threads,
-            index_build_ms,
-            passes,
-            speedup_vs_naive: naive.total_ms / passes.total_ms,
-            speedup_incl_index_build: naive.total_ms / (index_build_ms + passes.total_ms),
-            report_identical_to_naive: indexed_report_json == naive_report_json,
-        });
+    for repeat in 0..repeats {
+        let (losses_ms, _) = time_ms(|| naive::analyze_losses(dataset, oracle));
+        let (features_ms, _) =
+            time_ms(|| naive::compare_features(dataset, oracle, config.control_seed));
+        for (best, ms) in naive_ms.iter_mut().zip([losses_ms, features_ms]) {
+            *best = best.min(ms);
+        }
+        for (i, &threads) in thread_counts.iter().enumerate() {
+            let (build_ms, index) = time_ms(|| build(threads));
+            let (losses_ms, _) =
+                time_ms(|| analyze_losses(dataset, oracle, &index, threads, &Metrics::disabled()));
+            let (features_ms, _) = time_ms(|| {
+                compare_features(
+                    dataset,
+                    config.control_seed,
+                    &index,
+                    threads,
+                    &Metrics::disabled(),
+                )
+            });
+            for (best, ms) in indexed_ms[i]
+                .iter_mut()
+                .zip([build_ms, losses_ms, features_ms])
+            {
+                *best = best.min(ms);
+            }
+            if repeat == 0 {
+                reregistrations = index.reregistrations().len();
+                let threaded = StudyConfig { threads, ..*config };
+                let study = run_study_on(
+                    dataset,
+                    oracle,
+                    &threaded,
+                    Some(&index),
+                    &Metrics::disabled(),
+                );
+                identical[i] = report_json(&study) == naive_report_json;
+            }
+        }
     }
-    (runs, reregistrations)
+
+    let naive = PassTimings::new(naive_ms[0], naive_ms[1]);
+    let runs = thread_counts
+        .iter()
+        .zip(indexed_ms)
+        .zip(identical)
+        .map(
+            |((&threads, [index_build_ms, losses_ms, features_ms]), identical)| {
+                let passes = PassTimings::new(losses_ms, features_ms);
+                ThreadedRun {
+                    threads,
+                    index_build_ms,
+                    passes,
+                    speedup_vs_naive: naive.total_ms / passes.total_ms,
+                    speedup_incl_index_build: naive.total_ms / (index_build_ms + passes.total_ms),
+                    report_identical_to_naive: identical,
+                }
+            },
+        )
+        .collect();
+    (naive, runs, reregistrations)
 }
 
 /// Runs the full crawl → ingest → index → study pipeline on the
@@ -318,30 +270,18 @@ pub fn run_paper_scale_bench(
     repeats: usize,
 ) -> PaperScaleReport {
     let config = StudyConfig::default();
-
-    let t = Instant::now();
-    let world = WorldConfig::paper_scale()
-        .with_names(names)
-        .with_seed(seed)
-        .build();
-    let world_build_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let t = Instant::now();
-    let fixture = Fixture::from_world(world);
-    let crawl_ingest_ms = t.elapsed().as_secs_f64() * 1e3;
+    let (world_build_ms, world) = time_ms(|| {
+        WorldConfig::paper_scale()
+            .with_names(names)
+            .with_seed(seed)
+            .build()
+    });
+    let (crawl_ingest_ms, fixture) = time_ms(|| Fixture::from_world(world));
 
     let dataset = &fixture.dataset;
     let oracle = fixture.world.oracle();
-    let (naive, naive_report_json) = naive_baseline(dataset, oracle, &config, repeats);
-    let (runs, reregistrations) = threaded_runs(
-        dataset,
-        oracle,
-        &config,
-        &naive,
-        &naive_report_json,
-        thread_counts,
-        repeats,
-    );
+    let (naive, runs, reregistrations) =
+        naive_vs_indexed(dataset, oracle, &config, thread_counts, repeats);
     let outputs_identical = runs.iter().all(|r| r.report_identical_to_naive);
 
     // The complete pipeline at the widest fan-out: what one study costs
@@ -352,7 +292,7 @@ pub fn run_paper_scale_bench(
         threads: max_threads,
         ..config
     };
-    let (study_ms, _) = time_ms(repeats, || {
+    let (study_ms, _) = best_of(repeats, || {
         run_study_on(
             dataset,
             oracle,
@@ -394,16 +334,8 @@ pub fn run_analysis_bench(
     let oracle = fixture.world.oracle();
     let config = StudyConfig::default();
 
-    let (naive, naive_report_json) = naive_baseline(dataset, oracle, &config, repeats);
-    let (runs, reregistrations) = threaded_runs(
-        dataset,
-        oracle,
-        &config,
-        &naive,
-        &naive_report_json,
-        thread_counts,
-        repeats,
-    );
+    let (naive, runs, reregistrations) =
+        naive_vs_indexed(dataset, oracle, &config, thread_counts, repeats);
     let outputs_identical = runs.iter().all(|r| r.report_identical_to_naive);
 
     let study = |index: &AnalysisIndex, metrics: &Metrics| {
@@ -424,14 +356,16 @@ pub fn run_analysis_bench(
     let mut metered_study_ms = f64::INFINITY;
     let mut metrics = Metrics::disabled();
     for _ in 0..overhead_repeats {
-        let (off_ms, _) = time_ms(1, || study(&overhead_index, &Metrics::disabled()));
+        let (off_ms, _) = time_ms(|| study(&overhead_index, &Metrics::disabled()));
         unmetered_study_ms = unmetered_study_ms.min(off_ms);
         // A fresh handle per repeat so the embedded snapshot reflects
-        // exactly one study, not `overhead_repeats` of them.
-        let (on_ms, handle) = time_ms(1, || {
+        // exactly one study, not `overhead_repeats` of them. The report
+        // leaves the closure, as the unmetered arm's does, so neither arm
+        // times its drop.
+        let (on_ms, (handle, _)) = time_ms(|| {
             let metrics = Metrics::new();
-            study(&overhead_index, &metrics);
-            metrics
+            let report = study(&overhead_index, &metrics);
+            (metrics, report)
         });
         metered_study_ms = metered_study_ms.min(on_ms);
         metrics = handle;

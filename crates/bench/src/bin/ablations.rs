@@ -15,32 +15,20 @@
 //! cargo run --release -p ens-bench --bin ablations -- --names 20000 --seed 7
 //! ```
 
-use ens_bench::Fixture;
+use ens_bench::{Fixture, Flags};
 use ens_dropcatch::countermeasures::evaluate_countermeasure_with;
 use ens_dropcatch::losses::{analyze_losses, upper_bound_losses, SenderKind};
 use ens_dropcatch::registrations::{detect_all, detect_reregistrations_ignoring_transfers};
 use ens_dropcatch::{AnalysisIndex, Metrics};
 use ens_types::Duration;
 
-fn parse_args() -> (usize, u64) {
-    let mut names = 20_000usize;
-    let mut seed = 7u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--names" => names = args.next().and_then(|v| v.parse().ok()).expect("--names N"),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed S"),
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    (names, seed)
-}
-
 fn main() {
-    let (names, seed) = parse_args();
+    let mut names = 20_000;
+    let mut seed = 7;
+    Flags::new("ablations")
+        .count("--names N", &mut names)
+        .value("--seed S", &mut seed)
+        .parse_env();
     eprintln!("building the world ({names} names, seed {seed})...");
     let fixture = Fixture::build(names, seed);
     let world = &fixture.world;

@@ -8,158 +8,71 @@
 //!
 //! Exits non-zero if any run's report diverges from the naive baseline,
 //! if the best speedup falls below `--min-speedup` (when given), or if
-//! the highest-thread run's `speedup_incl_index_build` is at or below
-//! `--min-incl-speedup` (when given).
+//! the gated run's `speedup_incl_index_build` is at or below
+//! `--min-incl-speedup` (when given). The gated run is the widest
+//! requested thread count the host has cores for (see
+//! [`ens_bench::gated_run`]); every thread count is still recorded.
 //!
 //! `--paper-scale` appends the end-to-end pipeline run on
 //! `WorldConfig::paper_scale` (3.1M names by default; scale with
 //! `--paper-names` for smoke runs).
 
-use std::time::Instant;
-
-use ens_bench::{run_analysis_bench, run_paper_scale_bench, Fixture};
-
-struct Args {
-    names: usize,
-    seed: u64,
-    out: Option<String>,
-    threads: Vec<usize>,
-    repeats: usize,
-    min_speedup: Option<f64>,
-    min_incl_speedup: Option<f64>,
-    paper_scale: bool,
-    paper_names: usize,
-    paper_threads: Vec<usize>,
-    paper_repeats: usize,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        names: 8_000,
-        seed: 0xBEEF,
-        out: None,
-        threads: vec![1, 2, 8],
-        repeats: 3,
-        min_speedup: None,
-        min_incl_speedup: None,
-        paper_scale: false,
-        paper_names: 3_100_000,
-        paper_threads: vec![1, 2, 4, 8],
-        paper_repeats: 1,
-    };
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--names" => parsed.names = next(&mut args, "--names").parse().expect("--names"),
-            "--seed" => parsed.seed = next(&mut args, "--seed").parse().expect("--seed"),
-            "--out" => parsed.out = Some(next(&mut args, "--out")),
-            "--repeats" => {
-                parsed.repeats = next(&mut args, "--repeats").parse().expect("--repeats")
-            }
-            "--min-speedup" => {
-                parsed.min_speedup = Some(
-                    next(&mut args, "--min-speedup")
-                        .parse()
-                        .expect("--min-speedup"),
-                )
-            }
-            "--min-incl-speedup" => {
-                parsed.min_incl_speedup = Some(
-                    next(&mut args, "--min-incl-speedup")
-                        .parse()
-                        .expect("--min-incl-speedup"),
-                )
-            }
-            "--threads" => {
-                parsed.threads = next(&mut args, "--threads")
-                    .split(',')
-                    .map(|t| t.parse().expect("--threads takes e.g. 1,2,8"))
-                    .collect()
-            }
-            "--paper-scale" => parsed.paper_scale = true,
-            "--paper-names" => {
-                parsed.paper_names = next(&mut args, "--paper-names")
-                    .parse()
-                    .expect("--paper-names")
-            }
-            "--paper-threads" => {
-                parsed.paper_threads = next(&mut args, "--paper-threads")
-                    .split(',')
-                    .map(|t| t.parse().expect("--paper-threads takes e.g. 1,2,4,8"))
-                    .collect()
-            }
-            "--paper-repeats" => {
-                parsed.paper_repeats = next(&mut args, "--paper-repeats")
-                    .parse()
-                    .expect("--paper-repeats")
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: analysis_bench [--names N] [--seed S] [--out PATH] \
-                     [--threads 1,2,8] [--repeats R] [--min-speedup X] \
-                     [--min-incl-speedup X] [--paper-scale] [--paper-names N] \
-                     [--paper-threads 1,2,4,8] [--paper-repeats R]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
-    parsed
-}
+use ens_bench::{
+    gate, gated_run, nproc, run_analysis_bench, run_paper_scale_bench, time_ms, write_report,
+    Fixture, Flags,
+};
 
 fn main() {
-    let args = parse_args();
+    let mut names = 8_000;
+    let mut seed = 0xBEEF;
+    let mut out: Option<String> = None;
+    let mut threads = vec![1, 2, 8];
+    let mut repeats = 3;
+    let mut min_speedup: Option<f64> = None;
+    let mut min_incl_speedup: Option<f64> = None;
+    let mut paper_scale = false;
+    let mut paper_names = 3_100_000;
+    let mut paper_threads = vec![1, 2, 4, 8];
+    let mut paper_repeats = 1;
+    Flags::new("analysis_bench")
+        .count("--names N", &mut names)
+        .value("--seed S", &mut seed)
+        .optional("--out PATH", &mut out)
+        .counts("--threads 1,2,8", &mut threads)
+        .count("--repeats R", &mut repeats)
+        .optional("--min-speedup X", &mut min_speedup)
+        .optional("--min-incl-speedup X", &mut min_incl_speedup)
+        .switch("--paper-scale", &mut paper_scale)
+        .count("--paper-names N", &mut paper_names)
+        .counts("--paper-threads 1,2,4,8", &mut paper_threads)
+        .count("--paper-repeats R", &mut paper_repeats)
+        .parse_env();
 
+    eprintln!("building the world ({names} names, seed {seed})...");
+    let (ms, fixture) = time_ms(|| Fixture::build(names, seed));
     eprintln!(
-        "building the world ({} names, seed {})...",
-        args.names, args.seed
-    );
-    let t0 = Instant::now();
-    let fixture = Fixture::build(args.names, args.seed);
-    eprintln!(
-        "  built in {:.1?}: {} transactions crawled",
-        t0.elapsed(),
+        "  built in {:.1} s: {} transactions crawled",
+        ms / 1e3,
         fixture.dataset.crawl_report.transactions
     );
 
     eprintln!(
-        "benching naive vs indexed at threads {:?} ({} repeats, min reported)...",
-        args.threads, args.repeats
+        "benching naive vs indexed at threads {threads:?} ({repeats} repeats, min reported)..."
     );
-    let mut report = run_analysis_bench(&fixture, &args.threads, args.repeats);
+    let mut report = run_analysis_bench(&fixture, &threads, repeats);
 
-    if args.paper_scale {
+    if paper_scale {
         eprintln!(
-            "paper-scale pipeline ({} names, threads {:?}, {} repeats)...",
-            args.paper_names, args.paper_threads, args.paper_repeats
+            "paper-scale pipeline ({paper_names} names, threads {paper_threads:?}, \
+             {paper_repeats} repeats)..."
         );
-        let t = Instant::now();
-        let paper = run_paper_scale_bench(
-            args.paper_names,
-            args.seed,
-            &args.paper_threads,
-            args.paper_repeats,
-        );
-        eprintln!("  paper-scale bench finished in {:.1?}", t.elapsed());
+        let (ms, paper) =
+            time_ms(|| run_paper_scale_bench(paper_names, seed, &paper_threads, paper_repeats));
+        eprintln!("  paper-scale bench finished in {:.1} s", ms / 1e3);
         report.paper_scale = Some(paper);
     }
 
-    let json = report.to_json();
-    match &args.out {
-        Some(path) => {
-            std::fs::write(path, &json).expect("write bench json");
-            eprintln!("wrote {path}");
-        }
-        None => println!("{json}"),
-    }
+    write_report(&report, out.as_deref());
 
     eprintln!(
         "naive: losses {:.1} ms + features {:.1} ms = {:.1} ms",
@@ -212,49 +125,47 @@ fn main() {
         );
     }
 
-    if !report.outputs_identical {
-        eprintln!("FAIL: an indexed report diverged from the naive baseline");
-        std::process::exit(1);
+    gate(
+        report.outputs_identical,
+        &format!(
+            "indexed reports identical to the naive baseline: {}",
+            report.outputs_identical
+        ),
+    );
+    if let Some(paper) = &report.paper_scale {
+        gate(
+            paper.outputs_identical,
+            &format!(
+                "paper-scale indexed reports identical to the naive baseline: {}",
+                paper.outputs_identical
+            ),
+        );
     }
-    if report
-        .paper_scale
-        .as_ref()
-        .is_some_and(|p| !p.outputs_identical)
-    {
-        eprintln!("FAIL: a paper-scale indexed report diverged from the naive baseline");
-        std::process::exit(1);
-    }
-    if let Some(min) = args.min_speedup {
+    if let Some(min) = min_speedup {
         let best = report.best_speedup();
-        if best < min {
-            eprintln!("FAIL: best speedup {best:.2}x is below the required {min:.2}x");
-            std::process::exit(1);
-        }
-        eprintln!("best speedup {best:.2}x >= required {min:.2}x");
+        gate(
+            best >= min,
+            &format!("best speedup {best:.2}x, floor {min:.2}x"),
+        );
     }
-    if let Some(min) = args.min_incl_speedup {
-        // The regression gate from the issue: at the widest fan-out the
-        // index must pay for itself *including* its own build time.
-        let gate = |label: &str, runs: &[ens_bench::ThreadedRun]| {
-            let Some(top) = runs.iter().max_by_key(|r| r.threads) else {
-                return;
-            };
-            if top.speedup_incl_index_build <= min {
-                eprintln!(
-                    "FAIL: {label} speedup incl. index build at {} threads is \
+    if let Some(min) = min_incl_speedup {
+        // At the widest fan-out the host can run at once, the index must
+        // pay for itself *including* its own build time.
+        let cores = nproc();
+        let paper = report
+            .paper_scale
+            .as_ref()
+            .map(|p| ("paper-scale", &p.runs));
+        for (label, runs) in std::iter::once(("main-world", &report.runs)).chain(paper) {
+            let run = gated_run(runs, cores).expect("the parser rejects an empty thread list");
+            gate(
+                run.speedup_incl_index_build > min,
+                &format!(
+                    "{label} speedup incl. index build at {} threads ({cores} cores): \
                      {:.2}x, need > {min:.2}x",
-                    top.threads, top.speedup_incl_index_build
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "{label} speedup incl. index build at {} threads: {:.2}x > {min:.2}x",
-                top.threads, top.speedup_incl_index_build
+                    run.threads, run.speedup_incl_index_build
+                ),
             );
-        };
-        gate("main-world", &report.runs);
-        if let Some(paper) = &report.paper_scale {
-            gate("paper-scale", &paper.runs);
         }
     }
 }

@@ -6,58 +6,28 @@
 //! cargo run --release -p ens-bench --bin repro -- --names 60000 --seed 1
 //! ```
 
-use std::time::Instant;
-
-use ens_bench::{compare_to_paper, render_comparison_markdown, Fixture};
-
-fn parse_args() -> (usize, u64) {
-    let mut names = 60_000usize;
-    let mut seed = 1u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--names" => {
-                names = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--names needs a number");
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: repro [--names N] [--seed S]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
-    (names, seed)
-}
+use ens_bench::{compare_to_paper, render_comparison_markdown, time_ms, Fixture, Flags};
 
 fn main() {
-    let (names, seed) = parse_args();
+    let mut names = 60_000;
+    let mut seed = 1;
+    Flags::new("repro")
+        .count("--names N", &mut names)
+        .value("--seed S", &mut seed)
+        .parse_env();
 
     eprintln!("building the world ({names} names, seed {seed})...");
-    let t0 = Instant::now();
-    let fixture = Fixture::build(names, seed);
+    let (ms, fixture) = time_ms(|| Fixture::build(names, seed));
     eprintln!(
-        "  built in {:.1?}: {} txs, {} ENS events",
-        t0.elapsed(),
+        "  built in {:.1} s: {} txs, {} ENS events",
+        ms / 1e3,
         fixture.world.chain().transaction_count(),
         fixture.world.ens().events().len()
     );
 
     eprintln!("running the study...");
-    let t1 = Instant::now();
-    let report = fixture.study();
-    eprintln!("  analyzed in {:.1?}", t1.elapsed());
+    let (ms, report) = time_ms(|| fixture.study());
+    eprintln!("  analyzed in {:.1} s", ms / 1e3);
 
     println!("{}", report.render());
 

@@ -21,11 +21,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ens_bench::Fixture;
+use ens_bench::{gate, time_ms, write_report, Fixture, Flags};
 use ens_obs::Metrics;
 use ens_serve::{Request, ServeHandle, ServeState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::value::Value;
+use serde::Serialize;
 use workload::dist::CumulativeTable;
 
 /// Power-of-two latency buckets: bucket k counts requests in
@@ -237,65 +239,6 @@ fn run(
     )
 }
 
-struct Args {
-    names: usize,
-    seed: u64,
-    requests: usize,
-    workers: Vec<usize>,
-    zipf_s: f64,
-    out: Option<String>,
-    min_rps: Option<f64>,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        names: 8_000,
-        seed: 0xBEEF,
-        requests: 1_000_000,
-        workers: vec![1, 2, 8],
-        zipf_s: 1.0,
-        out: None,
-        min_rps: None,
-    };
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--names" => parsed.names = next(&mut args, "--names").parse().expect("--names"),
-            "--seed" => parsed.seed = next(&mut args, "--seed").parse().expect("--seed"),
-            "--requests" => {
-                parsed.requests = next(&mut args, "--requests").parse().expect("--requests")
-            }
-            "--workers" => {
-                parsed.workers = next(&mut args, "--workers")
-                    .split(',')
-                    .map(|w| w.parse().expect("--workers takes e.g. 1,2,8"))
-                    .collect()
-            }
-            "--zipf-s" => parsed.zipf_s = next(&mut args, "--zipf-s").parse().expect("--zipf-s"),
-            "--out" => parsed.out = Some(next(&mut args, "--out")),
-            "--min-rps" => {
-                parsed.min_rps = Some(next(&mut args, "--min-rps").parse().expect("--min-rps"))
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: serve_bench [--names N] [--seed S] [--requests N] \
-                     [--workers 1,2,8] [--zipf-s S] [--min-rps X] [--out PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
-    parsed
-}
-
 /// Generates the seeded request stream: ~50% name-risk, ~25% forensics,
 /// ~15% loss-findings, ~10% report-slice, each pool Zipf-skewed with a
 /// few percent of misses and malformed windows mixed in.
@@ -338,25 +281,73 @@ fn generate_specs(
     specs
 }
 
+/// One replay of the request stream, as `BENCH_serve.json` records it.
+#[derive(Serialize)]
+struct ReplayRow {
+    workers: usize,
+    seconds: f64,
+    rps: f64,
+    /// The reply digest, as 16 hex digits.
+    digest: String,
+    identical_to_reference: bool,
+}
+
+/// The single-threaded reference replay.
+#[derive(Serialize)]
+struct ReferenceRow {
+    seconds: f64,
+    rps: f64,
+    digest: String,
+}
+
+/// The `BENCH_serve.json` document.
+#[derive(Serialize)]
+struct ServeBenchReport {
+    names: usize,
+    seed: u64,
+    requests: usize,
+    zipf_s: f64,
+    resolvable_names: usize,
+    crawled_addresses: usize,
+    victim_pool: usize,
+    state_build_seconds: f64,
+    reference: ReferenceRow,
+    runs: Vec<ReplayRow>,
+    all_identical: bool,
+    /// The widest run's deterministic `ens-obs` snapshot.
+    widest_run_metrics: Value,
+}
+
 fn main() {
-    let args = parse_args();
-    eprintln!(
-        "building the world ({} names, seed {})...",
-        args.names, args.seed
-    );
-    let t0 = Instant::now();
-    let fixture = Fixture::build(args.names, args.seed);
+    let mut names = 8_000;
+    let mut seed = 0xBEEF;
+    let mut requests = 1_000_000;
+    let mut workers = vec![1, 2, 8];
+    let mut zipf_s = 1.0;
+    let mut out: Option<String> = None;
+    let mut min_rps: Option<f64> = None;
+    Flags::new("serve_bench")
+        .count("--names N", &mut names)
+        .value("--seed S", &mut seed)
+        .count("--requests N", &mut requests)
+        .counts("--workers 1,2,8", &mut workers)
+        .value("--zipf-s S", &mut zipf_s)
+        .optional("--min-rps X", &mut min_rps)
+        .optional("--out PATH", &mut out)
+        .parse_env();
+
+    eprintln!("building the world ({names} names, seed {seed})...");
+    let (ms, fixture) = time_ms(|| Fixture::build(names, seed));
     let dataset = fixture.dataset;
     eprintln!(
-        "  built in {:.1?}: {} transactions crawled",
-        t0.elapsed(),
+        "  built in {:.1} s: {} transactions crawled",
+        ms / 1e3,
         dataset.crawl_report.transactions
     );
 
     eprintln!("building the resident serve state (index + study)...");
-    let t0 = Instant::now();
-    let state = Arc::new(ServeState::build(dataset, 8));
-    let state_build_seconds = t0.elapsed().as_secs_f64();
+    let (ms, state) = time_ms(|| Arc::new(ServeState::build(dataset, 8)));
+    let state_build_seconds = ms / 1e3;
     eprintln!(
         "  resident in {state_build_seconds:.1}s: {} incoming / {} outgoing transfers, \
          {} names, {} re-registrations",
@@ -367,42 +358,36 @@ fn main() {
     );
     let handle = ServeHandle::new(Arc::clone(&state));
 
-    let names: Vec<String> = state
-        .dataset
-        .domains
-        .iter()
-        .filter_map(|d| d.name.as_ref().map(|n| n.to_full()))
-        .collect();
-    let addrs: Vec<String> = state
-        .dataset
-        .transactions
-        .keys()
-        .map(|a| a.to_hex())
-        .collect();
-    let victims: Vec<String> = state
-        .index
-        .reregistrations()
-        .iter()
-        .map(|r| r.prev_wallet.to_hex())
-        .collect();
     let end = state.dataset.observation_end.0;
     let workload = Workload {
         mid: end / 2,
         end,
-        names,
-        addrs,
-        victims,
+        names: state
+            .dataset
+            .domains
+            .iter()
+            .filter_map(|d| d.name.as_ref().map(|n| n.to_full()))
+            .collect(),
+        addrs: state
+            .dataset
+            .transactions
+            .keys()
+            .map(|a| a.to_hex())
+            .collect(),
+        victims: state
+            .index
+            .reregistrations()
+            .iter()
+            .map(|r| r.prev_wallet.to_hex())
+            .collect(),
     };
 
-    eprintln!(
-        "generating {} seeded requests (zipf s = {})...",
-        args.requests, args.zipf_s
-    );
-    let mut rng = StdRng::seed_from_u64(args.seed ^ 0x5e7e_be4c);
+    eprintln!("generating {requests} seeded requests (zipf s = {zipf_s})...");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5e7e_be4c);
     let specs = generate_specs(
         &mut rng,
-        args.requests,
-        args.zipf_s,
+        requests,
+        zipf_s,
         workload.names.len(),
         workload.addrs.len(),
         workload.victims.len(),
@@ -418,9 +403,9 @@ fn main() {
 
     let mut runs: Vec<RunResult> = Vec::new();
     let mut all_identical = true;
-    for &workers in &args.workers {
-        eprintln!("run: {workers} worker(s), {} requests...", specs.len());
-        let (mut result, samples) = run(&handle, &workload, &specs, workers);
+    for &count in &workers {
+        eprintln!("run: {count} worker(s), {} requests...", specs.len());
+        let (mut result, samples) = run(&handle, &workload, &specs, count);
         result.identical = result.digest == reference.digest && samples == ref_samples;
         all_identical &= result.identical;
         eprintln!(
@@ -449,61 +434,50 @@ fn main() {
     metrics.add("serve/reply_bytes", widest.reply_bytes);
     let snapshot = metrics.snapshot();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"names\": {},\n  \"seed\": {},\n  \"requests\": {},\n  \"zipf_s\": {},\n",
-        args.names, args.seed, args.requests, args.zipf_s
-    ));
-    json.push_str(&format!(
-        "  \"resolvable_names\": {},\n  \"crawled_addresses\": {},\n  \"victim_pool\": {},\n",
-        workload.names.len(),
-        workload.addrs.len(),
-        workload.victims.len()
-    ));
-    json.push_str(&format!(
-        "  \"state_build_seconds\": {:.3},\n  \"reference\": {{\"seconds\": {:.3}, \"rps\": {:.0}, \"digest\": \"{:016x}\"}},\n",
-        state_build_seconds, reference.seconds, reference.rps, reference.digest
-    ));
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {}, \"seconds\": {:.3}, \"rps\": {:.0}, \"digest\": \"{:016x}\", \"identical_to_reference\": {}}}{}\n",
-            r.workers,
-            r.seconds,
-            r.rps,
-            r.digest,
-            r.identical,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"all_identical\": {all_identical},\n"));
-    json.push_str("  \"widest_run_metrics\": ");
-    json.push_str(&snapshot.deterministic_json());
-    json.push_str("\n}\n");
-
-    match &args.out {
-        Some(path) => {
-            std::fs::write(path, &json).expect("write bench json");
-            eprintln!("wrote {path}");
-        }
-        None => println!("{json}"),
-    }
+    let digest = |d: u64| format!("{d:016x}");
+    let report = ServeBenchReport {
+        names,
+        seed,
+        requests,
+        zipf_s,
+        resolvable_names: workload.names.len(),
+        crawled_addresses: workload.addrs.len(),
+        victim_pool: workload.victims.len(),
+        state_build_seconds,
+        reference: ReferenceRow {
+            seconds: reference.seconds,
+            rps: reference.rps,
+            digest: digest(reference.digest),
+        },
+        runs: runs
+            .iter()
+            .map(|r| ReplayRow {
+                workers: r.workers,
+                seconds: r.seconds,
+                rps: r.rps,
+                digest: digest(r.digest),
+                identical_to_reference: r.identical,
+            })
+            .collect(),
+        all_identical,
+        widest_run_metrics: serde_json::parse_value(&snapshot.deterministic_json())
+            .expect("snapshot is valid JSON"),
+    };
+    write_report(&report, out.as_deref());
 
     let best_rps = runs.iter().map(|r| r.rps).fold(reference.rps, f64::max);
     eprintln!(
         "best throughput: {best_rps:.0} req/s across {} run(s); identical replies: {all_identical}",
         runs.len()
     );
-    if !all_identical {
-        eprintln!("FAIL: replies diverged across worker counts");
-        std::process::exit(1);
-    }
-    if let Some(floor) = args.min_rps {
-        if best_rps < floor {
-            eprintln!("FAIL: best throughput {best_rps:.0} req/s is below the {floor:.0} floor");
-            std::process::exit(1);
-        }
+    gate(
+        all_identical,
+        &format!("replies identical across worker counts: {all_identical}"),
+    );
+    if let Some(floor) = min_rps {
+        gate(
+            best_rps >= floor,
+            &format!("best throughput {best_rps:.0} req/s, floor {floor:.0}"),
+        );
     }
 }

@@ -4,17 +4,17 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod columnar;
-pub mod ingest;
+pub mod harness;
 pub mod resume;
+pub mod storage;
 
 pub use analysis::{
-    run_analysis_bench, run_paper_scale_bench, AnalysisBenchReport, MetricsOverhead,
+    gated_run, run_analysis_bench, run_paper_scale_bench, AnalysisBenchReport, MetricsOverhead,
     PaperScaleReport, PassTimings, ThreadedRun,
 };
-pub use columnar::{run_columnar_bench, ColumnarBenchReport, ColumnarScaleRun};
-pub use ingest::{run_ingest_bench, IngestBenchReport, IngestScaleRun};
+pub use harness::{best_of, gate, nproc, time_ms, write_report, Flags};
 pub use resume::{run_resume_bench, CadenceRun, ResumeBenchReport, ResumeCycle};
+pub use storage::{check_file, run_storage_bench, StorageBenchReport, StorageScaleRun};
 
 use std::sync::OnceLock;
 

@@ -30,7 +30,7 @@ use ens_types::{FaultKind, KillSwitch, PageError, PagedBatch, PagedSource};
 use serde::Serialize;
 use workload::{World, WorldConfig};
 
-use crate::analysis::indent_json;
+use crate::harness::{best_of, time_ms};
 
 /// A [`PagedSource`] adapter that charges a fixed service time per page
 /// request (busy-wait, so the cost is paid on the fetching worker exactly
@@ -137,28 +137,6 @@ pub struct ResumeBenchReport {
     pub outputs_identical: bool,
 }
 
-impl ResumeBenchReport {
-    /// Serializes (indented) with a trailing newline, ready for disk.
-    pub fn to_json(&self) -> String {
-        let compact = serde_json::to_string(self).expect("bench report serializes");
-        let mut s = indent_json(&compact);
-        s.push('\n');
-        s
-    }
-}
-
-fn time_ms<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    assert!(repeats > 0);
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..repeats {
-        let t = Instant::now();
-        out = Some(f());
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, out.expect("repeats > 0"))
-}
-
 /// Sweeps checkpoint cadences over a latency-modeled subgraph crawl.
 fn cadence_sweep(
     world: &World,
@@ -183,12 +161,12 @@ fn cadence_sweep(
         service: Duration::ZERO,
     };
 
-    let (raw_baseline_ms, _) = time_ms(repeats, || {
+    let (raw_baseline_ms, _) = best_of(repeats, || {
         crawler
             .crawl_resumable(&instant, BTreeMap::new(), |_, _| {})
             .expect("clean crawl")
     });
-    let (baseline_ms, baseline) = time_ms(repeats, || {
+    let (baseline_ms, baseline) = best_of(repeats, || {
         crawler
             .crawl_resumable(&source, BTreeMap::new(), |_, _| {})
             .expect("clean crawl")
@@ -215,8 +193,8 @@ fn cadence_sweep(
             assert!(journal.take_error().is_none(), "checkpoint save failed");
             (crawled, journal.writes())
         };
-        let (crawl_ms, (crawled, writes)) = time_ms(repeats, || checkpointed(&source));
-        let (raw_crawl_ms, (raw, _)) = time_ms(repeats, || checkpointed(&instant));
+        let (crawl_ms, (crawled, writes)) = best_of(repeats, || checkpointed(&source));
+        let (raw_crawl_ms, (raw, _)) = best_of(repeats, || checkpointed(&instant));
         remove_chain(&path);
         let matches = |c: &Crawled<DomainRecord>| {
             serde_json::to_string(&c.items).expect("serializes") == expected.0
@@ -288,17 +266,15 @@ fn resume_cycle(world: &World, scratch: &Path) -> ResumeCycle {
     let path = scratch.join("kill-resume.ckpt");
     let spec = CheckpointSpec::new(&path);
     let budget = total_pages / 2;
-    let t = Instant::now();
-    let killed = collect(&spec, Some(budget), &Metrics::disabled());
-    let killed_attempt_ms = t.elapsed().as_secs_f64() * 1e3;
+    let (killed_attempt_ms, killed) =
+        time_ms(|| collect(&spec, Some(budget), &Metrics::disabled()).err());
     match killed {
-        Err(CollectError::Crawl(e)) if matches!(e.kind, FaultKind::Killed { .. }) => {}
+        Some(CollectError::Crawl(e)) if matches!(e.kind, FaultKind::Killed { .. }) => {}
         other => panic!("expected an injected kill, got {other:?}"),
     }
     let metrics = Metrics::new();
-    let t = Instant::now();
-    let resumed = collect(&spec.clone().resuming(), None, &metrics).expect("resume completes");
-    let resume_ms = t.elapsed().as_secs_f64() * 1e3;
+    let (resume_ms, resumed) =
+        time_ms(|| collect(&spec.clone().resuming(), None, &metrics).expect("resume completes"));
     ResumeCycle {
         total_pages,
         killed_after_pages: budget,

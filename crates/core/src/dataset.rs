@@ -308,7 +308,7 @@ impl Dataset {
     /// size: deserialization is driven from parser events (no
     /// intermediate `Value` tree), so multi-GB paper-scale exports
     /// ingest at memory-bandwidth-bound rates (~250 MB/s; see
-    /// `json_bench` / `BENCH_json.json`). For files of unknown format,
+    /// `storage_bench` / `BENCH_storage.json`). For files of unknown format,
     /// prefer [`Dataset::load`], which auto-detects columnar vs JSON.
     pub fn from_json(s: &str) -> serde_json::Result<Dataset> {
         serde_json::from_str(s)

@@ -20,7 +20,7 @@
 //!
 //! Columnar is the *native* form; JSON stays the interchange and
 //! differential-testing form. The correctness gate (enforced by the
-//! round-trip tests and `columnar_bench`) is that JSON → columnar → JSON
+//! round-trip tests and `storage_bench`) is that JSON → columnar → JSON
 //! is byte-identical to JSON → JSON: decoding rebuilds a logically equal
 //! `Dataset`, and the vendored serde serializes maps in sorted key order,
 //! so logical equality implies byte equality of the re-export.
