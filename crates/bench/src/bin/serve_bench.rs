@@ -22,6 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ens_bench::{gate, time_ms, write_report, Fixture, Flags};
+use ens_dropcatch::MAX_WORKERS;
 use ens_obs::Metrics;
 use ens_serve::{Request, ServeHandle, ServeState};
 use rand::rngs::StdRng;
@@ -330,7 +331,7 @@ fn main() {
         .count("--names N", &mut names)
         .value("--seed S", &mut seed)
         .count("--requests N", &mut requests)
-        .counts("--workers 1,2,8", &mut workers)
+        .counts_up_to("--workers 1,2,8", MAX_WORKERS, &mut workers)
         .value("--zipf-s S", &mut zipf_s)
         .optional("--min-rps X", &mut min_rps)
         .optional("--out PATH", &mut out)

@@ -2,9 +2,9 @@
 //! one report writer.
 //!
 //! A bin declares its flags with [`Flags`], each bound to the local it
-//! fills, so `--help`, unknown flags, missing values and zero counts are
-//! handled here and rejected before any world is built. Timings go
-//! through [`time_ms`] and [`best_of`], and reports through
+//! fills, so `--help`, unknown flags, missing values and counts out of
+//! range are handled here and rejected before any world is built. Timings
+//! go through [`time_ms`] and [`best_of`], and reports through
 //! [`write_report`], which stamps each one with the [`Envelope`] of the
 //! run that wrote it.
 
@@ -51,9 +51,10 @@ fn parse_value<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
         .map_err(|_| format!("bad value {value:?} for {flag}"))
 }
 
-fn parse_count(flag: &str, value: &str) -> Result<usize, String> {
+fn parse_count(flag: &str, value: &str, max: usize) -> Result<usize, String> {
     match parse_value(flag, value)? {
         0 => Err(format!("{flag} must be >= 1 (got 0)")),
+        n if n > max => Err(format!("{flag} must be <= {max} (got {n})")),
         n => Ok(n),
     }
 }
@@ -98,7 +99,7 @@ impl<'a> Flags<'a> {
     /// A count: a whole number of at least 1.
     pub fn count(self, spec: &'static str, target: &'a mut usize) -> Flags<'a> {
         let set = move |flag: &str, v: &str| {
-            *target = parse_count(flag, v)?;
+            *target = parse_count(flag, v, usize::MAX)?;
             Ok(())
         };
         self.slot(spec, Slot::Value(Box::new(set)))
@@ -106,10 +107,21 @@ impl<'a> Flags<'a> {
 
     /// A comma-separated list of counts, each at least 1.
     pub fn counts(self, spec: &'static str, target: &'a mut Vec<usize>) -> Flags<'a> {
+        self.counts_up_to(spec, usize::MAX, target)
+    }
+
+    /// A comma-separated list of counts, each from 1 to `max`: a bin that
+    /// starts one thread per unit rejects a count it could not start.
+    pub fn counts_up_to(
+        self,
+        spec: &'static str,
+        max: usize,
+        target: &'a mut Vec<usize>,
+    ) -> Flags<'a> {
         let set = move |flag: &str, v: &str| {
             *target = v
                 .split(',')
-                .map(|entry| parse_count(flag, entry))
+                .map(|entry| parse_count(flag, entry, max))
                 .collect::<Result<_, _>>()?;
             Ok(())
         };
@@ -334,12 +346,24 @@ fn indent_json(compact: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ens_dropcatch::MAX_WORKERS;
 
     #[test]
     fn flags_reject_bad_arguments_before_any_work() {
         let bad = |m: &str| Err(ArgError::Bad(m.to_string()));
         let cases: Vec<(&[&str], Result<(), ArgError>)> = vec![
-            (&["--names", "5", "--scales", "2,8", "--legacy"], Ok(())),
+            (
+                &[
+                    "--names",
+                    "5",
+                    "--scales",
+                    "2,8",
+                    "--legacy",
+                    "--workers",
+                    "1,64",
+                ],
+                Ok(()),
+            ),
             (&["--bogus"], bad("unknown argument --bogus")),
             (&["--names"], bad("--names needs a value")),
             (&["--names", "0"], bad("--names must be >= 1 (got 0)")),
@@ -348,6 +372,14 @@ mod tests {
             (&["--scales", "4,0"], bad("--scales must be >= 1 (got 0)")),
             (&["--scales", ""], bad("bad value \"\" for --scales")),
             (
+                &["--workers", "1,65"],
+                bad("--workers must be <= 64 (got 65)"),
+            ),
+            (
+                &["--workers", "100000"],
+                bad("--workers must be <= 64 (got 100000)"),
+            ),
+            (
                 &["--out", "r.json", "--help", "--bogus"],
                 Err(ArgError::Help),
             ),
@@ -355,19 +387,24 @@ mod tests {
         ];
         for (argv, want) in cases {
             let (mut names, mut scales, mut legacy, mut out) = (300, vec![1], false, None);
+            let mut workers = vec![1];
             let flags = Flags::new("t")
                 .count("--names N", &mut names)
                 .counts("--scales 1,4,16", &mut scales)
+                .counts_up_to("--workers 1,2,8", MAX_WORKERS, &mut workers)
                 .switch("--legacy", &mut legacy)
                 .optional::<String>("--out PATH", &mut out);
             assert_eq!(
                 flags.usage(),
-                "usage: t [--names N] [--scales 1,4,16] [--legacy] [--out PATH]"
+                "usage: t [--names N] [--scales 1,4,16] [--workers 1,2,8] [--legacy] [--out PATH]"
             );
             let got = flags.parse(argv.iter().map(|a| a.to_string()));
             assert_eq!(got, want, "{argv:?}");
             if got.is_ok() {
-                assert_eq!((names, scales, legacy, out), (5, vec![2, 8], true, None));
+                assert_eq!(
+                    (names, scales, workers, legacy, out),
+                    (5, vec![2, 8], vec![1, 64], true, None)
+                );
             }
         }
     }

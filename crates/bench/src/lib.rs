@@ -1,4 +1,10 @@
-//! Shared fixtures for the benches and the `repro` harness.
+//! What the bench bins share: the world-plus-dataset [`Fixture`], the
+//! per-bench runners behind each committed `BENCH_*.json`, the flag parser
+//! and report writer of [`harness`], and the paper-vs-measured comparison
+//! the `repro` harness prints.
+//!
+//! Stage timings of the CLI's own runs come from its `--metrics-json`
+//! spans, not from here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,21 +22,14 @@ pub use harness::{best_of, gate, nproc, time_ms, write_report, Flags};
 pub use resume::{run_resume_bench, CadenceRun, ResumeBenchReport, ResumeCycle};
 pub use storage::{check_file, run_storage_bench, StorageBenchReport, StorageScaleRun};
 
-use std::sync::OnceLock;
-
 use ens_dropcatch::{run_study_on, CrawlConfig, Dataset, Metrics, StudyConfig, StudyReport};
-use ens_subgraph::{Subgraph, SubgraphConfig};
-use etherscan_sim::Etherscan;
+use ens_subgraph::SubgraphConfig;
 use workload::{World, WorldConfig};
 
-/// A fully built world with its crawled dataset — built once per process.
+/// A fully built world with its crawled dataset.
 pub struct Fixture {
     /// The simulated ecosystem.
     pub world: World,
-    /// The subgraph view.
-    pub subgraph: Subgraph,
-    /// The explorer view.
-    pub etherscan: Etherscan,
     /// The crawled dataset.
     pub dataset: Dataset,
 }
@@ -47,7 +46,8 @@ impl Fixture {
 
     /// Crawls and ingests an already-built world — the world build and the
     /// crawl/ingest phase can then be timed separately (the paper-scale
-    /// bench reports each as its own pipeline stage).
+    /// bench reports each as its own pipeline stage). Both source indexes
+    /// are dropped once the crawl returns.
     pub fn from_world(world: World) -> Fixture {
         let subgraph = world.subgraph(SubgraphConfig::default());
         let etherscan = world.etherscan();
@@ -59,12 +59,7 @@ impl Fixture {
             &CrawlConfig::default(),
         )
         .expect("clean endpoints cannot fail");
-        Fixture {
-            world,
-            subgraph,
-            etherscan,
-            dataset,
-        }
+        Fixture { world, dataset }
     }
 
     /// Runs the full study on the prebuilt dataset.
@@ -78,13 +73,6 @@ impl Fixture {
             &Metrics::disabled(),
         )
     }
-}
-
-/// The standard bench fixture (8K names) — small enough that criterion's
-/// repeated measurement stays pleasant, large enough for stable shapes.
-pub fn bench_fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| Fixture::build(8_000, 0xBEEF))
 }
 
 /// One paper-vs-measured comparison row for EXPERIMENTS.md.

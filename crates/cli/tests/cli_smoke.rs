@@ -279,6 +279,17 @@ fn metrics_json_writes_a_snapshot_with_both_sections() {
         "\"columnar/encode\"",
         "\"storage/write\"",
         "\"report/render\"",
+        // The spans the docs cite for Fig 1, §3 and each §4 pass.
+        "\"collect/crawl/subgraph\"",
+        "\"collect/crawl/txlist\"",
+        "\"collect/crawl/market\"",
+        "\"study/index\"",
+        "\"study/index/detect\"",
+        "\"study/overview\"",
+        "\"study/features\"",
+        "\"study/losses\"",
+        "\"study/resale\"",
+        "\"study/countermeasures\"",
     ] {
         assert!(snapshot.contains(key), "snapshot missing {key}");
     }

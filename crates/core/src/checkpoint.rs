@@ -76,7 +76,7 @@ use ens_types::{Address, Timestamp};
 use opensea_sim::MarketEvent;
 use sim_chain::Transaction;
 
-use crate::crawl::{CommittedShard, CrawlGap, RetryCounts, SourceStats};
+use crate::crawl::{CrawlGap, Crawled, RetryCounts, SourceStats};
 use crate::dataset::CrawlConfig;
 use crate::export::{write_atomic, StorageError};
 use crate::storage::{
@@ -202,11 +202,11 @@ pub struct CrawlCheckpoint {
     /// [`config_fingerprint`] of the producing run.
     pub fingerprint: u64,
     /// Committed subgraph shards by shard index.
-    pub subgraph: BTreeMap<u64, CommittedShard<DomainRecord>>,
+    pub subgraph: BTreeMap<u64, Crawled<DomainRecord>>,
     /// Committed txlist shards by address.
-    pub txlist: BTreeMap<Address, CommittedShard<Transaction>>,
+    pub txlist: BTreeMap<Address, Crawled<Transaction>>,
     /// Committed market shards by shard index.
-    pub market: BTreeMap<u64, CommittedShard<MarketEvent>>,
+    pub market: BTreeMap<u64, Crawled<MarketEvent>>,
 }
 
 impl CrawlCheckpoint {
@@ -505,7 +505,7 @@ impl CheckpointJournal {
 
     /// Commits one subgraph shard; returns true if this commit triggered a
     /// cadence save.
-    pub fn commit_subgraph(&self, shard: u64, c: &CommittedShard<DomainRecord>) -> bool {
+    pub fn commit_subgraph(&self, shard: u64, c: &Crawled<DomainRecord>) -> bool {
         let blob = match shard_blob(c, put_domain_rows) {
             Ok(b) => b,
             Err(e) => return self.record_error(e),
@@ -516,7 +516,7 @@ impl CheckpointJournal {
     }
 
     /// Commits one txlist shard (one address's whole source).
-    pub fn commit_txlist(&self, addr: Address, c: &CommittedShard<Transaction>) -> bool {
+    pub fn commit_txlist(&self, addr: Address, c: &Crawled<Transaction>) -> bool {
         let blob = match shard_blob(c, |txs, buf| put_txlist_rows(addr, txs, buf)) {
             Ok(b) => b,
             Err(e) => return self.record_error(e),
@@ -527,7 +527,7 @@ impl CheckpointJournal {
     }
 
     /// Commits one market shard.
-    pub fn commit_market(&self, shard: u64, c: &CommittedShard<MarketEvent>) -> bool {
+    pub fn commit_market(&self, shard: u64, c: &Crawled<MarketEvent>) -> bool {
         let blob = match shard_blob(c, put_market_rows) {
             Ok(b) => b,
             Err(e) => return self.record_error(e),
@@ -606,7 +606,7 @@ impl CheckpointJournal {
 /// words, the gaps, then the rows `put_rows` writes with the dataset's own
 /// column writers.
 fn shard_blob<T>(
-    c: &CommittedShard<T>,
+    c: &Crawled<T>,
     put_rows: impl FnOnce(&[T], &mut Vec<u8>),
 ) -> Result<Vec<u8>, StorageError> {
     let mut blob = Vec::new();
@@ -623,14 +623,14 @@ fn take_shard<T>(
     cur: &mut Cursor<'_>,
     context: &'static str,
     take_rows: impl FnOnce(&mut Cursor<'_>) -> Result<Vec<T>, ColumnarError>,
-) -> Result<CommittedShard<T>, ColumnarError> {
+) -> Result<Crawled<T>, ColumnarError> {
     let len = cur.take_u32()? as usize;
     let mut blob = Cursor::new(cur.take_bytes(len)?, context);
     let stats = take_stats(&mut blob)?;
     let gaps = take_gaps(&mut blob, context)?;
     let items = take_rows(&mut blob)?;
     blob.expect_end()?;
-    Ok(CommittedShard { items, stats, gaps })
+    Ok(Crawled { items, stats, gaps })
 }
 
 /// [`SourceStats`] as eight `u64` words: pages, items, retries, the four
@@ -735,7 +735,7 @@ fn decode_indexed<T>(
     bytes: &[u8],
     context: &'static str,
     take_rows: impl Fn(&mut Cursor<'_>) -> Result<Vec<T>, ColumnarError>,
-) -> Result<BTreeMap<u64, CommittedShard<T>>, ColumnarError> {
+) -> Result<BTreeMap<u64, Crawled<T>>, ColumnarError> {
     let mut cur = Cursor::new(bytes, context);
     let n = cur.take_u32()?;
     let mut map = BTreeMap::new();
@@ -750,7 +750,7 @@ fn decode_indexed<T>(
 fn decode_keyed(
     bytes: &[u8],
     context: &'static str,
-) -> Result<BTreeMap<Address, CommittedShard<Transaction>>, ColumnarError> {
+) -> Result<BTreeMap<Address, Crawled<Transaction>>, ColumnarError> {
     let mut cur = Cursor::new(bytes, context);
     let n = cur.take_u32()?;
     let mut map = BTreeMap::new();
@@ -776,7 +776,7 @@ mod tests {
         let mut ckpt = CrawlCheckpoint::new(0xABCD);
         ckpt.market.insert(
             3,
-            CommittedShard {
+            Crawled {
                 items: Vec::new(),
                 stats: SourceStats {
                     pages: 2,
@@ -798,7 +798,7 @@ mod tests {
         );
         ckpt.txlist.insert(
             Address::derive(b"someone"),
-            CommittedShard {
+            Crawled {
                 items: Vec::new(),
                 stats: SourceStats {
                     pages: 1,
@@ -892,7 +892,7 @@ mod tests {
         let path = dir.join("j.ensc");
         let spec = CheckpointSpec::new(&path).every(4);
         let journal = CheckpointJournal::new(&spec, 0xF00D, &CrawlCheckpoint::new(0xF00D)).unwrap();
-        let shard = |pages: usize| CommittedShard::<DomainRecord> {
+        let shard = |pages: usize| Crawled::<DomainRecord> {
             items: Vec::new(),
             stats: SourceStats {
                 pages,
@@ -939,7 +939,7 @@ mod tests {
         let path = dir.join("c.ensc");
         let spec = CheckpointSpec::new(&path).every(1);
         let journal = CheckpointJournal::new(&spec, 0xABCD, &CrawlCheckpoint::new(0xABCD)).unwrap();
-        let shard = || CommittedShard::<DomainRecord> {
+        let shard = || Crawled::<DomainRecord> {
             items: Vec::new(),
             stats: SourceStats {
                 pages: 1,

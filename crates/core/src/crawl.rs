@@ -407,10 +407,18 @@ impl FailurePolicy {
     }
 }
 
-/// The result of draining one source: items in the endpoint's stable
-/// order, deterministic accounting, and recorded gaps (under a `Degrade`
-/// policy).
-#[derive(Clone, Debug)]
+/// The result of draining one source, or one shard of it: items in the
+/// endpoint's stable order, deterministic accounting, and recorded gaps
+/// (under a `Degrade` policy).
+///
+/// A shard's result is the unit of checkpoint durability: everything a
+/// resumed crawl needs to splice the shard's contribution back in without
+/// refetching it. Because each shard's drain is a pure function of
+/// `(source, profile, shard range)` — chaos burst state is tracked per
+/// offset and shard offset ranges are disjoint — a spliced shard is
+/// byte-identical to a refetched one, which is what makes resumed crawls
+/// indistinguishable from uninterrupted ones.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Crawled<T> {
     /// All recovered items, in the source's stable order.
     pub items: Vec<T>,
@@ -429,27 +437,6 @@ pub struct KeyedCrawl<K, T> {
     /// Accounting summed over every key's crawl.
     pub stats: SourceStats,
     /// Gaps across all keys (empty for a clean crawl).
-    pub gaps: Vec<CrawlGap>,
-}
-
-/// One crawl shard's result — what `drain` recovered over the shard's
-/// range, and the unit of checkpoint durability. Everything a resumed
-/// crawl needs to splice the shard's contribution back in without
-/// refetching it: the items in source order, the shard's deterministic
-/// accounting, and any gaps its degrade policy recorded.
-///
-/// Because each shard's drain is a pure function of `(source, profile,
-/// shard range)` — chaos burst state is tracked per offset and shard
-/// offset ranges are disjoint — a spliced shard is byte-identical to a
-/// refetched one, which is what makes resumed crawls indistinguishable
-/// from uninterrupted ones.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CommittedShard<T> {
-    /// The shard's items, in the source's stable order.
-    pub items: Vec<T>,
-    /// The shard's page/item/retry/backoff accounting.
-    pub stats: SourceStats,
-    /// Gaps the shard's degrade policy recorded (empty for a clean shard).
     pub gaps: Vec<CrawlGap>,
 }
 
@@ -513,7 +500,7 @@ fn drain<S: PagedSource>(
     page_size: usize,
     retry: &RetryPolicy,
     failure: &FailurePolicy,
-) -> Result<CommittedShard<S::Item>, CrawlError> {
+) -> Result<Crawled<S::Item>, CrawlError> {
     let name = source.source_name();
     let mut out = Vec::new();
     let mut stats = SourceStats::default();
@@ -566,7 +553,7 @@ fn drain<S: PagedSource>(
                     None => got == 0 || !batch.has_more,
                 };
                 if done {
-                    return Ok(CommittedShard {
+                    return Ok(Crawled {
                         items: out,
                         stats,
                         gaps,
@@ -620,7 +607,7 @@ fn drain<S: PagedSource>(
                             Some(e) => {
                                 offset += limit;
                                 if offset >= e {
-                                    return Ok(CommittedShard {
+                                    return Ok(Crawled {
                                         items: out,
                                         stats,
                                         gaps,
@@ -630,7 +617,7 @@ fn drain<S: PagedSource>(
                             // A cursor-only walk cannot know what lies past a
                             // dead page; stop with an open-ended gap.
                             None => {
-                                return Ok(CommittedShard {
+                                return Ok(Crawled {
                                     items: out,
                                     stats,
                                     gaps,
@@ -709,13 +696,13 @@ impl Crawler {
     pub fn crawl_resumable<S, F>(
         &self,
         source: &S,
-        mut committed: BTreeMap<u64, CommittedShard<S::Item>>,
+        mut committed: BTreeMap<u64, Crawled<S::Item>>,
         commit: F,
     ) -> Result<Crawled<S::Item>, CrawlError>
     where
         S: PagedSource + Sync,
         S::Item: Send + Sync,
-        F: Fn(u64, &CommittedShard<S::Item>) + Sync,
+        F: Fn(u64, &Crawled<S::Item>) + Sync,
     {
         let page_size = self.page_size.max(1);
         // Fixed page-range shards: boundaries depend only on the total and
@@ -785,14 +772,14 @@ impl Crawler {
     pub fn crawl_keyed_resumable<K, S, F>(
         &self,
         sources: &[(K, S)],
-        mut committed: BTreeMap<K, CommittedShard<S::Item>>,
+        mut committed: BTreeMap<K, Crawled<S::Item>>,
         commit: F,
     ) -> Result<KeyedCrawl<K, S::Item>, CrawlError>
     where
         K: Ord + Clone + Sync + fmt::Display,
         S: PagedSource + Sync,
         S::Item: Send + Sync,
-        F: Fn(&K, &CommittedShard<S::Item>) + Sync,
+        F: Fn(&K, &Crawled<S::Item>) + Sync,
     {
         let page_size = self.page_size.max(1);
         let spliced = sources
@@ -844,14 +831,14 @@ impl Crawler {
     fn run_shards<T, D, C>(
         &self,
         source: &'static str,
-        spliced: Vec<Option<CommittedShard<T>>>,
+        spliced: Vec<Option<Crawled<T>>>,
         drain_shard: D,
         commit: C,
     ) -> Result<Merged<T>, CrawlError>
     where
         T: Send + Sync,
-        D: Fn(usize) -> Result<CommittedShard<T>, CrawlError> + Sync,
-        C: Fn(usize, &CommittedShard<T>) + Sync,
+        D: Fn(usize) -> Result<Crawled<T>, CrawlError> + Sync,
+        C: Fn(usize, &Crawled<T>) + Sync,
     {
         let shards = spliced.len();
         // The lowest failed shard so far. It publishes no data — results
@@ -927,7 +914,7 @@ pub fn relevant_addresses(domains: &[DomainRecord]) -> BTreeSet<Address> {
 mod tests {
     use super::*;
     use ens_subgraph::SubgraphConfig;
-    use ens_types::paged::{ChaosSource, FaultProfile, FlakySource, PageError, PagedBatch};
+    use ens_types::paged::{ChaosSource, FaultProfile, PageError, PagedBatch, PPM};
     use std::sync::atomic::AtomicBool;
     use workload::WorldConfig;
 
@@ -1026,7 +1013,7 @@ mod tests {
     fn transient_failures_are_retried_and_counted() {
         let world = WorldConfig::small().with_names(60).with_seed(23).build();
         let sg = world.subgraph(SubgraphConfig::lossless());
-        let flaky = FlakySource::new(&sg, 2);
+        let flaky = ChaosSource::new(&sg, FaultProfile::new(0).with_server_errors(PPM, 2));
         let crawler = Crawler {
             page_size: 16,
             threads: 2,
@@ -1045,7 +1032,7 @@ mod tests {
         );
 
         // Exhausting the retry budget surfaces a CrawlError.
-        let hopeless = FlakySource::new(&sg, 5);
+        let hopeless = ChaosSource::new(&sg, FaultProfile::new(0).with_server_errors(PPM, 5));
         let err = crawler.crawl(&hopeless).unwrap_err();
         assert_eq!(err.source, "subgraph");
         assert_eq!(err.attempts, 4, "1 initial + max_retries");

@@ -75,8 +75,8 @@ pub use checkpoint::{
     CheckpointSpec, CrawlCheckpoint, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use crawl::{
-    relevant_addresses, CommittedShard, CrawlError, CrawlGap, CrawlReport, CrawlTimings, Crawled,
-    Crawler, FailurePolicy, KeyedCrawl, RetryCounts, RetryPolicy, SourceStats,
+    relevant_addresses, CrawlError, CrawlGap, CrawlReport, CrawlTimings, Crawled, Crawler,
+    FailurePolicy, KeyedCrawl, RetryCounts, RetryPolicy, SourceStats,
 };
 pub use dataset::{CollectError, CrawlConfig, DataSources, Dataset};
 pub use ens_obs::{Metrics, MetricsSnapshot};

@@ -39,8 +39,8 @@ pub use hash::{Hash32, LabelHash, NameHash, TxHash};
 pub use keccak::{keccak256, Keccak256};
 pub use name::{namehash, EnsName, Label, NameError, ETH_NODE};
 pub use paged::{
-    ChaosSource, FaultKind, FaultProfile, FlakySource, KillSwitch, PageError, PagedBatch,
-    PagedSource, ShardKey, PPM,
+    ChaosSource, FaultKind, FaultProfile, KillSwitch, PageError, PagedBatch, PagedSource, ShardKey,
+    PPM,
 };
 pub use time::{BlockNumber, Duration, Timestamp, SECONDS_PER_BLOCK, SECONDS_PER_DAY};
 

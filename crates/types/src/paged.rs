@@ -635,38 +635,6 @@ impl<S: PagedSource> PagedSource for ChaosSource<S> {
     }
 }
 
-/// The original, simplest chaos wrapper, kept for existing tests: fails the
-/// first `fail_attempts` fetches at every offset with a transient server
-/// error, then delegates. Implemented as an always-on [`ChaosSource`].
-pub struct FlakySource<S>(ChaosSource<S>);
-
-impl<S> FlakySource<S> {
-    /// Wraps `inner` so every offset fails its first `fail_attempts`
-    /// fetches before succeeding.
-    pub fn new(inner: S, fail_attempts: u32) -> FlakySource<S> {
-        FlakySource(ChaosSource::new(
-            inner,
-            FaultProfile::new(0).with_server_errors(PPM, fail_attempts),
-        ))
-    }
-}
-
-impl<S: PagedSource> PagedSource for FlakySource<S> {
-    type Item = S::Item;
-
-    fn source_name(&self) -> &'static str {
-        self.0.source_name()
-    }
-
-    fn total_hint(&self) -> Option<usize> {
-        self.0.total_hint()
-    }
-
-    fn fetch(&self, offset: usize, limit: usize) -> Result<PagedBatch<Self::Item>, PageError> {
-        self.0.fetch(offset, limit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,7 +660,7 @@ mod tests {
 
     #[test]
     fn flaky_source_fails_then_recovers_per_offset() {
-        let flaky = FlakySource::new(Numbers(10), 2);
+        let flaky = ChaosSource::new(Numbers(10), FaultProfile::new(0).with_server_errors(PPM, 2));
         assert!(flaky.fetch(0, 5).is_err());
         assert!(flaky.fetch(0, 5).is_err());
         let batch = flaky.fetch(0, 5).expect("third attempt succeeds");
@@ -704,7 +672,7 @@ mod tests {
 
     #[test]
     fn flaky_errors_are_typed_server_errors() {
-        let flaky = FlakySource::new(Numbers(10), 1);
+        let flaky = ChaosSource::new(Numbers(10), FaultProfile::new(0).with_server_errors(PPM, 1));
         let err = flaky.fetch(0, 5).unwrap_err();
         assert_eq!(err.kind, FaultKind::ServerError);
         assert!(err.kind.is_retryable());

@@ -11,8 +11,8 @@ use ens_dropcatch_suite::analysis::checkpoint::{
     config_fingerprint, load_for_resume, CheckpointLoad, CrawlCheckpoint,
 };
 use ens_dropcatch_suite::analysis::{
-    CheckpointSpec, CollectError, CommittedShard, CrawlConfig, CrawlGap, Crawler, DataSources,
-    Dataset, FailurePolicy, Format, Metrics, SourceStats, StorageError,
+    CheckpointSpec, CollectError, CrawlConfig, CrawlGap, Crawled, Crawler, DataSources, Dataset,
+    FailurePolicy, Format, Metrics, SourceStats, StorageError,
 };
 use ens_dropcatch_suite::columnar::{ColumnarError, FileBuilder, FileView};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
@@ -37,7 +37,7 @@ fn populated_checkpoint() -> CrawlCheckpoint {
     let mut ckpt = CrawlCheckpoint::new(0xDEAD_BEEF);
     ckpt.subgraph.insert(
         0,
-        CommittedShard {
+        Crawled {
             items: crawled.items,
             stats: crawled.stats,
             gaps: crawled.gaps,
@@ -45,7 +45,7 @@ fn populated_checkpoint() -> CrawlCheckpoint {
     );
     ckpt.market.insert(
         7,
-        CommittedShard {
+        Crawled {
             items: Vec::new(),
             stats: SourceStats {
                 pages: 1,
@@ -343,7 +343,7 @@ fn decoder_fixture() -> &'static [u8] {
         let mut ckpt = CrawlCheckpoint::new(0xF0CC);
         ckpt.subgraph.insert(
             0,
-            CommittedShard {
+            Crawled {
                 // The first domains, plus a few with the rarer entry kinds.
                 items: ds
                     .domains
@@ -378,7 +378,7 @@ fn decoder_fixture() -> &'static [u8] {
         for (addr, txs) in ds.transactions.iter().take(12) {
             ckpt.txlist.insert(
                 *addr,
-                CommittedShard {
+                Crawled {
                     items: txs.clone(),
                     stats: SourceStats {
                         pages: 1,
@@ -391,7 +391,7 @@ fn decoder_fixture() -> &'static [u8] {
         }
         ckpt.market.insert(
             0,
-            CommittedShard {
+            Crawled {
                 items: ds.market.all_events().to_vec(),
                 stats: report.market,
                 gaps: Vec::new(),

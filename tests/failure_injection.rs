@@ -9,9 +9,7 @@ use ens_dropcatch_suite::analysis::{
 };
 use ens_dropcatch_suite::oracle::PriceOracle;
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
-use ens_dropcatch_suite::types::{
-    ChaosSource, FaultKind, FaultProfile, FlakySource, Timestamp, PPM,
-};
+use ens_dropcatch_suite::types::{ChaosSource, FaultKind, FaultProfile, Timestamp, PPM};
 use ens_dropcatch_suite::workload::WorldConfig;
 
 /// The full study with default knobs over endpoints that never fail a crawl.
@@ -117,7 +115,10 @@ fn transient_endpoint_failures_are_retried_away() {
     // every retry.
     let clean = Crawler::with_page_size(64).crawl(&sg).unwrap();
     let flaky = Crawler::with_page_size(64)
-        .crawl(&FlakySource::new(&sg, 2))
+        .crawl(&ChaosSource::new(
+            &sg,
+            FaultProfile::new(0).with_server_errors(PPM, 2),
+        ))
         .unwrap();
     assert_eq!(clean.items, flaky.items);
     assert_eq!(flaky.stats.retries, 2 * flaky.stats.pages);
@@ -125,7 +126,10 @@ fn transient_endpoint_failures_are_retried_away() {
     // A source that always fails exhausts the budget and reports where —
     // with the fault kind and the partial accounting attached.
     let err = Crawler::with_page_size(64)
-        .crawl(&FlakySource::new(&sg, u32::MAX))
+        .crawl(&ChaosSource::new(
+            &sg,
+            FaultProfile::new(0).with_server_errors(PPM, u32::MAX),
+        ))
         .unwrap_err();
     assert_eq!(err.source, "subgraph");
     assert_eq!(err.attempts, 4);
