@@ -3,20 +3,25 @@
 use ens_types::{Address, BlockNumber, Hash32, Timestamp, TxHash, Wei};
 use serde::{Deserialize, Serialize};
 
-/// Why a transfer happened — the ledger itself does not interpret this, but
-/// downstream analytics (and tests) use it as ground truth to validate the
-/// paper's *inference-only* pipeline, which never gets to see it.
+/// What kind of transaction this is, as a block explorer shows it. The
+/// ledger itself does not interpret it. The measurement pipeline sees
+/// exactly what the explorer's `txlist` shows and nothing more: whether the
+/// transaction called a contract, the explorer's name tag for that
+/// contract, and a zero sender on a mint. The study's income and
+/// misdirection filters count only [`TxKind::Transfer`] rows.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TxKind {
-    /// A plain value transfer between externally-owned accounts.
+    /// A plain value transfer between externally-owned accounts: no
+    /// contract call, a non-zero sender.
     Transfer,
-    /// A payment into a contract, labelled with the contract's short name
-    /// (e.g. `"ens-controller"`, `"opensea"`).
+    /// A call into a contract, shown with the explorer's name tag for the
+    /// contract (e.g. `"ens-controller"`, `"opensea"`).
     ContractPayment {
-        /// Short identifier of the receiving contract.
+        /// The explorer's name for the receiving contract.
         contract: String,
     },
-    /// Funds minted at genesis / by a faucet (no real sender).
+    /// Funds minted at genesis or by a faucet: the explorer shows the zero
+    /// address as the sender.
     Mint,
 }
 
@@ -35,7 +40,7 @@ pub struct Transaction {
     pub to: Address,
     /// Value moved, in wei.
     pub value: Wei,
-    /// Ground-truth category (invisible to the measurement pipeline).
+    /// Transfer, contract call or mint, as the explorer shows it.
     pub kind: TxKind,
 }
 

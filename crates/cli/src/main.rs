@@ -67,7 +67,7 @@ use std::process::ExitCode;
 use ens_dropcatch::checkpoint::fnv1a;
 use ens_dropcatch::{
     run_study_on, CheckpointSpec, CollectError, CrawlConfig, CrawlTimings, DataSources, Dataset,
-    FailurePolicy, Format, Metrics, RetryPolicy, StudyConfig, StudyReport,
+    DatasetFile, FailurePolicy, Format, Metrics, RetryPolicy, StudyConfig, StudyReport,
     DEFAULT_CHECKPOINT_EVERY, MAX_WORKERS,
 };
 use ens_subgraph::SubgraphConfig;
@@ -600,22 +600,22 @@ fn run(args: Args, full_study: bool) -> ExitCode {
 
 /// Reads `--dataset` for `command`: detects the format from the file's
 /// magic bytes (never the extension), checks it against `--format`, and
-/// decodes it under `metrics`. On failure the error is already reported
-/// and the exit code is returned.
+/// decodes it under `metrics` — a columnar file one section at a time. On
+/// failure the error is already reported and the exit code is returned.
 fn load_dataset(args: &Args, command: &str, metrics: &Metrics) -> Result<Dataset, ExitCode> {
     let Some(path) = &args.dataset else {
         eprintln!("{command} requires --dataset FILE");
         return Err(ExitCode::from(2));
     };
-    let bytes = {
+    let file = {
         let _span = metrics.span("storage/read");
-        std::fs::read(path)
+        DatasetFile::open(path)
     }
     .map_err(|e| {
         eprintln!("cannot read {}: {e}", path.display());
         ExitCode::FAILURE
     })?;
-    let detected = Format::detect(&bytes);
+    let detected = file.format();
     if let Some(flag) = args.format.filter(|&flag| flag != detected) {
         eprintln!(
             "error: --format {flag} contradicts {}, which is a {detected} file \
@@ -628,10 +628,10 @@ fn load_dataset(args: &Args, command: &str, metrics: &Metrics) -> Result<Dataset
         eprintln!(
             "detected {detected} dataset: {} ({} bytes)",
             path.display(),
-            bytes.len()
+            file.file_len()
         );
     }
-    let dataset = Dataset::from_bytes_metered(&bytes, metrics).map_err(|e| {
+    let dataset = file.decode(metrics).map_err(|e| {
         eprintln!("cannot parse dataset: {e}");
         ExitCode::FAILURE
     })?;

@@ -233,6 +233,39 @@ fn serve_rejects_a_bad_dataset_before_it_starts() {
 }
 
 #[test]
+fn analyze_rejects_a_truncated_columnar_file() {
+    let dir = std::env::temp_dir().join(format!("ens-cli-truncated-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ensc = dir.join("dataset.ensc");
+    let output = bin()
+        .args(["simulate", "--names", "60", "--seed", "5", "--dataset"])
+        .arg(&ensc)
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success());
+    let bytes = std::fs::read(&ensc).unwrap();
+    // Cut inside the directory, and inside the last section: the reader
+    // checks both against the file's size before it reads a payload.
+    for cut in [40, bytes.len() - 1] {
+        let truncated = dir.join(format!("cut-{cut}.ensc"));
+        std::fs::write(&truncated, &bytes[..cut]).unwrap();
+        let output = bin()
+            .args(["analyze", "--dataset"])
+            .arg(&truncated)
+            .output()
+            .expect("binary runs");
+        assert_eq!(output.status.code(), Some(1), "cut at {cut}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("cannot parse dataset") && stderr.contains("truncated"),
+            "cut at {cut}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "cut at {cut}: no report");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn metrics_json_writes_a_snapshot_with_both_sections() {
     let dir = std::env::temp_dir().join(format!("ens-cli-metrics-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -327,7 +360,8 @@ fn metrics_json_writes_a_snapshot_with_both_sections() {
     );
 
     // `analyze` spans every stage of both formats: the file read, the
-    // decode, the study and the render; a JSON export spans its encode.
+    // decode (a columnar file's in four stages, each reading its own
+    // sections), the study and the render; a JSON export spans its encode.
     let snapshot_of = |args: &[&str], name: &str| {
         let path = dir.join(name);
         let output = bin()
@@ -364,6 +398,10 @@ fn metrics_json_writes_a_snapshot_with_both_sections() {
             &[
                 "\"storage/read\"",
                 "\"columnar/decode\"",
+                "\"columnar/decode/pools\"",
+                "\"columnar/decode/domains\"",
+                "\"columnar/decode/transactions\"",
+                "\"columnar/decode/other\"",
                 "\"study\"",
                 "\"report/render\"",
             ],

@@ -28,6 +28,13 @@
 //! JSON (which starts with `{` after optional whitespace), making format
 //! auto-detection a two-byte sniff.
 //!
+//! [`FileView`] parses a file held in memory. [`FileReader`] reads one
+//! from a file one section at a time, after checking the directory's
+//! every count, offset and length against the file's size, and rejects
+//! the same files, with the same error for any one fault.
+//! [`FileBuilder::write_to`] writes a file section by section, without
+//! joining the sections into one buffer.
+//!
 //! ## Columns
 //!
 //! Sections are built with the [`PutLe`] writer extension and read back
@@ -53,6 +60,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 
 /// Magic bytes opening every columnar file.
@@ -146,27 +154,74 @@ pub type Result<T> = std::result::Result<T, ColumnarError>;
 // Checksum
 // ---------------------------------------------------------------------------
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// A word-at-a-time FNV-1a variant: the 64-bit FNV constants applied to
 /// little-endian 8-byte words (zero-padded tail), with the input length
 /// folded into the seed so payloads differing only in trailing zero bytes
 /// hash apart. Not cryptographic — an integrity check against truncation
 /// and bit rot, chosen for GB/s-range throughput over byte-serial FNV.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = (OFFSET ^ bytes.len() as u64).wrapping_mul(PRIME);
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
-        h = (h ^ w).wrapping_mul(PRIME);
+    let mut sum = Checksum64::new(bytes.len());
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// [`checksum64`] over bytes that arrive in pieces, such as a file written
+/// section by section. The total length seeds the hash, so it is given up
+/// front.
+struct Checksum64 {
+    h: u64,
+    /// Bytes of a word not yet complete.
+    pending: [u8; 8],
+    filled: usize,
+}
+
+impl Checksum64 {
+    /// A checksum over `len` bytes still to come.
+    fn new(len: usize) -> Checksum64 {
+        Checksum64 {
+            h: (FNV_OFFSET ^ len as u64).wrapping_mul(FNV_PRIME),
+            pending: [0; 8],
+            filled: 0,
+        }
     }
-    let rem = words.remainder();
-    if !rem.is_empty() {
-        let mut last = [0u8; 8];
-        last[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(last)).wrapping_mul(PRIME);
+
+    fn mix(&mut self, word: [u8; 8]) {
+        self.h = (self.h ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
     }
-    h
+
+    /// Feeds the next bytes.
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.filled > 0 {
+            let take = (8 - self.filled).min(bytes.len());
+            self.pending[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 8 {
+                return;
+            }
+            self.mix(self.pending);
+            self.filled = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(w.try_into().expect("8-byte chunk"));
+        }
+        let rem = words.remainder();
+        self.pending[..rem.len()].copy_from_slice(rem);
+        self.filled = rem.len();
+    }
+
+    /// The checksum; a partial last word is zero-padded.
+    fn finish(mut self) -> u64 {
+        if self.filled > 0 {
+            self.pending[self.filled..].fill(0);
+            self.mix(self.pending);
+        }
+        self.h
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -250,33 +305,139 @@ impl FileBuilder {
         self.sections.push((id, payload));
     }
 
+    /// The framed file's size in bytes.
+    pub fn file_len(&self) -> usize {
+        PREAMBLE_BYTES
+            + self.sections.len() * DIR_ENTRY_BYTES
+            + 8
+            + self.sections.iter().map(|(_, p)| p.len()).sum::<usize>()
+    }
+
     /// Frames the accumulated sections into the final file bytes.
     pub fn finish(self) -> Vec<u8> {
-        let dir_bytes = self.sections.len() * DIR_ENTRY_BYTES;
-        let payload_start = PREAMBLE_BYTES + dir_bytes + 8; // + directory checksum
-        let total: usize =
-            payload_start + self.sections.iter().map(|(_, p)| p.len()).sum::<usize>();
-
-        let mut out = Vec::with_capacity(total);
-        out.put_bytes(&MAGIC);
-        out.put_u32(VERSION);
-        out.put_u32(self.sections.len() as u32);
-        let mut offset = payload_start as u64;
-        for (id, payload) in &self.sections {
-            out.put_u32(*id);
-            out.put_u64(offset);
-            out.put_u64(payload.len() as u64);
-            out.put_u64(checksum64(payload));
-            offset += payload.len() as u64;
-        }
-        let dir_checksum = checksum64(&out);
-        out.put_u64(dir_checksum);
-        for (_, payload) in &self.sections {
-            out.put_bytes(payload);
-        }
-        debug_assert_eq!(out.len(), total);
+        let mut out = Vec::with_capacity(self.file_len());
+        self.write_to(&mut out)
+            .expect("writing into a Vec cannot fail");
         out
     }
+
+    /// Writes the framed file to `out` — preamble, directory, then each
+    /// payload in turn, never concatenated in memory — and returns the
+    /// [`checksum64`] of everything written.
+    pub fn write_to<W: Write>(self, out: &mut W) -> std::io::Result<u64> {
+        let dir_bytes = self.sections.len() * DIR_ENTRY_BYTES;
+        let payload_start = PREAMBLE_BYTES + dir_bytes + 8; // + directory checksum
+        let mut head = Vec::with_capacity(payload_start);
+        head.put_bytes(&MAGIC);
+        head.put_u32(VERSION);
+        head.put_u32(self.sections.len() as u32);
+        let mut offset = payload_start as u64;
+        for (id, payload) in &self.sections {
+            head.put_u32(*id);
+            head.put_u64(offset);
+            head.put_u64(payload.len() as u64);
+            head.put_u64(checksum64(payload));
+            offset += payload.len() as u64;
+        }
+        let dir_checksum = checksum64(&head);
+        head.put_u64(dir_checksum);
+        let mut sum = Checksum64::new(self.file_len());
+        sum.update(&head);
+        out.write_all(&head)?;
+        // Each payload is freed once written.
+        for (_, payload) in self.sections {
+            sum.update(&payload);
+            out.write_all(&payload)?;
+        }
+        Ok(sum.finish())
+    }
+}
+
+/// One directory entry: where a section's payload lies and its checksum.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    id: u32,
+    offset: usize,
+    len: usize,
+    checksum: u64,
+}
+
+/// Checks the preamble's magic and version and returns the section count.
+/// A preamble shorter than [`PREAMBLE_BYTES`] has no magic.
+fn parse_preamble(preamble: &[u8]) -> Result<(u32, usize)> {
+    if preamble.len() < PREAMBLE_BYTES || preamble[..4] != MAGIC {
+        return Err(ColumnarError::BadMagic);
+    }
+    let version = u32::from_le_bytes(preamble[4..8].try_into().expect("4 bytes"));
+    if version != VERSION {
+        return Err(ColumnarError::UnsupportedVersion(version));
+    }
+    let count = u32::from_le_bytes(preamble[8..12].try_into().expect("4 bytes")) as usize;
+    Ok((version, count))
+}
+
+/// Where the directory of `count` sections ends, checked against the
+/// file's `len` bytes before anything is sized from `count`: the preamble,
+/// the directory and its checksum must all lie inside the file.
+fn directory_end(count: usize, len: usize) -> Result<usize> {
+    let dir_end = count
+        .checked_mul(DIR_ENTRY_BYTES)
+        .and_then(|dir| dir.checked_add(PREAMBLE_BYTES));
+    match dir_end {
+        Some(dir_end) if dir_end.checked_add(8).is_some_and(|end| end <= len) => Ok(dir_end),
+        _ => Err(ColumnarError::Truncated {
+            context: "section directory",
+            needed: dir_end.and_then(|d| d.checked_add(8)).unwrap_or(usize::MAX),
+            available: len,
+        }),
+    }
+}
+
+/// Verifies the directory checksum over `head` (the file's first
+/// `dir_end + 8` bytes, see [`directory_end`]) and parses the entries, each
+/// payload checked to lie inside the file's `len` bytes and each id to be
+/// unique.
+fn parse_directory(head: &[u8], len: usize) -> Result<Vec<Entry>> {
+    let dir_end = head.len() - 8;
+    let stored = u64::from_le_bytes(head[dir_end..].try_into().expect("8 bytes"));
+    if checksum64(&head[..dir_end]) != stored {
+        return Err(ColumnarError::DirectoryChecksumMismatch);
+    }
+    let count = (dir_end - PREAMBLE_BYTES) / DIR_ENTRY_BYTES;
+    let mut entries: Vec<Entry> = Vec::with_capacity(count);
+    let mut cursor = Cursor::new(&head[PREAMBLE_BYTES..dir_end], "section directory");
+    for _ in 0..count {
+        let id = cursor.take_u32()?;
+        // A value past `usize` cannot lie inside the file; saturating it
+        // makes the bounds check below refuse it.
+        let offset = usize::try_from(cursor.take_u64()?).unwrap_or(usize::MAX);
+        let payload_len = usize::try_from(cursor.take_u64()?).unwrap_or(usize::MAX);
+        let checksum = cursor.take_u64()?;
+        let end = offset
+            .checked_add(payload_len)
+            .ok_or(ColumnarError::Truncated {
+                context: "section payload",
+                needed: usize::MAX,
+                available: len,
+            })?;
+        if end > len {
+            return Err(ColumnarError::Truncated {
+                context: "section payload",
+                needed: end,
+                available: len,
+            });
+        }
+        if entries.iter().any(|e| e.id == id) {
+            return Err(ColumnarError::DuplicateSection(id));
+        }
+        entries.push(Entry {
+            id,
+            offset,
+            len: payload_len,
+            checksum,
+        });
+    }
+    Ok(entries)
 }
 
 /// A parsed, checksum-verified view over a columnar file's sections.
@@ -290,55 +451,16 @@ impl<'a> FileView<'a> {
     /// Parses and fully verifies a file: magic, version, directory bounds,
     /// the directory checksum, and every section's payload checksum.
     pub fn parse(bytes: &'a [u8]) -> Result<FileView<'a>> {
-        if bytes.len() < PREAMBLE_BYTES || bytes[..4] != MAGIC {
-            return Err(ColumnarError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(ColumnarError::UnsupportedVersion(version));
-        }
-        let count = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let dir_end = PREAMBLE_BYTES + count * DIR_ENTRY_BYTES;
-        if bytes.len() < dir_end + 8 {
-            return Err(ColumnarError::Truncated {
-                context: "section directory",
-                needed: dir_end + 8,
-                available: bytes.len(),
-            });
-        }
-        let stored_dir_checksum =
-            u64::from_le_bytes(bytes[dir_end..dir_end + 8].try_into().expect("8 bytes"));
-        if checksum64(&bytes[..dir_end]) != stored_dir_checksum {
-            return Err(ColumnarError::DirectoryChecksumMismatch);
-        }
-
-        let mut sections = Vec::with_capacity(count);
-        let mut cursor = Cursor::new(&bytes[PREAMBLE_BYTES..dir_end], "section directory");
-        for _ in 0..count {
-            let id = cursor.take_u32()?;
-            let offset = cursor.take_u64()? as usize;
-            let len = cursor.take_u64()? as usize;
-            let stored = cursor.take_u64()?;
-            let end = offset.checked_add(len).ok_or(ColumnarError::Truncated {
-                context: "section payload",
-                needed: usize::MAX,
-                available: bytes.len(),
-            })?;
-            if end > bytes.len() {
-                return Err(ColumnarError::Truncated {
-                    context: "section payload",
-                    needed: end,
-                    available: bytes.len(),
-                });
+        let (version, count) = parse_preamble(bytes)?;
+        let dir_end = directory_end(count, bytes.len())?;
+        let entries = parse_directory(&bytes[..dir_end + 8], bytes.len())?;
+        let mut sections = Vec::with_capacity(entries.len());
+        for e in entries {
+            let payload = &bytes[e.offset..e.offset + e.len];
+            if checksum64(payload) != e.checksum {
+                return Err(ColumnarError::ChecksumMismatch { section: e.id });
             }
-            if sections.iter().any(|(existing, _)| *existing == id) {
-                return Err(ColumnarError::DuplicateSection(id));
-            }
-            let payload = &bytes[offset..end];
-            if checksum64(payload) != stored {
-                return Err(ColumnarError::ChecksumMismatch { section: id });
-            }
-            sections.push((id, payload));
+            sections.push((e.id, payload));
         }
         Ok(FileView { version, sections })
     }
@@ -372,6 +494,137 @@ impl<'a> FileView<'a> {
 /// format auto-detection uses before committing to a full parse.
 pub fn is_columnar(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && bytes[..4] == MAGIC
+}
+
+/// Why a [`FileReader`] failed: the file could not be read, or its bytes
+/// are not a valid columnar file.
+#[derive(Debug)]
+pub enum ReadError {
+    /// Reading the file failed.
+    Io(std::io::Error),
+    /// The bytes read are not a valid columnar file.
+    Columnar(ColumnarError),
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadError::Io(e) => write!(f, "reading the file failed: {e}"),
+            ReadError::Columnar(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ReadError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ReadError::Io(e) => Some(e),
+            ReadError::Columnar(e) => Some(e),
+        }
+    }
+}
+
+impl From<std::io::Error> for ReadError {
+    fn from(e: std::io::Error) -> Self {
+        ReadError::Io(e)
+    }
+}
+
+impl From<ColumnarError> for ReadError {
+    fn from(e: ColumnarError) -> Self {
+        ReadError::Columnar(e)
+    }
+}
+
+/// A columnar file read one section at a time, for a file too large to
+/// hold beside what it decodes into.
+///
+/// [`FileReader::open`] reads only the preamble and the directory. Every
+/// length taken from the file — the section count, each offset and each
+/// payload length — is checked against the file's size before anything is
+/// allocated from it, so a corrupt header fails with
+/// [`ColumnarError::Truncated`] instead of asking for memory the file
+/// cannot back. [`FileReader::section`] then reads and verifies one
+/// payload, and [`FileReader::finish`] verifies the payloads never asked
+/// for. A file fails here exactly when [`FileView::parse`] fails on its
+/// bytes, with the same error whenever it has one fault.
+pub struct FileReader<R> {
+    inner: R,
+    len: usize,
+    version: u32,
+    entries: Vec<Entry>,
+    read: Vec<bool>,
+}
+
+impl<R: Read + Seek> FileReader<R> {
+    /// Reads and verifies the preamble and the directory of the file
+    /// `inner` holds from its start.
+    pub fn open(mut inner: R) -> std::result::Result<FileReader<R>, ReadError> {
+        let len = inner.seek(SeekFrom::End(0))?;
+        inner.seek(SeekFrom::Start(0))?;
+        // A length past `usize` cannot be a file this reader decodes; the
+        // directory bounds then fail against the largest length it can.
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        let mut head = vec![0u8; PREAMBLE_BYTES.min(len)];
+        inner.read_exact(&mut head)?;
+        let (version, count) = parse_preamble(&head)?;
+        let dir_end = directory_end(count, len)?;
+        head.resize(dir_end + 8, 0);
+        inner.read_exact(&mut head[PREAMBLE_BYTES..])?;
+        let entries = parse_directory(&head, len)?;
+        Ok(FileReader {
+            inner,
+            len,
+            version,
+            read: vec![false; entries.len()],
+            entries,
+        })
+    }
+
+    /// The file's format version.
+    pub fn version(&self) -> u32 {
+        self.version
+    }
+
+    /// The file's size in bytes.
+    pub fn file_len(&self) -> usize {
+        self.len
+    }
+
+    /// Number of sections in the file.
+    pub fn section_count(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Reads section `id`'s payload and verifies its checksum, or fails
+    /// with [`ColumnarError::MissingSection`].
+    pub fn section(&mut self, id: u32) -> std::result::Result<Vec<u8>, ReadError> {
+        let i = self
+            .entries
+            .iter()
+            .position(|e| e.id == id)
+            .ok_or(ColumnarError::MissingSection(id))?;
+        let entry = self.entries[i];
+        self.inner.seek(SeekFrom::Start(entry.offset as u64))?;
+        // `open` checked the payload against the file's size.
+        let mut payload = vec![0u8; entry.len];
+        self.inner.read_exact(&mut payload)?;
+        if checksum64(&payload) != entry.checksum {
+            return Err(ColumnarError::ChecksumMismatch { section: id }.into());
+        }
+        self.read[i] = true;
+        Ok(payload)
+    }
+
+    /// Verifies the checksum of every section not read yet, one at a time.
+    pub fn finish(mut self) -> std::result::Result<(), ReadError> {
+        for i in 0..self.entries.len() {
+            if !self.read[i] {
+                self.section(self.entries[i].id)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -867,6 +1120,34 @@ mod tests {
         assert_eq!(view.section(8), Err(ColumnarError::MissingSection(8)));
     }
 
+    #[test]
+    fn a_reader_reads_what_the_builder_wrote() {
+        let build = || {
+            let mut b = FileBuilder::new();
+            b.add(7, vec![1, 2, 3]);
+            b.add(9, Vec::new());
+            b.add(3, vec![0xFF; 100]);
+            b
+        };
+        let bytes = build().finish();
+        let mut written = Vec::new();
+        let checksum = build().write_to(&mut written).unwrap();
+        assert_eq!(written, bytes);
+        assert_eq!(checksum, checksum64(&bytes));
+
+        let view = FileView::parse(&bytes).unwrap();
+        let mut reader = FileReader::open(std::io::Cursor::new(&bytes)).unwrap();
+        assert_eq!(reader.version(), VERSION);
+        assert_eq!(reader.file_len(), bytes.len());
+        assert_eq!(reader.section_count(), 3);
+        assert_eq!(reader.section(3).unwrap(), view.section(3).unwrap());
+        assert!(matches!(
+            reader.section(8),
+            Err(ReadError::Columnar(ColumnarError::MissingSection(8)))
+        ));
+        reader.finish().unwrap();
+    }
+
     /// The exact header bytes of a one-section file are pinned: any layout
     /// drift (field order, widths, endianness, checksum definition) breaks
     /// this test rather than silently producing unreadable files.
@@ -903,6 +1184,26 @@ mod tests {
         assert_eq!(checksum64(b""), 0xaf63_bd4c_8601_b7df);
         assert_eq!(checksum64(b"ens"), 0x7954_5308_7524_f8b5);
         assert_eq!(checksum64(b"panning for gold.eth"), 0x06a5_14d3_53eb_b9c9);
+    }
+
+    #[test]
+    fn checksum_in_pieces_equals_checksum_at_once() {
+        let bytes: Vec<u8> = (0..103u32).map(|i| (i * 37 % 251) as u8).collect();
+        for n in [0usize, 1, 7, 8, 9, 64, 103] {
+            let bytes = &bytes[..n];
+            for split in [[0, 0], [1, 2], [3, 11], [8, 16], [5, 5]] {
+                let (a, b) = (split[0].min(n), split[1].min(n));
+                let mut sum = Checksum64::new(n);
+                for piece in [&bytes[..a], &bytes[a..b.max(a)], &bytes[b.max(a)..]] {
+                    sum.update(piece);
+                }
+                assert_eq!(
+                    sum.finish(),
+                    checksum64(bytes),
+                    "{n} bytes split at {split:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The assembled study dataset: domain histories + per-address transaction
-//! lists + the crawled marketplace events, with the observation window.
+//! The assembled study dataset: domain histories + the crawled addresses'
+//! transactions + the crawled marketplace events, with the observation
+//! window.
 //!
 //! # Ownership
 //!
@@ -22,7 +23,7 @@
 //! [`ChaosSource`] — the chaos harness used by tests, the CI chaos job and
 //! the `--chaos` CLI flag.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,7 +38,7 @@ use etherscan_sim::{Etherscan, LabelService};
 use opensea_sim::{MarketEvent, OpenSea};
 use price_oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
-use sim_chain::{Transaction, TxKind};
+use sim_chain::Transaction;
 
 use crate::checkpoint::{
     config_fingerprint, load_for_resume, remove_chain, CheckpointJournal, CheckpointLoad,
@@ -47,6 +48,7 @@ use crate::crawl::{
     relevant_addresses, CrawlError, CrawlGap, CrawlReport, CrawlTimings, Crawled, Crawler,
     FailurePolicy, KeyedCrawl, RetryPolicy, SourceStats,
 };
+use crate::transactions::{TxRow, TxTable};
 
 /// Knobs for one collection run — thread count, retry/failure policies, the
 /// minimum acceptable recovery rate, an optional chaos profile, and the
@@ -175,9 +177,10 @@ impl From<CrawlError> for CollectError {
 pub struct Dataset {
     /// All crawled domain records.
     pub domains: Vec<DomainRecord>,
-    /// Per-address transaction histories (in and out, chain order), keyed
-    /// in address order so iteration and serialization are deterministic.
-    pub transactions: BTreeMap<Address, Vec<Transaction>>,
+    /// Every crawled address's transaction history (in and out, chain
+    /// order), owners ascending so iteration and serialization are
+    /// deterministic: one table, not a vector per address.
+    pub transactions: TxTable,
     /// End of the observation window.
     pub observation_end: Timestamp,
     /// Address labels pulled from the explorer (custodial exchange and
@@ -243,15 +246,15 @@ impl Dataset {
         &self,
         address: Address,
         window: Option<(Timestamp, Timestamp)>,
-    ) -> impl Iterator<Item = &Transaction> {
+    ) -> impl Iterator<Item = &TxRow> {
         self.transactions
             .get(&address)
-            .into_iter()
-            .flatten()
+            .unwrap_or_default()
+            .iter()
             .filter(move |tx| {
                 tx.to == address
                     && tx.from != address
-                    && matches!(tx.kind, TxKind::Transfer)
+                    && tx.is_transfer()
                     && window.is_none_or(|(a, b)| tx.timestamp >= a && tx.timestamp < b)
             })
     }
@@ -438,7 +441,7 @@ impl DataSources<'_> {
         }
         let dataset = Dataset {
             domains: subgraph.items,
-            transactions: txlist.map,
+            transactions: TxTable::from_histories(txlist.map),
             observation_end: self.observation_end,
             labels: self.etherscan.labels_snapshot(),
             reverse_claims: self.subgraph.reverse_history_snapshot(),
@@ -749,8 +752,12 @@ mod tests {
         // queries against each endpoint return.
         let (world, ds) = dataset();
         let scan = world.etherscan();
-        for (addr, txs) in &ds.transactions {
-            assert_eq!(txs, &scan.txlist(*addr, 1, 10_000), "txs for {addr:?}");
+        for (addr, rows) in ds.transactions.iter() {
+            let txs: Vec<_> = rows
+                .iter()
+                .map(|r| ds.transactions.transaction(r))
+                .collect();
+            assert_eq!(txs, scan.txlist(*addr, 1, 10_000), "txs for {addr:?}");
         }
         let sg = world.subgraph(SubgraphConfig::lossless());
         let direct = sg.domains(ens_subgraph::PageRequest::first(1000));

@@ -16,7 +16,11 @@
 //!
 //! [`Dataset::load`] auto-detects the format from the magic bytes
 //! (columnar files open with `ENSC`; JSON with `{`), so consumers never
-//! name a format on the read path.
+//! name a format on the read path. It reads a columnar file one section at
+//! a time ([`Dataset::read_columnar`]), so the whole file is never in
+//! memory beside the dataset it decodes into; a JSON file is read whole.
+//! [`DatasetFile`] splits the same load into its open and its decode, for
+//! a caller that checks the detected format before decoding.
 //!
 //! # CSV artifacts
 //!
@@ -25,6 +29,8 @@
 //! release.
 
 use std::fmt;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use ens_obs::Metrics;
@@ -140,6 +146,15 @@ impl From<ens_columnar::ColumnarError> for StorageError {
     }
 }
 
+impl From<ens_columnar::ReadError> for StorageError {
+    fn from(e: ens_columnar::ReadError) -> Self {
+        match e {
+            ens_columnar::ReadError::Io(e) => StorageError::Io(e),
+            ens_columnar::ReadError::Columnar(e) => StorageError::Columnar(e),
+        }
+    }
+}
+
 /// Writes `bytes` to `path` atomically: the bytes land in a `.tmp` sibling
 /// first and are published by a single `rename`, so a process that dies
 /// mid-write can never leave a torn file at `path` — readers see either
@@ -155,10 +170,20 @@ impl From<ens_columnar::ColumnarError> for StorageError {
 /// section checksum on load (a torn JSON export fails to parse): that
 /// costs progress — a refetch, or a clean crawl — not correctness.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
+    write_atomic_with(path, |file| file.write_all(bytes))
+}
+
+/// [`write_atomic`] of whatever `write` writes into the temp file.
+fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> std::io::Result<()>,
+) -> Result<(), StorageError> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
+    let mut file = File::create(&tmp)?;
+    write(&mut file)?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
     Ok(())
 }
@@ -205,17 +230,91 @@ impl Dataset {
     }
 
     /// Writes the dataset to `path` in `format`, recording encode metrics
-    /// and a `storage/write` span around the file write.
+    /// and a `storage/write` span around the file write. A columnar file is
+    /// written section by section, never joined into one buffer; its bytes
+    /// equal [`Dataset::to_columnar`]'s.
     pub fn save(&self, path: &Path, format: Format, metrics: &Metrics) -> Result<(), StorageError> {
-        let bytes = self.encode(format, metrics)?;
+        if format == Format::Json {
+            let bytes = self.encode(format, metrics)?;
+            let _span = metrics.span("storage/write");
+            return write_atomic(path, &bytes);
+        }
+        let sections = {
+            let _span = metrics.span("columnar/encode");
+            self.columnar_sections(metrics)?
+        };
         let _span = metrics.span("storage/write");
-        write_atomic(path, &bytes)
+        let bytes = sections.file_len();
+        let mut checksum = 0;
+        write_atomic_with(path, |file| {
+            checksum = sections.write_to(file)?;
+            Ok(())
+        })?;
+        crate::storage::record_file(metrics, bytes, checksum);
+        Ok(())
     }
 
     /// Reads a dataset from `path`, auto-detecting the format from the
-    /// file's magic bytes (the extension is never consulted).
+    /// file's magic bytes (the extension is never consulted). A columnar
+    /// file is read one section at a time; see [`DatasetFile`].
     pub fn load(path: &Path) -> Result<Dataset, StorageError> {
-        Dataset::from_bytes(&std::fs::read(path)?)
+        DatasetFile::open(path)?.decode(&Metrics::disabled())
+    }
+}
+
+/// A dataset file opened for decoding, its format sniffed from the magic
+/// bytes. A JSON file is read whole at open; a columnar file is only
+/// opened, and [`DatasetFile::decode`] reads it one section at a time.
+pub struct DatasetFile {
+    len: u64,
+    body: Body,
+}
+
+enum Body {
+    Columnar(File),
+    Json(Vec<u8>),
+}
+
+impl DatasetFile {
+    /// Opens `path` and detects its format from its first bytes, as
+    /// [`Format::detect`] does for bytes in memory.
+    pub fn open(path: &Path) -> Result<DatasetFile, StorageError> {
+        let mut file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut magic = Vec::with_capacity(4);
+        (&mut file).take(4).read_to_end(&mut magic)?;
+        file.seek(SeekFrom::Start(0))?;
+        let body = match Format::detect(&magic) {
+            Format::Columnar => Body::Columnar(file),
+            Format::Json => {
+                let mut bytes = Vec::new();
+                file.read_to_end(&mut bytes)?;
+                Body::Json(bytes)
+            }
+        };
+        Ok(DatasetFile { len, body })
+    }
+
+    /// The detected format.
+    pub fn format(&self) -> Format {
+        match self.body {
+            Body::Columnar(_) => Format::Columnar,
+            Body::Json(_) => Format::Json,
+        }
+    }
+
+    /// The file's size in bytes when it was opened.
+    pub fn file_len(&self) -> u64 {
+        self.len
+    }
+
+    /// Decodes the dataset under a `columnar/decode` or `json/decode`
+    /// span.
+    pub fn decode(self, metrics: &Metrics) -> Result<Dataset, StorageError> {
+        match self.body {
+            Body::Columnar(file) => Ok(Dataset::read_columnar(file, metrics)?),
+            Body::Json(bytes) => Dataset::from_bytes_metered(&bytes, metrics),
+        }
     }
 }
 

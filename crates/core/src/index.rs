@@ -71,11 +71,11 @@ use std::sync::Arc;
 use ens_obs::Metrics;
 use ens_types::{Address, LabelHash, Timestamp, UsdCents, Wei};
 use price_oracle::{PriceOracle, PriceTable};
-use sim_chain::{Transaction, TxKind};
 
 use crate::dataset::Dataset;
 use crate::registrations::{detect_all_with_threads, ReRegistration};
 use crate::shard::shard_map;
+use crate::transactions::{TxRow, TxTable};
 
 /// One pre-filtered, pre-priced incoming value transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +112,7 @@ fn day_table(oracle: &PriceOracle, span: Option<Span>) -> PriceTable {
 }
 
 /// `tx` as an index row whose `from` is `counterparty`, priced once.
-fn priced(tx: &Transaction, counterparty: Address, prices: &PriceTable) -> IndexedTransfer {
+fn priced(tx: &TxRow, counterparty: Address, prices: &PriceTable) -> IndexedTransfer {
     IndexedTransfer {
         timestamp: tx.timestamp,
         from: counterparty,
@@ -312,26 +312,23 @@ impl TransferTable {
     }
 }
 
-/// The incoming value transfers of each address in `block` among its own
-/// txlist — transfer-kind and non-self, exactly the filter of
-/// [`Dataset::incoming`] — priced and timestamp-sorted. Returns the
-/// block's rows and each address's row count.
+/// The incoming value transfers of each owner in `block` (positions in
+/// `table`) among its own txlist — transfer-kind and non-self, exactly the
+/// filter of [`Dataset::incoming`] — priced and timestamp-sorted. Returns
+/// the block's rows and each owner's row count.
 fn incoming_rows(
-    block: &[(&Address, &Vec<Transaction>)],
+    table: &TxTable,
+    block: Range<usize>,
     prices: &PriceTable,
 ) -> (Vec<IndexedTransfer>, Vec<usize>) {
     let mut rows = Vec::new();
     let counts = block
-        .iter()
-        .map(|&(&address, txs)| {
+        .map(|i| {
+            let (address, txs) = table.history(i);
             let start = rows.len();
             rows.extend(
                 txs.iter()
-                    .filter(|tx| {
-                        tx.to == address
-                            && tx.from != address
-                            && matches!(tx.kind, TxKind::Transfer)
-                    })
+                    .filter(|tx| tx.to == address && tx.from != address && tx.is_transfer())
                     .map(|tx| priced(tx, tx.from, prices)),
             );
             // Chain order is already time order, so the sortedness check
@@ -417,28 +414,31 @@ impl AnalysisIndex {
         metrics: &Metrics,
     ) -> AnalysisIndex {
         let build_span = metrics.span("index");
-        let entries: Vec<(&Address, &Vec<Transaction>)> = dataset.transactions.iter().collect();
+        let table = &dataset.transactions;
         // One oracle close per day of the dataset's span, instead of one
         // oracle evaluation (noise hash + interpolation) per transfer.
         let prices = {
             let _phase = metrics.span("price_table");
-            let span = entries
+            let span = table
+                .rows()
                 .iter()
-                .flat_map(|(_, txs)| txs.iter())
                 .fold(None, |span, tx| widen(span, (tx.timestamp, tx.timestamp)));
             day_table(oracle, span)
         };
         let prices = &prices;
         let incoming = {
             let _phase = metrics.span("shard_build");
-            let blocks: Vec<_> = entries.chunks(BUILD_BLOCK).collect();
-            let (rows, counts): (Vec<_>, Vec<_>) =
-                shard_map(&blocks, threads, |block| incoming_rows(block, prices))
-                    .into_iter()
-                    .unzip();
-            let addresses = entries.iter().map(|&(&address, _)| address).collect();
+            let blocks: Vec<Range<usize>> = (0..table.len())
+                .step_by(BUILD_BLOCK)
+                .map(|start| start..(start + BUILD_BLOCK).min(table.len()))
+                .collect();
+            let (rows, counts): (Vec<_>, Vec<_>) = shard_map(&blocks, threads, |block| {
+                incoming_rows(table, block.clone(), prices)
+            })
+            .into_iter()
+            .unzip();
             TransferTable::new(
-                KeyColumn::new(addresses, counts.into_iter().flatten()),
+                KeyColumn::new(table.owners().to_vec(), counts.into_iter().flatten()),
                 rows.concat(),
             )
         };
@@ -635,13 +635,11 @@ impl OutgoingIndex {
         // them, so the table is independent of which txlist a row was
         // found in; dedup then drops the second copy of a transaction
         // crawled from both ends.
-        let mut sent: Vec<&Transaction> = dataset
+        let mut sent: Vec<&TxRow> = dataset
             .transactions
-            .values()
-            .flatten()
-            .filter(|tx| {
-                matches!(tx.kind, TxKind::Transfer) && tx.from != tx.to && !tx.from.is_zero()
-            })
+            .rows()
+            .iter()
+            .filter(|tx| tx.is_transfer() && tx.from != tx.to && !tx.from.is_zero())
             .collect();
         sent.sort_unstable_by(|a, b| {
             a.from
@@ -841,12 +839,10 @@ mod tests {
         );
         // Naive reference: every transfer in every crawled txlist, keyed
         // by sender, deduped by hash, ordered by (timestamp, hash).
-        let mut naive_all: BTreeMap<Address, Vec<&Transaction>> = BTreeMap::new();
-        for txs in ds.transactions.values() {
-            for tx in txs {
-                if matches!(tx.kind, TxKind::Transfer) && tx.from != tx.to && !tx.from.is_zero() {
-                    naive_all.entry(tx.from).or_default().push(tx);
-                }
+        let mut naive_all: BTreeMap<Address, Vec<&TxRow>> = BTreeMap::new();
+        for tx in ds.transactions.rows() {
+            if tx.is_transfer() && tx.from != tx.to && !tx.from.is_zero() {
+                naive_all.entry(tx.from).or_default().push(tx);
             }
         }
         for txs in naive_all.values_mut() {
@@ -973,6 +969,7 @@ mod tests {
         use ens_subgraph::{DomainRecord, RegistrationEntry};
         use ens_types::{BlockNumber, Hash32, TxHash};
         use proptest::prelude::*;
+        use sim_chain::{Transaction, TxKind};
 
         const DAY: u64 = 86_400;
         const GENESIS: u64 = 1_500_000_000;
@@ -1081,7 +1078,7 @@ mod tests {
                     .collect();
                 Dataset {
                     domains,
-                    transactions,
+                    transactions: TxTable::from_histories(transactions),
                     ..Dataset::default()
                 }
             }
@@ -1089,10 +1086,10 @@ mod tests {
 
         /// The old outgoing layout: a map of per-sender lists, each sorted
         /// by (timestamp, hash) and deduped by hash.
-        fn sent_by_sender(ds: &Dataset) -> BTreeMap<Address, Vec<&Transaction>> {
-            let mut sent: BTreeMap<Address, Vec<&Transaction>> = BTreeMap::new();
-            for tx in ds.transactions.values().flatten() {
-                if matches!(tx.kind, TxKind::Transfer) && tx.from != tx.to && !tx.from.is_zero() {
+        fn sent_by_sender(ds: &Dataset) -> BTreeMap<Address, Vec<&TxRow>> {
+            let mut sent: BTreeMap<Address, Vec<&TxRow>> = BTreeMap::new();
+            for tx in ds.transactions.rows() {
+                if tx.is_transfer() && tx.from != tx.to && !tx.from.is_zero() {
                     sent.entry(tx.from).or_default().push(tx);
                 }
             }
@@ -1110,8 +1107,8 @@ mod tests {
 
         /// Each transfer as a row with `counterparty`, priced by the oracle.
         fn rows<'a>(
-            txs: impl Iterator<Item = &'a Transaction>,
-            counterparty: impl Fn(&Transaction) -> Address,
+            txs: impl Iterator<Item = &'a TxRow>,
+            counterparty: impl Fn(&TxRow) -> Address,
             oracle: &PriceOracle,
         ) -> Vec<Row> {
             txs.map(|tx| {

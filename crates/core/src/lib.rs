@@ -69,6 +69,7 @@ pub mod resale;
 mod shard;
 pub mod stats;
 pub mod storage;
+pub mod transactions;
 
 pub use checkpoint::{
     config_fingerprint, load_for_resume, remove_chain, CheckpointJournal, CheckpointLoad,
@@ -80,7 +81,7 @@ pub use crawl::{
 };
 pub use dataset::{CollectError, CrawlConfig, DataSources, Dataset};
 pub use ens_obs::{Metrics, MetricsSnapshot};
-pub use export::{CsvArtifact, Format, StorageError};
+pub use export::{CsvArtifact, DatasetFile, Format, StorageError};
 pub use features::{
     compare_features, compare_features_with, DomainFeatures, FeatureComparison, FeatureRow,
 };
@@ -101,6 +102,7 @@ pub use registrations::{
 };
 pub use resale::{analyze_resales, ResaleReport};
 pub use shard::{shard_map, MAX_WORKERS};
+pub use transactions::{ContractId, TxRow, TxTable, TxTag};
 
 /// Glob-import convenience.
 pub mod prelude {

@@ -9,7 +9,7 @@
 //! # Determinism
 //!
 //! Encoding walks the dataset in one fixed order — domains in crawl order
-//! (each domain's fields in struct order), then transactions in `BTreeMap`
+//! (each domain's fields in struct order), then transactions in owner
 //! (address) order, then market events in stream order, then reverse
 //! claims and labels in sorted-address order — so intern ids, and with
 //! them the entire file, are byte-identical for any
@@ -25,12 +25,14 @@
 //! `Dataset`, and the vendored serde serializes maps in sorted key order,
 //! so logical equality implies byte equality of the re-export.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::io::{Read, Seek};
 use std::sync::Arc;
 
 use ens_columnar::{
-    checksum64, is_columnar, push_bits, Bits, Column, ColumnarError, Cursor, FileBuilder, FileView,
-    FixedPool, PutLe, StrPool, StrTable, NONE_ID,
+    is_columnar, push_bits, Bits, Column, ColumnarError, Cursor, FileBuilder, FileReader, FileView,
+    FixedPool, PutLe, ReadError, StrPool, StrTable, NONE_ID,
 };
 use ens_obs::Metrics;
 use ens_subgraph::{
@@ -42,10 +44,11 @@ use ens_types::{
 };
 use etherscan_sim::{AddressLabel, LabelKind, LabelService};
 use opensea_sim::{MarketEvent, OpenSea};
-use sim_chain::{Transaction, TxKind};
+use sim_chain::Transaction;
 
 use crate::crawl::CrawlReport;
 use crate::dataset::Dataset;
+use crate::transactions::{ContractId, TxRow, TxTable, TxTag};
 
 pub use ens_columnar::{MAGIC, VERSION};
 
@@ -252,49 +255,50 @@ fn push_tx_column(buf: &mut Vec<u8>, txs: impl Iterator<Item = Option<TxHash>> +
     }
 }
 
-/// Per-owner transaction histories, owners strictly ascending (the
-/// dataset's `BTreeMap` order, or a checkpoint shard's single owner).
-fn encode_transactions(histories: &[(Address, &[Transaction])], it: &mut Interner) -> Vec<u8> {
-    let all = || histories.iter().flat_map(|(_, txs)| txs.iter());
+/// The transaction table's TRANSACTIONS section: owners (strictly
+/// ascending), row counts, then one column per row field. Addresses intern
+/// in that order — every owner, then every `from`, then every `to` — and
+/// contract names in row order.
+fn encode_transactions(table: &TxTable, it: &mut Interner) -> Vec<u8> {
+    let rows = table.rows();
     // Hash, block, timestamp, from, to, value and tag; contract ids extra.
-    let rows: usize = histories.iter().map(|(_, txs)| txs.len()).sum();
-    let mut buf = Vec::with_capacity(4 + 8 * histories.len() + 73 * rows);
-    buf.put_u32(histories.len() as u32);
-    for (owner, _) in histories {
+    let mut buf = Vec::with_capacity(4 + 8 * table.len() + 73 * rows.len());
+    buf.put_u32(table.len() as u32);
+    for owner in table.keys() {
         buf.put_u32(it.addr(*owner));
     }
-    for (_, txs) in histories {
-        buf.put_u32(txs.len() as u32);
+    for (_, history) in table.iter() {
+        buf.put_u32(history.len() as u32);
     }
-    for tx in all() {
+    for tx in rows {
         buf.put_bytes(&tx.hash.0 .0);
     }
-    for tx in all() {
+    for tx in rows {
         buf.put_u64(tx.block.0);
     }
-    for tx in all() {
+    for tx in rows {
         buf.put_u64(tx.timestamp.0);
     }
-    for tx in all() {
+    for tx in rows {
         buf.put_u32(it.addr(tx.from));
     }
-    for tx in all() {
+    for tx in rows {
         buf.put_u32(it.addr(tx.to));
     }
-    for tx in all() {
+    for tx in rows {
         buf.put_u128(tx.value.0);
     }
-    for tx in all() {
-        buf.put_u8(match &tx.kind {
-            TxKind::Transfer => TAG_TX_TRANSFER,
-            TxKind::ContractPayment { .. } => TAG_TX_CONTRACT,
-            TxKind::Mint => TAG_TX_MINT,
+    for tx in rows {
+        buf.put_u8(match tx.tag {
+            TxTag::Transfer => TAG_TX_TRANSFER,
+            TxTag::ContractCall(_) => TAG_TX_CONTRACT,
+            TxTag::Mint => TAG_TX_MINT,
         });
     }
-    // Contract tags only for the ContractPayment rows, in row order.
-    for tx in all() {
-        if let TxKind::ContractPayment { contract } = &tx.kind {
-            buf.put_u32(it.str(contract));
+    // Contract names only for the contract-call rows, in row order.
+    for tx in rows {
+        if let TxTag::ContractCall(id) = tx.tag {
+            buf.put_u32(it.str(table.contract(id)));
         }
     }
     buf
@@ -418,29 +422,47 @@ fn encode_meta(ds: &Dataset) -> serde_json::Result<Vec<u8>> {
     Ok(buf)
 }
 
+/// Records the size and the 16-bit fingerprint of a written columnar file.
+pub(crate) fn record_file(metrics: &Metrics, bytes: usize, checksum: u64) {
+    if metrics.is_enabled() {
+        metrics.add("columnar/encode/bytes", bytes as u64);
+        metrics.add("columnar/encode/sections", 13);
+        metrics.add("columnar/encode/checksum", checksum & 0xFFFF);
+    }
+}
+
 impl Dataset {
     /// Encodes the dataset into the columnar container format under a
     /// `columnar/encode` span, recording output bytes, per-section bytes
     /// and intern-table hit rates. Byte-identical for any thread count (see
     /// the module docs); instrumentation never changes the encoded bytes.
     pub fn to_columnar(&self, metrics: &Metrics) -> serde_json::Result<Vec<u8>> {
-        let span = metrics.span("columnar/encode");
+        let _span = metrics.span("columnar/encode");
+        let file = self.columnar_sections(metrics)?;
+        let mut out = Vec::with_capacity(file.file_len());
+        let checksum = file
+            .write_to(&mut out)
+            .expect("writing into a Vec cannot fail");
+        record_file(metrics, out.len(), checksum);
+        Ok(out)
+    }
+
+    /// Encodes every section of the dataset, recording per-section bytes
+    /// and intern-table hit rates; framing them into a file is the
+    /// caller's, in memory ([`Dataset::to_columnar`]) or straight into a
+    /// file ([`Dataset::save`]).
+    pub(crate) fn columnar_sections(&self, metrics: &Metrics) -> serde_json::Result<FileBuilder> {
         let mut it = Interner::new();
 
         let [dom, reg, ren, xfer, addr, sub] = encode_domains(&self.domains, &mut it);
-        let histories: Vec<(Address, &[Transaction])> = self
-            .transactions
-            .iter()
-            .map(|(owner, txs)| (*owner, txs.as_slice()))
-            .collect();
-        let txs = encode_transactions(&histories, &mut it);
+        let txs = encode_transactions(&self.transactions, &mut it);
         let market = encode_market(self.market.all_events(), &mut it);
         let reverse = encode_reverse(&self.reverse_claims, &mut it);
         let labels = encode_labels(&self.labels, &mut it);
         let meta = encode_meta(self)?;
 
         // Pools encode last (every id is now assigned) but lead the file,
-        // so a streaming reader could materialize them first.
+        // so a reader materializes them first (see `decode_sections`).
         let mut strings = Vec::new();
         it.strings.encode(&mut strings);
         let mut addresses = Vec::new();
@@ -478,76 +500,152 @@ impl Dataset {
             }
             file.add(id, payload);
         }
-        let out = file.finish();
-        if metrics.is_enabled() {
-            metrics.add("columnar/encode/bytes", out.len() as u64);
-            metrics.add("columnar/encode/sections", 13);
-            metrics.add("columnar/encode/checksum", checksum64(&out) & 0xFFFF);
-        }
-        drop(span);
-        Ok(out)
+        Ok(file)
     }
 
-    /// Decodes a columnar file back into a dataset under a
-    /// `columnar/decode` span. The inverse of [`Dataset::to_columnar`]: the
-    /// result is logically equal to the encoded dataset, and its
+    /// Decodes a columnar file held in memory under a `columnar/decode`
+    /// span. The inverse of [`Dataset::to_columnar`]: the result is
+    /// logically equal to the encoded dataset, and its
     /// [`Dataset::to_json`] export is byte-identical to the original's.
     ///
-    /// Every column is read in place through a borrowed view, and every row
-    /// is built once, straight into the `Vec` it ends up in.
+    /// Every checksum is verified first; the sections are then decoded in
+    /// place, by the same section decoders as [`Dataset::read_columnar`].
     pub fn from_columnar(bytes: &[u8], metrics: &Metrics) -> Result<Dataset, ColumnarError> {
-        let span = metrics.span("columnar/decode");
-        let view = FileView::parse(bytes)?;
-        let pools = Pools::decode(
-            view.section(section::STRINGS)?,
-            view.section(section::ADDRESSES)?,
-        )?;
-
-        let (domains, events) = decode_domains(
-            [
-                view.section(section::DOMAINS)?,
-                view.section(section::REGISTRATIONS)?,
-                view.section(section::RENEWALS)?,
-                view.section(section::TRANSFERS)?,
-                view.section(section::ADDR_CHANGES)?,
-                view.section(section::SUBDOMAINS)?,
-            ],
-            &pools,
-        )?;
-        let transactions = decode_transactions(view.section(section::TRANSACTIONS)?, &pools)?;
-        let market = OpenSea::from_events(decode_market(view.section(section::MARKET)?, &pools)?);
-        let reverse_claims = decode_reverse(view.section(section::REVERSE)?, &pools)?;
-        let labels = decode_labels(view.section(section::LABELS)?, &pools)?;
-
-        let mut cur = Cursor::new(view.section(section::META)?, "meta");
-        let observation_end = Timestamp(cur.take_u64()?);
-        let report_len = cur.take_len()?;
-        let report_bytes = cur.take_bytes(report_len)?;
-        cur.expect_end()?;
-        let report_json = std::str::from_utf8(report_bytes)
-            .map_err(|e| ColumnarError::Corrupt(format!("meta: crawl report not UTF-8: {e}")))?;
-        let crawl_report: CrawlReport = serde_json::from_str(report_json)
-            .map_err(|e| ColumnarError::Corrupt(format!("meta: crawl report: {e}")))?;
-
-        if metrics.is_enabled() {
-            metrics.add("columnar/decode/bytes", bytes.len() as u64);
-            metrics.add("columnar/decode/sections", view.section_count() as u64);
-            metrics.add("columnar/decode/strings", pools.strings.len() as u64);
-            metrics.add("columnar/decode/addresses", pools.addrs.len() as u64);
-            metrics.add("columnar/decode/domains", domains.len() as u64);
-            metrics.add("columnar/decode/events", events as u64);
-        }
-        drop(span);
-        Ok(Dataset {
-            domains,
-            transactions,
-            observation_end,
-            labels: Arc::new(labels),
-            reverse_claims: Arc::new(reverse_claims),
-            market,
-            crawl_report,
-        })
+        let _span = metrics.span("columnar/decode");
+        let mut view = FileView::parse(bytes)?;
+        decode_sections(&mut view, bytes.len(), metrics)
     }
+
+    /// Decodes a columnar file read from `file`, one section at a time,
+    /// under a `columnar/decode` span: the preamble and directory first,
+    /// then each section in turn — read, checksummed, decoded and dropped —
+    /// with the intern pools first and kept until the last section. The
+    /// whole file is never in memory beside its decoded copy. The result,
+    /// and every error a file with one fault gives, equal
+    /// [`Dataset::from_columnar`]'s on the same bytes.
+    pub fn read_columnar<R: Read + Seek>(file: R, metrics: &Metrics) -> Result<Dataset, ReadError> {
+        let _span = metrics.span("columnar/decode");
+        let mut reader = FileReader::open(file)?;
+        let file_len = reader.file_len();
+        let dataset = decode_sections(&mut reader, file_len, metrics)?;
+        reader.finish()?;
+        Ok(dataset)
+    }
+}
+
+/// Where a columnar decode takes its sections from: a parsed file in
+/// memory, whose payloads it borrows, or a [`FileReader`], which reads
+/// each payload when it is asked for.
+trait Sections<'a> {
+    type Error: From<ColumnarError>;
+
+    /// Section `id`'s checksum-verified payload.
+    fn payload(&mut self, id: u32) -> Result<Cow<'a, [u8]>, Self::Error>;
+
+    /// Number of sections in the file.
+    fn count(&self) -> usize;
+}
+
+impl<'a> Sections<'a> for FileView<'a> {
+    type Error = ColumnarError;
+
+    fn payload(&mut self, id: u32) -> Result<Cow<'a, [u8]>, ColumnarError> {
+        self.section(id).map(Cow::Borrowed)
+    }
+
+    fn count(&self) -> usize {
+        self.section_count()
+    }
+}
+
+impl<R: Read + Seek> Sections<'static> for FileReader<R> {
+    type Error = ReadError;
+
+    fn payload(&mut self, id: u32) -> Result<Cow<'static, [u8]>, ReadError> {
+        self.section(id).map(Cow::Owned)
+    }
+
+    fn count(&self) -> usize {
+        self.section_count()
+    }
+}
+
+/// Decodes every section of the dataset schema from `src`, one stage at
+/// a time under its own child span: `pools`, `domains` (six sections),
+/// `transactions`, and `other` (market, reverse claims, labels and meta).
+/// Each stage's payloads are dropped when it ends; the pools live until
+/// the last.
+fn decode_sections<'a, S: Sections<'a>>(
+    src: &mut S,
+    file_len: usize,
+    metrics: &Metrics,
+) -> Result<Dataset, S::Error> {
+    let pools_span = metrics.span("pools");
+    let strings = src.payload(section::STRINGS)?;
+    let addresses = src.payload(section::ADDRESSES)?;
+    let pools = Pools::decode(&strings, &addresses)?;
+    drop(pools_span);
+
+    let (domains, events) = {
+        let _stage = metrics.span("domains");
+        let mut payloads: [Cow<'a, [u8]>; 6] = Default::default();
+        for (payload, id) in payloads.iter_mut().zip([
+            section::DOMAINS,
+            section::REGISTRATIONS,
+            section::RENEWALS,
+            section::TRANSFERS,
+            section::ADDR_CHANGES,
+            section::SUBDOMAINS,
+        ]) {
+            *payload = src.payload(id)?;
+        }
+        decode_domains(payloads.each_ref().map(|p| &**p), &pools)?
+    };
+
+    let transactions = {
+        let _stage = metrics.span("transactions");
+        decode_transactions(&src.payload(section::TRANSACTIONS)?, &pools)?
+    };
+
+    let other = metrics.span("other");
+    let market = OpenSea::from_events(decode_market(&src.payload(section::MARKET)?, &pools)?);
+    let reverse_claims = decode_reverse(&src.payload(section::REVERSE)?, &pools)?;
+    let labels = decode_labels(&src.payload(section::LABELS)?, &pools)?;
+    let (observation_end, crawl_report) = decode_meta(&src.payload(section::META)?)?;
+    drop(other);
+
+    if metrics.is_enabled() {
+        metrics.add("columnar/decode/bytes", file_len as u64);
+        metrics.add("columnar/decode/sections", src.count() as u64);
+        metrics.add("columnar/decode/strings", pools.strings.len() as u64);
+        metrics.add("columnar/decode/addresses", pools.addrs.len() as u64);
+        metrics.add("columnar/decode/domains", domains.len() as u64);
+        metrics.add("columnar/decode/events", events as u64);
+    }
+    Ok(Dataset {
+        domains,
+        transactions,
+        observation_end,
+        labels: Arc::new(labels),
+        reverse_claims: Arc::new(reverse_claims),
+        market,
+        crawl_report,
+    })
+}
+
+/// Reads what [`encode_meta`] wrote: the observation end and the crawl
+/// report.
+fn decode_meta(payload: &[u8]) -> Result<(Timestamp, CrawlReport), ColumnarError> {
+    let mut cur = Cursor::new(payload, "meta");
+    let observation_end = Timestamp(cur.take_u64()?);
+    let report_len = cur.take_len()?;
+    let report_bytes = cur.take_bytes(report_len)?;
+    cur.expect_end()?;
+    let report_json = std::str::from_utf8(report_bytes)
+        .map_err(|e| ColumnarError::Corrupt(format!("meta: crawl report not UTF-8: {e}")))?;
+    let crawl_report: CrawlReport = serde_json::from_str(report_json)
+        .map_err(|e| ColumnarError::Corrupt(format!("meta: crawl report: {e}")))?;
+    Ok((observation_end, crawl_report))
 }
 
 // ---------------------------------------------------------------------------
@@ -828,15 +926,17 @@ fn subdomain_rows<'a>(
     }))
 }
 
-fn decode_transactions(
-    payload: &[u8],
-    pools: &Pools<'_>,
-) -> Result<BTreeMap<Address, Vec<Transaction>>, ColumnarError> {
+fn decode_transactions(payload: &[u8], pools: &Pools<'_>) -> Result<TxTable, ColumnarError> {
     let mut cur = Cursor::new(payload, "transactions");
     let owners = cur.take_u32()? as usize;
     let owner_ids = cur.take_column::<u32>(owners)?;
     let tx_counts = cur.take_column::<u32>(owners)?;
     let n = total_rows(tx_counts, "transactions")?;
+    if u32::try_from(n).is_err() {
+        return Err(ColumnarError::Corrupt(format!(
+            "transactions: {n} rows do not fit one table"
+        )));
+    }
     let hashes = cur.take_column::<[u8; 32]>(n)?;
     let blocks = cur.take_column::<u64>(n)?;
     let timestamps = cur.take_column::<u64>(n)?;
@@ -848,52 +948,58 @@ fn decode_transactions(
     let contracts = cur.take_column::<u32>(contract_count)?;
     cur.expect_end()?;
 
-    let mut row = 0usize;
+    // The table numbers its contract names itself, in first-seen row
+    // order; `ids` maps the file's string ids onto them.
+    let mut ids: HashMap<u32, ContractId> = HashMap::new();
     let mut contracts = contracts.iter();
-    let mut histories: Vec<(Address, Vec<Transaction>)> = Vec::with_capacity(owners);
+    let mut table = TxTable::with_capacity(owners, n);
+    let mut row = 0usize;
     for i in 0..owners {
         let owner = pools.addr(owner_ids.get(i))?;
-        // The encoder walks a `BTreeMap`, so owners arrive strictly
-        // ascending; holding the file to that also rules out a duplicate.
-        if histories.last().is_some_and(|(prev, _)| *prev >= owner) {
+        // The encoder walks the owners in ascending order; holding the
+        // file to that also rules out a duplicate.
+        if table.owners().last().is_some_and(|&prev| prev >= owner) {
             return Err(ColumnarError::Corrupt(format!(
                 "transactions: owner {owner:?} out of order (owners must be strictly ascending)"
             )));
         }
+        table.push_owner(owner);
         let count = tx_counts.get(i) as usize;
-        let mut txs = Vec::with_capacity(count);
         for (j, &tag) in (row..).zip(&tags[row..row + count]) {
-            let kind = match tag {
-                TAG_TX_TRANSFER => TxKind::Transfer,
-                TAG_TX_CONTRACT => TxKind::ContractPayment {
-                    contract: pools
-                        .strings
-                        .get(contracts.next().expect("counted"))?
-                        .to_string(),
-                },
-                TAG_TX_MINT => TxKind::Mint,
+            let tag = match tag {
+                TAG_TX_TRANSFER => TxTag::Transfer,
+                TAG_TX_CONTRACT => {
+                    let string = contracts.next().expect("counted");
+                    let id = match ids.get(&string) {
+                        Some(&id) => id,
+                        None => {
+                            let id = table.contract_id(pools.strings.get(string)?);
+                            ids.insert(string, id);
+                            id
+                        }
+                    };
+                    TxTag::ContractCall(id)
+                }
+                TAG_TX_MINT => TxTag::Mint,
                 other => {
                     return Err(ColumnarError::Corrupt(format!(
                         "transactions: unknown kind tag {other}"
                     )))
                 }
             };
-            txs.push(Transaction {
+            table.push_row(TxRow {
                 hash: TxHash(Hash32(hashes.get(j))),
                 block: BlockNumber(blocks.get(j)),
                 timestamp: Timestamp(timestamps.get(j)),
                 from: pools.addr(from.get(j))?,
                 to: pools.addr(to.get(j))?,
                 value: Wei(values.get(j)),
-                kind,
+                tag,
             });
         }
         row += count;
-        histories.push((owner, txs));
     }
-    // Sorted input: `collect` bulk-builds the map instead of inserting one
-    // owner at a time.
-    Ok(histories.into_iter().collect())
+    Ok(table)
 }
 
 fn decode_market(payload: &[u8], pools: &Pools<'_>) -> Result<Vec<MarketEvent>, ColumnarError> {
@@ -1072,8 +1178,13 @@ pub(crate) fn take_domain_rows(cur: &mut Cursor<'_>) -> Result<Vec<DomainRecord>
 /// Appends a txlist shard: `owner`'s history as a one-owner transactions
 /// section.
 pub(crate) fn put_txlist_rows(owner: Address, txs: &[Transaction], buf: &mut Vec<u8>) {
+    let mut history = TxTable::with_capacity(1, txs.len());
+    history.push_owner(owner);
+    for tx in txs {
+        history.push_transaction(tx);
+    }
     let mut it = Interner::new();
-    let section = encode_transactions(&[(owner, txs)], &mut it);
+    let section = encode_transactions(&history, &mut it);
     put_framed(&it, &[section], buf);
 }
 
@@ -1084,13 +1195,17 @@ pub(crate) fn take_txlist_rows(
     owner: Address,
 ) -> Result<Vec<Transaction>, ColumnarError> {
     let (pools, [section]) = take_framed(cur)?;
-    let mut histories = decode_transactions(section, &pools)?;
-    match histories.remove(&owner) {
-        Some(txs) if histories.is_empty() => Ok(txs),
-        _ => Err(ColumnarError::Corrupt(format!(
+    let history = decode_transactions(section, &pools)?;
+    if history.owners() != [owner] {
+        return Err(ColumnarError::Corrupt(format!(
             "txlist shard: expected exactly the history of {owner:?}"
-        ))),
+        )));
     }
+    Ok(history
+        .rows()
+        .iter()
+        .map(|row| history.transaction(row))
+        .collect())
 }
 
 /// Appends a market shard's events (the market section).

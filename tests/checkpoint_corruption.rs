@@ -375,7 +375,11 @@ fn decoder_fixture() -> &'static [u8] {
                 }],
             },
         );
-        for (addr, txs) in ds.transactions.iter().take(12) {
+        for (addr, rows) in ds.transactions.iter().take(12) {
+            let txs: Vec<_> = rows
+                .iter()
+                .map(|r| ds.transactions.transaction(r))
+                .collect();
             ckpt.txlist.insert(
                 *addr,
                 Crawled {

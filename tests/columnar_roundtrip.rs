@@ -16,18 +16,25 @@
 //! - the section decoders' own checks (row accounting, id ranges, tags,
 //!   owner order, label validation, trailing bytes) reject files whose
 //!   checksums are valid, and no single flipped byte of a re-framed
-//!   section makes decode panic.
+//!   section makes decode panic;
+//! - a file read from disk one section at a time (`Dataset::load`) is
+//!   rejected with the same typed error as its bytes in memory, and a
+//!   header whose counts, offsets or lengths run past the end of the file
+//!   fails before anything is read or sized from them.
 
-use ens_dropcatch_suite::analysis::{CrawlConfig, Dataset, FailurePolicy, Format};
+use ens_dropcatch_suite::analysis::{CrawlConfig, Dataset, FailurePolicy, Format, StorageError};
 use ens_dropcatch_suite::columnar::{
-    checksum64, is_columnar, ColumnarError, Cursor, FileBuilder, FileView, StrPool, StrTable,
-    MAGIC, NONE_ID, VERSION,
+    checksum64, is_columnar, ColumnarError, Cursor, FileBuilder, FileReader, FileView, ReadError,
+    StrPool, StrTable, MAGIC, NONE_ID, VERSION,
 };
 use ens_dropcatch_suite::obs::Metrics;
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::FaultProfile;
 use ens_dropcatch_suite::workload::WorldConfig;
 use proptest::prelude::*;
+use std::io::{Read, Seek, SeekFrom};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// A clean collection from a small world of `names` names.
@@ -280,13 +287,49 @@ fn set_u32(payload: &mut [u8], at: usize, v: u32) {
     payload[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
-/// The message of the `Corrupt` error decoding `file` must fail with.
+/// The message of the `Corrupt` error decoding `file` must fail with, in
+/// memory and read from disk alike.
 fn corrupt_message(file: &[u8]) -> String {
-    match Dataset::from_columnar(file, &Metrics::disabled()) {
-        Err(ColumnarError::Corrupt(msg)) => msg,
-        Err(other) => panic!("expected Corrupt, got {other:?}"),
-        Ok(_) => panic!("expected Corrupt, the file decoded"),
+    match rejection(file) {
+        StorageError::Columnar(ColumnarError::Corrupt(msg)) => msg,
+        other => panic!("expected Corrupt, got {other:?}"),
     }
+}
+
+/// A file in the temp directory holding `bytes`, removed on drop.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(bytes: &[u8]) -> TempFile {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "ensc-roundtrip-{}-{}.ensc",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes).expect("temp file written");
+        TempFile(path)
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+/// The error `Dataset::from_bytes` rejects `bytes` with, after checking
+/// that `Dataset::load` rejects the same bytes written to a file with the
+/// same error.
+fn rejection(bytes: &[u8]) -> StorageError {
+    let memory = Dataset::from_bytes(bytes).expect_err("the bytes must not decode");
+    let file = TempFile::new(bytes);
+    let disk = Dataset::load(&file.0).expect_err("the file must not decode");
+    match (&memory, &disk) {
+        (StorageError::Columnar(a), StorageError::Columnar(b)) => assert_eq!(a, b),
+        (a, b) => assert_eq!(a.to_string(), b.to_string()),
+    }
+    memory
 }
 
 /// The columnar bytes of one small clean world, shared by the checks.
@@ -384,7 +427,7 @@ fn a_duplicated_transaction_owner_is_rejected() {
 }
 
 /// Two owners swapped: every id is valid, only the order is wrong. The
-/// encoder walks a `BTreeMap`, so it never writes this.
+/// encoder walks the table's ascending owners, so it never writes this.
 #[test]
 fn transaction_owners_out_of_order_are_rejected() {
     let file = decoder_fixture();
@@ -453,5 +496,238 @@ proptest! {
             p[i] ^= mask;
         });
         let _ = Dataset::from_columnar(&bad, &Metrics::disabled());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The file path
+//
+// `Dataset::load` reads a columnar file one section at a time. Every file
+// it rejects, `Dataset::from_bytes` rejects with the same typed error, and
+// the reader bounds what the header claims by the file's size before it
+// reads or sizes anything from it.
+// ---------------------------------------------------------------------------
+
+/// Bytes before the directory, and of one directory entry.
+const PREAMBLE: usize = 12;
+const DIR_ENTRY: usize = 28;
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// `(id, offset, length)` of every directory entry of `file`.
+fn directory(file: &[u8]) -> Vec<(u32, usize, usize)> {
+    let count = u32_at(file, 8) as usize;
+    (0..count)
+        .map(|i| {
+            let at = PREAMBLE + DIR_ENTRY * i;
+            (
+                u32_at(file, at),
+                u64_at(file, at + 4) as usize,
+                u64_at(file, at + 12) as usize,
+            )
+        })
+        .collect()
+}
+
+/// `file` with directory entry `entry`'s offset and length replaced and
+/// the directory checksum recomputed, so only the bounds are wrong.
+fn redirect(file: &[u8], entry: usize, offset: u64, len: u64) -> Vec<u8> {
+    let mut out = file.to_vec();
+    let at = PREAMBLE + DIR_ENTRY * entry;
+    out[at + 4..at + 12].copy_from_slice(&offset.to_le_bytes());
+    out[at + 12..at + 20].copy_from_slice(&len.to_le_bytes());
+    let dir_end = PREAMBLE + DIR_ENTRY * directory(file).len();
+    let checksum = checksum64(&out[..dir_end]);
+    out[dir_end..dir_end + 8].copy_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+#[test]
+fn a_file_on_disk_decodes_like_its_bytes_in_memory() {
+    let file = decoder_fixture();
+    let disk = TempFile::new(file);
+    let loaded = Dataset::load(&disk.0).expect("the fixture loads");
+    let decoded = Dataset::from_bytes(file).expect("the fixture decodes");
+    assert_eq!(loaded.to_json().unwrap(), decoded.to_json().unwrap());
+
+    // The section-at-a-time decode records the same counters.
+    let metrics = Metrics::new();
+    let reader = std::fs::File::open(&disk.0).unwrap();
+    Dataset::read_columnar(reader, &metrics).expect("the fixture reads");
+    let from_memory = Metrics::new();
+    Dataset::from_columnar(file, &from_memory).unwrap();
+    assert_eq!(
+        metrics.snapshot().deterministic_json(),
+        from_memory.snapshot().deterministic_json()
+    );
+}
+
+#[test]
+fn a_file_on_disk_is_rejected_like_its_bytes_in_memory() {
+    let file = decoder_fixture();
+    let entries = directory(file);
+    let dir_end = PREAMBLE + DIR_ENTRY * entries.len();
+
+    // Truncation: no magic, inside the preamble, inside the directory,
+    // inside its checksum, and inside each section's payload.
+    let mut cuts = vec![0, 3, 11, 12, 40, dir_end + 3];
+    cuts.extend(entries.iter().map(|&(_, offset, len)| offset + len / 2));
+    cuts.push(file.len() - 1);
+    for cut in cuts {
+        let err = rejection(&file[..cut]);
+        if cut >= PREAMBLE {
+            assert!(
+                matches!(err, StorageError::Columnar(ColumnarError::Truncated { .. })),
+                "cut at {cut}: {err:?}"
+            );
+        }
+    }
+
+    // A flipped byte in each section fails that section's checksum.
+    for &(id, offset, len) in &entries {
+        let mut bad = file.to_vec();
+        bad[offset + len / 2] ^= 0x40;
+        assert!(
+            matches!(
+                rejection(&bad),
+                StorageError::Columnar(ColumnarError::ChecksumMismatch { section }) if section == id
+            ),
+            "section {id}"
+        );
+    }
+
+    // The directory checksum, the magic and the version.
+    let mut bad = file.to_vec();
+    bad[PREAMBLE + 1] ^= 0x01;
+    assert!(matches!(
+        rejection(&bad),
+        StorageError::Columnar(ColumnarError::DirectoryChecksumMismatch)
+    ));
+    let mut bad = file.to_vec();
+    bad[0] = b'X';
+    assert!(
+        !matches!(rejection(&bad), StorageError::Columnar(_)),
+        "bad magic reads as JSON"
+    );
+    let mut bad = file.to_vec();
+    bad[4] = 99;
+    assert!(matches!(
+        rejection(&bad),
+        StorageError::Columnar(ColumnarError::UnsupportedVersion(99))
+    ));
+
+    // A section the schema does not know, with a bad checksum: the reader
+    // never decodes it, but still verifies it.
+    let mut extra = FileBuilder::new();
+    let view = FileView::parse(file).unwrap();
+    for (id, _) in view.section_sizes() {
+        extra.add(id, view.section(id).unwrap().to_vec());
+    }
+    extra.add(99, vec![1, 2, 3]);
+    let mut bad = extra.finish();
+    let last = bad.len() - 1;
+    bad[last] ^= 0x01;
+    assert!(matches!(
+        rejection(&bad),
+        StorageError::Columnar(ColumnarError::ChecksumMismatch { section: 99 })
+    ));
+}
+
+/// A reader over bytes that counts how many it hands out.
+struct Counted<'a> {
+    inner: std::io::Cursor<&'a [u8]>,
+    read: &'a AtomicUsize,
+}
+
+impl Read for Counted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.read.fetch_add(n, Ordering::Relaxed);
+        Ok(n)
+    }
+}
+
+impl Seek for Counted<'_> {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
+/// Opens `bytes` with a [`FileReader`]; returns its error and the bytes it
+/// read before failing.
+fn open_error(bytes: &[u8]) -> (ColumnarError, usize) {
+    let read = AtomicUsize::new(0);
+    let reader = Counted {
+        inner: std::io::Cursor::new(bytes),
+        read: &read,
+    };
+    match FileReader::open(reader) {
+        Err(ReadError::Columnar(e)) => (e, read.load(Ordering::Relaxed)),
+        Err(ReadError::Io(e)) => panic!("expected a columnar error, got {e}"),
+        Ok(_) => panic!("expected the header to be refused"),
+    }
+}
+
+#[test]
+fn a_header_past_the_end_of_the_file_fails_before_any_read() {
+    let file = decoder_fixture();
+    let entries = directory(file);
+    let dir_end = PREAMBLE + DIR_ENTRY * entries.len();
+
+    // A directory of u32::MAX sections: refused after the preamble alone,
+    // before a directory buffer is sized from the count.
+    let mut huge = file.to_vec();
+    huge[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    let (err, read) = open_error(&huge);
+    assert!(
+        matches!(
+            err,
+            ColumnarError::Truncated {
+                context: "section directory",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert_eq!(read, PREAMBLE, "only the preamble is read");
+    assert!(matches!(
+        rejection(&huge),
+        StorageError::Columnar(ColumnarError::Truncated { .. })
+    ));
+
+    // A section whose offset, or length, runs past the end of the file, or
+    // whose end overflows: refused after the directory, before any payload
+    // is read or sized.
+    let (_, offset, len) = entries[entries.len() / 2];
+    let past = file.len() as u64;
+    for (offset, len) in [
+        (past, len as u64),
+        (offset as u64, past),
+        (u64::MAX, len as u64),
+        (offset as u64, u64::MAX),
+    ] {
+        let bad = redirect(file, entries.len() / 2, offset, len);
+        let (err, read) = open_error(&bad);
+        assert!(
+            matches!(
+                err,
+                ColumnarError::Truncated {
+                    context: "section payload",
+                    ..
+                }
+            ),
+            "offset {offset}, length {len}: {err:?}"
+        );
+        assert_eq!(
+            read,
+            dir_end + 8,
+            "only the preamble and directory are read"
+        );
+        assert!(matches!(
+            rejection(&bad),
+            StorageError::Columnar(ColumnarError::Truncated { .. })
+        ));
     }
 }

@@ -119,8 +119,8 @@ proptest! {
         let (world, ds, index) = shared();
         let genesis = ds
             .transactions
-            .values()
-            .flatten()
+            .rows()
+            .iter()
             .map(|tx| tx.timestamp.0)
             .min()
             .unwrap_or(0);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use ens_dropcatch_suite::analysis::{
     analyze_losses, detect_all, naive, window_contains, AnalysisIndex, CrawlReport, Dataset,
-    Metrics,
+    Metrics, TxTable,
 };
 use ens_dropcatch_suite::chain::{Transaction, TxKind};
 use ens_dropcatch_suite::etherscan::LabelService;
@@ -109,7 +109,7 @@ fn boundary_dataset() -> (Dataset, Address, Address) {
 
     let dataset = Dataset {
         domains: vec![domain],
-        transactions,
+        transactions: TxTable::from_histories(transactions),
         observation_end: t(600),
         labels: Arc::new(LabelService::new()),
         reverse_claims: Arc::new(HashMap::new()),
