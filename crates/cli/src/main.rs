@@ -17,9 +17,11 @@
 //! `serve` loads such a file once, indexes it, and stays resident behind
 //! a minimal HTTP/1.1 endpoint answering name-risk / address-forensics /
 //! loss-findings / report-slice queries (see the `ens-serve` crate).
-//! `--threads` shards the crawl, the `AnalysisIndex` build and the
-//! internally parallel loss/feature passes across worker threads; the
-//! dataset and report are byte-identical for any value.
+//! `--threads` shards the crawl, the columnar decode of `analyze` and
+//! `serve`, the `AnalysisIndex` build, the loss and feature passes and the
+//! countermeasure sweep across worker threads, and above one thread runs
+//! the study's passes that share no output side by side; the dataset and
+//! report are byte-identical for any value.
 //!
 //! Datasets exist in two on-disk formats (see `ens_dropcatch::export`):
 //! JSON (interchange) and the native columnar container (`.ensc`). Export
@@ -600,8 +602,9 @@ fn run(args: Args, full_study: bool) -> ExitCode {
 
 /// Reads `--dataset` for `command`: detects the format from the file's
 /// magic bytes (never the extension), checks it against `--format`, and
-/// decodes it under `metrics` — a columnar file one section at a time. On
-/// failure the error is already reported and the exit code is returned.
+/// decodes it under `metrics` — a columnar file one section at a time,
+/// each stage's rows split over `--threads`. On failure the error is
+/// already reported and the exit code is returned.
 fn load_dataset(args: &Args, command: &str, metrics: &Metrics) -> Result<Dataset, ExitCode> {
     let Some(path) = &args.dataset else {
         eprintln!("{command} requires --dataset FILE");
@@ -631,7 +634,7 @@ fn load_dataset(args: &Args, command: &str, metrics: &Metrics) -> Result<Dataset
             file.file_len()
         );
     }
-    let dataset = file.decode(metrics).map_err(|e| {
+    let dataset = file.decode(args.threads, metrics).map_err(|e| {
         eprintln!("cannot parse dataset: {e}");
         ExitCode::FAILURE
     })?;

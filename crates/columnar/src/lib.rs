@@ -829,7 +829,18 @@ impl Bits<'_> {
     /// Number of set bits. Padding bits past `len` in the last byte are
     /// not counted, just as [`Bits::get`] never reads them.
     pub fn count_ones(&self) -> usize {
-        let (full, tail) = (self.len / 8, self.len % 8);
+        self.rank(self.len)
+    }
+
+    /// Number of set bits among the first `i`: where bit `i`'s row starts
+    /// in a column that holds values only for the set bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i > len` (a decoder bug, not input data).
+    pub fn rank(&self, i: usize) -> usize {
+        assert!(i <= self.len, "rank {i} out of {}", self.len);
+        let (full, tail) = (i / 8, i % 8);
         let mut ones: usize = self.bytes[..full]
             .iter()
             .map(|b| b.count_ones() as usize)
@@ -1387,6 +1398,9 @@ mod tests {
             }
             let decoded = Cursor::new(&buf, "bits").take_bits(n).unwrap();
             assert_eq!(decoded.count_ones(), bits.iter().filter(|&&b| b).count());
+            for i in 0..=n {
+                assert_eq!(decoded.rank(i), bits[..i].iter().filter(|&&b| b).count());
+            }
         }
     }
 

@@ -15,13 +15,16 @@
 //! warning, its history-aware variant (recent ownership changes only), a
 //! forward-and-back (reverse-record) check that exploits how rarely
 //! dropcatchers claim primary names, and the freshness-or-reverse
-//! combination. [`evaluate_countermeasure_with`] scores all four in one
-//! sweep over the transactions;
+//! combination. [`evaluate_countermeasures`] scores all four in one
+//! sweep over the transactions, its annoyance half sharded over blocks of
+//! domains;
 //! [`naive::evaluate_countermeasure`](crate::naive::evaluate_countermeasure)
 //! keeps one sweep per policy as the equivalence reference.
 
 use std::collections::HashSet;
 
+use ens_obs::Metrics;
+use ens_subgraph::DomainRecord;
 use ens_types::{Address, Duration, Timestamp};
 use serde::{Deserialize, Serialize};
 use wallet_sim::{production_wallets, ResolutionContext, WarningPolicy};
@@ -30,6 +33,12 @@ use crate::dataset::{primary_name_in, Dataset};
 use crate::index::AnalysisIndex;
 use crate::losses::{LossReport, SenderKind};
 use crate::registrations::effective_owner_at_expiry;
+use crate::shard::shard_map;
+
+/// Domains per block of the sharded annoyance sweep: each block returns
+/// four pairs of counts, so a 60 K-domain sweep keeps a few hundred
+/// results rather than one per domain.
+const SWEEP_BLOCK: usize = 256;
 
 /// One row of Table 2.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -160,13 +169,17 @@ pub(crate) fn policies(window: Duration) -> [WarningPolicy; 4] {
 /// registration's name, expiry, owner-change time, tenure slice and
 /// reverse claims are looked up once, the flagged set is built once, and
 /// each transaction's [`ResolutionContext`] is built once and handed to
-/// every policy. Each outcome accumulates in the naive sweep's order, so
-/// its f64 sums are bit-identical to a separate per-policy sweep.
+/// every policy. The interception loop holds the f64 USD sums, so it runs
+/// in finding order, as the naive sweep does, and its sums are
+/// bit-identical to a separate per-policy sweep. The annoyance loop only
+/// counts; it runs on [`shard_map`] over blocks of domains, and the
+/// blocks' counts add up to the same integers at any `threads`.
 fn evaluate_policies(
     losses: &LossReport,
     dataset: &Dataset,
     index: &AnalysisIndex,
     policies: &[WarningPolicy; 4],
+    threads: usize,
 ) -> [PolicyOutcome; 4] {
     let mut outcomes = [PolicyOutcome::default(); 4];
 
@@ -200,7 +213,31 @@ fn evaluate_policies(
         }
     }
 
-    for domain in &dataset.domains {
+    let blocks: Vec<&[DomainRecord]> = dataset.domains.chunks(SWEEP_BLOCK).collect();
+    let counts = shard_map(&blocks, threads, |block| {
+        legit_counts(block, dataset, index, policies, &flagged_set)
+    });
+    for block in counts {
+        for (outcome, (legit, false_positives)) in outcomes.iter_mut().zip(block) {
+            outcome.legit_txs += legit;
+            outcome.false_positive_txs += false_positives;
+        }
+    }
+    outcomes
+}
+
+/// The annoyance sweep over one block of domains: per policy, the
+/// legitimate sends into each registration's tenure (every incoming
+/// transfer not in `flagged`) and how many of them the policy warns on.
+fn legit_counts(
+    domains: &[DomainRecord],
+    dataset: &Dataset,
+    index: &AnalysisIndex,
+    policies: &[WarningPolicy; 4],
+    flagged: &HashSet<(Address, u64)>,
+) -> [(usize, usize); 4] {
+    let mut counts = [(0, 0); 4];
+    for domain in domains {
         let name = domain.name.as_ref().map(|n| n.to_full());
         for (idx, reg) in domain.registrations.iter().enumerate() {
             let Some(expiry) = domain.expiry_of_registration(idx) else {
@@ -215,7 +252,7 @@ fn evaluate_policies(
             .then_some(reg.registered_at);
             let claims = dataset.reverse_claims_of(reg.owner);
             for tx in index.incoming(reg.owner, Some((reg.registered_at, window_end))) {
-                if flagged_set.contains(&(tx.from, tx.timestamp.0)) {
+                if flagged.contains(&(tx.from, tx.timestamp.0)) {
                     continue;
                 }
                 let ctx = ResolutionContext {
@@ -228,34 +265,52 @@ fn evaluate_policies(
                         .map(|n| primary_name_in(claims, tx.timestamp) == Some(n)),
                     now: tx.timestamp,
                 };
-                for (policy, outcome) in policies.iter().zip(&mut outcomes) {
-                    outcome.legit_txs += 1;
+                for (policy, (legit, false_positives)) in policies.iter().zip(&mut counts) {
+                    *legit += 1;
                     if policy.evaluate(&ctx).is_some() {
-                        outcome.false_positive_txs += 1;
+                        *false_positives += 1;
                     }
                 }
             }
         }
     }
-
-    outcomes
+    counts
 }
 
 /// Evaluates the proposed countermeasure (and the reverse-check variants)
-/// against a loss report on the analysis substrate: one sweep scores all
-/// four policies, with the annoyance loop's tenure scans served by the
-/// index. The report is identical to
-/// [`naive::evaluate_countermeasure`](crate::naive::evaluate_countermeasure)'s.
+/// against a loss report on the analysis substrate, under a
+/// `countermeasures` span: one sweep scores all four policies, with the
+/// annoyance loop's tenure scans served by the index and spread over
+/// `threads` scoped workers. The report is identical to
+/// [`naive::evaluate_countermeasure`](crate::naive::evaluate_countermeasure)'s
+/// at any thread count.
+pub fn evaluate_countermeasures(
+    losses: &LossReport,
+    dataset: &Dataset,
+    index: &AnalysisIndex,
+    window: Duration,
+    threads: usize,
+    metrics: &Metrics,
+) -> CountermeasureReport {
+    let _span = metrics.span("countermeasures");
+    report(
+        evaluate_policies(losses, dataset, index, &policies(window), threads),
+        window,
+    )
+}
+
+/// [`evaluate_countermeasures`] on one thread, without metrics: the entry
+/// the `ablations` bin, the `strategy_economics` and
+/// `wallet_countermeasure` examples, `tests/index_equivalence.rs`,
+/// `tests/ablation_invariants.rs` and `perfbench/tracer` call for one
+/// window at a time.
 pub fn evaluate_countermeasure_with(
     losses: &LossReport,
     dataset: &Dataset,
     index: &AnalysisIndex,
     window: Duration,
 ) -> CountermeasureReport {
-    report(
-        evaluate_policies(losses, dataset, index, &policies(window)),
-        window,
-    )
+    evaluate_countermeasures(losses, dataset, index, window, 1, &Metrics::disabled())
 }
 
 /// The report for the four outcomes of [`policies`], in that order.
@@ -306,6 +361,32 @@ mod tests {
         let names: Vec<&str> = rows.iter().map(|r| r.wallet.as_str()).collect();
         assert!(names.contains(&"Metamask"));
         assert!(names.contains(&"Coinbase"));
+    }
+
+    #[test]
+    fn the_sharded_sweep_scores_alike_at_any_thread_count() {
+        let (ds, index, losses) = setup();
+        let window = Duration::from_days(365);
+        let one = evaluate_countermeasure_with(&losses, &ds, &index, window);
+        assert!(
+            ds.domains.len() > 2 * SWEEP_BLOCK,
+            "the sweep spans several blocks"
+        );
+        for threads in [2, 8] {
+            let metrics = Metrics::new();
+            let sharded = evaluate_countermeasures(&losses, &ds, &index, window, threads, &metrics);
+            assert_eq!(
+                serde_json::to_string(&sharded).unwrap(),
+                serde_json::to_string(&one).unwrap(),
+                "at {threads} threads"
+            );
+            let spans = metrics.snapshot().spans;
+            assert_eq!(spans.len(), 1);
+            assert_eq!(
+                (spans[0].path.as_str(), spans[0].calls),
+                ("countermeasures", 1)
+            );
+        }
     }
 
     #[test]

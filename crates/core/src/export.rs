@@ -215,7 +215,7 @@ impl Dataset {
 
     /// Deserializes a dataset from bytes, auto-detecting the format (see
     /// [`Format::detect`]), under a `json/decode` or `columnar/decode`
-    /// span.
+    /// span, on the calling thread.
     pub fn from_bytes_metered(bytes: &[u8], metrics: &Metrics) -> Result<Dataset, StorageError> {
         match Format::detect(bytes) {
             Format::Columnar => Ok(Dataset::from_columnar(bytes, metrics)?),
@@ -256,9 +256,10 @@ impl Dataset {
 
     /// Reads a dataset from `path`, auto-detecting the format from the
     /// file's magic bytes (the extension is never consulted). A columnar
-    /// file is read one section at a time; see [`DatasetFile`].
+    /// file is read one section at a time, on the calling thread; see
+    /// [`DatasetFile`].
     pub fn load(path: &Path) -> Result<Dataset, StorageError> {
-        DatasetFile::open(path)?.decode(&Metrics::disabled())
+        DatasetFile::open(path)?.decode(1, &Metrics::disabled())
     }
 }
 
@@ -309,10 +310,11 @@ impl DatasetFile {
     }
 
     /// Decodes the dataset under a `columnar/decode` or `json/decode`
-    /// span.
-    pub fn decode(self, metrics: &Metrics) -> Result<Dataset, StorageError> {
+    /// span; a columnar file's rows split over `threads` (see
+    /// [`Dataset::read_columnar`]).
+    pub fn decode(self, threads: usize, metrics: &Metrics) -> Result<Dataset, StorageError> {
         match self.body {
-            Body::Columnar(file) => Ok(Dataset::read_columnar(file, metrics)?),
+            Body::Columnar(file) => Ok(Dataset::read_columnar(file, threads, metrics)?),
             Body::Json(bytes) => Dataset::from_bytes_metered(&bytes, metrics),
         }
     }

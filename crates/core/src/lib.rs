@@ -101,7 +101,7 @@ pub use registrations::{
     detect_reregistrations_ignoring_transfers, window_contains, DomainOutcome, ReRegistration,
 };
 pub use resale::{analyze_resales, ResaleReport};
-pub use shard::{shard_map, MAX_WORKERS};
+pub use shard::{join, shard_map, MAX_WORKERS};
 pub use transactions::{ContractId, TxRow, TxTable, TxTag};
 
 /// Glob-import convenience.

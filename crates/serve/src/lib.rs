@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ens_dropcatch::{
-    AnalysisIndex, Dataset, Metrics, NameDirectory, OutgoingIndex, QueryError, StudyConfig,
+    join, AnalysisIndex, Dataset, Metrics, NameDirectory, OutgoingIndex, QueryError, StudyConfig,
     StudyReport,
 };
 use ens_types::Address;
@@ -69,12 +69,21 @@ impl ServeState {
     /// Builds the resident state: indexes the dataset (sharded over
     /// `threads`), runs the full study once, and precomputes the name
     /// and victim directories. This is the expensive call — everything
-    /// after it is read-only.
+    /// after it is read-only. Above one thread the incoming index builds
+    /// beside the outgoing index and the name directory (a [`join`]), and
+    /// the study then runs its passes side by side as the CLI's does.
     pub fn build(dataset: Dataset, threads: usize) -> ServeState {
         let oracle = PriceOracle::new();
-        let index = AnalysisIndex::build(&dataset, &oracle, threads, &Metrics::disabled());
-        let outgoing = OutgoingIndex::build_with_threads(&dataset, &oracle, threads);
-        let names = NameDirectory::build(&dataset.domains);
+        let (index, (outgoing, names)) = join(
+            threads,
+            || AnalysisIndex::build(&dataset, &oracle, threads, &Metrics::disabled()),
+            || {
+                (
+                    OutgoingIndex::build_with_threads(&dataset, &oracle, threads),
+                    NameDirectory::build(&dataset.domains),
+                )
+            },
+        );
         let config = StudyConfig {
             threads,
             ..StudyConfig::default()

@@ -20,16 +20,28 @@
 //! - a file read from disk one section at a time (`Dataset::load`) is
 //!   rejected with the same typed error as its bytes in memory, and a
 //!   header whose counts, offsets or lengths run past the end of the file
-//!   fails before anything is read or sized from them.
+//!   fails before anything is read or sized from them;
+//! - a decode whose rows split over 2 or 8 threads gives the same dataset,
+//!   the same decode counters and, on every corrupt file above, the same
+//!   error as a one-thread decode, wherever the split falls.
 
-use ens_dropcatch_suite::analysis::{CrawlConfig, Dataset, FailurePolicy, Format, StorageError};
+use ens_dropcatch_suite::analysis::{
+    CrawlConfig, Dataset, DatasetFile, FailurePolicy, Format, StorageError, TxTable,
+};
+use ens_dropcatch_suite::chain::{Transaction, TxKind};
 use ens_dropcatch_suite::columnar::{
     checksum64, is_columnar, ColumnarError, Cursor, FileBuilder, FileReader, FileView, ReadError,
     StrPool, StrTable, MAGIC, NONE_ID, VERSION,
 };
 use ens_dropcatch_suite::obs::Metrics;
-use ens_dropcatch_suite::subgraph::SubgraphConfig;
-use ens_dropcatch_suite::types::FaultProfile;
+use ens_dropcatch_suite::subgraph::{
+    AddrEntry, DomainRecord, RegistrationEntry, RenewalEntry, SubdomainEntry, SubgraphConfig,
+    TransferEntry,
+};
+use ens_dropcatch_suite::types::{
+    Address, BlockNumber, EnsName, FaultProfile, Hash32, LabelHash, NameHash, Timestamp, TxHash,
+    Wei,
+};
 use ens_dropcatch_suite::workload::WorldConfig;
 use proptest::prelude::*;
 use std::io::{Read, Seek, SeekFrom};
@@ -77,6 +89,28 @@ fn assert_fixed_point(ds: &Dataset) {
         cols,
         "columnar -> Dataset -> columnar is not a fixed point"
     );
+    for threads in THREADS {
+        let back = read_split(&cols, threads, &Metrics::disabled()).expect("columnar read");
+        assert_eq!(
+            back.to_json().expect("re-serialize"),
+            json,
+            "JSON -> columnar -> JSON is not a fixed point at {threads} threads"
+        );
+        assert_eq!(
+            back.to_columnar(&Metrics::disabled()).expect("re-encode"),
+            cols,
+            "columnar -> Dataset -> columnar is not a fixed point at {threads} threads"
+        );
+    }
+}
+
+/// The thread counts every decode check runs at.
+const THREADS: [usize; 3] = [1, 2, 8];
+
+/// Decodes `bytes` as the CLI decodes a file, one section at a time with
+/// each stage's rows split over `threads`, from memory.
+fn read_split(bytes: &[u8], threads: usize, metrics: &Metrics) -> Result<Dataset, ReadError> {
+    Dataset::read_columnar(std::io::Cursor::new(bytes), threads, metrics)
 }
 
 proptest! {
@@ -116,6 +150,159 @@ fn chaos_degraded_dataset_round_trips() {
     assert!(ds.crawl_report.degraded, "the hole must degrade the crawl");
     assert!(!ds.crawl_report.gaps.is_empty(), "gaps must be recorded");
     assert_fixed_point(&ds);
+}
+
+/// The dataset a split decode rebuilds, and the decode counters it
+/// records, are the same at 1, 2 and 8 threads, from memory and from a
+/// file alike.
+#[test]
+fn a_split_decode_gives_the_same_dataset_and_counters_at_any_thread_count() {
+    let ds = clean_dataset(300, 5);
+    let json = ds.to_json().unwrap();
+    let cols = ds.to_columnar(&Metrics::disabled()).unwrap();
+    let disk = TempFile::new(&cols);
+    let mut sections = Vec::new();
+    for threads in THREADS {
+        let metrics = Metrics::new();
+        let back = read_split(&cols, threads, &metrics).unwrap();
+        assert_eq!(
+            back.to_json().unwrap(),
+            json,
+            "from memory at {threads} threads"
+        );
+        sections.push(metrics.snapshot().deterministic_json());
+
+        let metrics = Metrics::new();
+        let back = DatasetFile::open(&disk.0)
+            .unwrap()
+            .decode(threads, &metrics)
+            .unwrap();
+        assert_eq!(
+            back.to_json().unwrap(),
+            json,
+            "from a file at {threads} threads"
+        );
+        sections.push(metrics.snapshot().deterministic_json());
+    }
+    assert!(
+        sections[0].contains("columnar/decode/events"),
+        "{}",
+        sections[0]
+    );
+    for section in &sections[1..] {
+        assert_eq!(section, &sections[0]);
+    }
+}
+
+/// A dataset of `n` domains whose domain `heavy % n` holds `rows` entries
+/// of every nested kind while the others hold none, and `owners`
+/// transaction owners of which only the last has rows (`tx_rows`): the
+/// runs of a split decode start on empty domains and owners, and one run
+/// takes every nested row.
+fn lopsided_dataset(n: usize, heavy: usize, rows: usize, owners: usize, tx_rows: usize) -> Dataset {
+    let addr = |i: usize| Address([i as u8 + 1; 20]);
+    let hash = |i: usize, salt: u8| Hash32([i as u8 ^ salt; 32]);
+    let domains = (0..n)
+        .map(|i| {
+            let mut d = DomainRecord {
+                label_hash: LabelHash(hash(i, 0x11)),
+                // Every third domain's name was not recovered.
+                name: (i % 3 != 2).then(|| EnsName::parse(&format!("domain{i}")).unwrap()),
+                ..DomainRecord::default()
+            };
+            if i == heavy % n {
+                for j in 0..rows {
+                    let at = Timestamp(1_000 + j as u64);
+                    d.registrations.push(RegistrationEntry {
+                        owner: addr(j),
+                        registered_at: at,
+                        expires: Timestamp(5_000 + j as u64),
+                        base_cost: Wei(j as u128),
+                        premium: Wei::ZERO,
+                        block: BlockNumber(j as u64),
+                        // Every other hash is missing, so runs start at
+                        // every rank of the presence bitmap.
+                        tx: (j % 2 == 0).then(|| TxHash(hash(j, 0x22))),
+                        legacy: j % 3 == 0,
+                    });
+                    d.renewals.push(RenewalEntry {
+                        at,
+                        new_expiry: Timestamp(9_000 + j as u64),
+                        cost: Wei(7),
+                        block: BlockNumber(j as u64),
+                        tx: (j % 2 == 1).then(|| TxHash(hash(j, 0x33))),
+                    });
+                    d.transfers.push(TransferEntry {
+                        at,
+                        from: addr(j),
+                        to: addr(j + 1),
+                        block: BlockNumber(j as u64),
+                    });
+                    d.addr_changes.push(AddrEntry { at, addr: addr(j) });
+                    d.subdomains.push(SubdomainEntry {
+                        node: NameHash(hash(j, 0x44)),
+                        label: format!("sub{j}"),
+                        owner: addr(j),
+                        at,
+                    });
+                }
+            }
+            d
+        })
+        .collect();
+    let histories = (0..owners).map(|i| {
+        let txs = if i + 1 == owners {
+            (0..tx_rows)
+                .map(|k| Transaction {
+                    hash: TxHash(hash(k, 0x55)),
+                    block: BlockNumber(k as u64),
+                    timestamp: Timestamp(2_000 + k as u64),
+                    from: addr(k),
+                    to: addr(i),
+                    value: Wei(k as u128),
+                    kind: match k % 3 {
+                        0 => TxKind::Transfer,
+                        1 => TxKind::ContractPayment {
+                            contract: format!("contract{}", k % 2),
+                        },
+                        _ => TxKind::Mint,
+                    },
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        (addr(i), txs)
+    });
+    Dataset {
+        domains,
+        transactions: TxTable::from_histories(histories),
+        ..Dataset::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Splits over empty domains and owners, a domain holding every nested
+    /// row, and n = 0, 1, 2...: every thread count rebuilds the dataset.
+    #[test]
+    fn a_split_decode_rebuilds_lopsided_datasets(
+        n in 0usize..7,
+        heavy in 0usize..7,
+        rows in 0usize..6,
+        owners in 0usize..5,
+        tx_rows in 0usize..8,
+    ) {
+        let ds = lopsided_dataset(n, heavy, rows, owners, tx_rows);
+        let json = ds.to_json().unwrap();
+        let cols = ds.to_columnar(&Metrics::disabled()).unwrap();
+        for threads in THREADS {
+            let back = read_split(&cols, threads, &Metrics::disabled()).unwrap();
+            prop_assert_eq!(back.to_json().unwrap(), json.clone());
+            prop_assert_eq!(&back.transactions, &ds.transactions);
+        }
+    }
 }
 
 #[test]
@@ -320,14 +507,22 @@ impl Drop for TempFile {
 
 /// The error `Dataset::from_bytes` rejects `bytes` with, after checking
 /// that `Dataset::load` rejects the same bytes written to a file with the
-/// same error.
+/// same error, and that a decode of the file split over 2 and 8 threads
+/// does too.
 fn rejection(bytes: &[u8]) -> StorageError {
     let memory = Dataset::from_bytes(bytes).expect_err("the bytes must not decode");
     let file = TempFile::new(bytes);
     let disk = Dataset::load(&file.0).expect_err("the file must not decode");
-    match (&memory, &disk) {
-        (StorageError::Columnar(a), StorageError::Columnar(b)) => assert_eq!(a, b),
-        (a, b) => assert_eq!(a.to_string(), b.to_string()),
+    let same = |other: &StorageError, how: &str| match (&memory, other) {
+        (StorageError::Columnar(a), StorageError::Columnar(b)) => assert_eq!(a, b, "{how}"),
+        (a, b) => assert_eq!(a.to_string(), b.to_string(), "{how}"),
+    };
+    same(&disk, "Dataset::load");
+    for threads in [2, 8] {
+        let split = DatasetFile::open(&file.0)
+            .and_then(|f| f.decode(threads, &Metrics::disabled()))
+            .expect_err("the file must not decode at any thread count");
+        same(&split, &format!("DatasetFile::decode at {threads} threads"));
     }
     memory
 }
@@ -495,7 +690,17 @@ proptest! {
             let i = (at % p.len() as u64) as usize;
             p[i] ^= mask;
         });
-        let _ = Dataset::from_columnar(&bad, &Metrics::disabled());
+        // Whatever the in-memory decode makes of the file, a read split
+        // over any thread count makes too.
+        let one = Dataset::from_columnar(&bad, &Metrics::disabled())
+            .map(|ds| ds.to_json().unwrap())
+            .map_err(|e| e.to_string());
+        for threads in THREADS {
+            let split = read_split(&bad, threads, &Metrics::disabled())
+                .map(|ds| ds.to_json().unwrap())
+                .map_err(|e| e.to_string());
+            prop_assert_eq!(split, one.clone(), "at {} threads", threads);
+        }
     }
 }
 
@@ -555,7 +760,7 @@ fn a_file_on_disk_decodes_like_its_bytes_in_memory() {
     // The section-at-a-time decode records the same counters.
     let metrics = Metrics::new();
     let reader = std::fs::File::open(&disk.0).unwrap();
-    Dataset::read_columnar(reader, &metrics).expect("the fixture reads");
+    Dataset::read_columnar(reader, 1, &metrics).expect("the fixture reads");
     let from_memory = Metrics::new();
     Dataset::from_columnar(file, &from_memory).unwrap();
     assert_eq!(

@@ -158,10 +158,14 @@ proptest! {
             ..Dataset::default()
         };
         // The columnar decode numbers contract names as the map conversion
-        // does, so the decoded table equals this one field by field.
+        // does, so the decoded table equals this one field by field, at
+        // any thread count.
         let bytes = ds.to_columnar(&Metrics::disabled()).unwrap();
-        let decoded = Dataset::from_columnar(&bytes, &Metrics::disabled()).unwrap();
-        prop_assert_eq!(&decoded.transactions, &ds.transactions);
+        for threads in [1, 2, 8] {
+            let file = std::io::Cursor::new(&bytes);
+            let decoded = Dataset::read_columnar(file, threads, &Metrics::disabled()).unwrap();
+            prop_assert_eq!(&decoded.transactions, &ds.transactions);
+        }
         for &a in &probes {
             prop_assert_eq!(
                 ds.transactions.get(&a).map(|rows| explorer_form(&ds.transactions, rows)),
