@@ -9,7 +9,9 @@
 //!   `serde_json::from_str_buffered`, the same parser materializing the
 //!   full `Value` tree first; `serde_json::legacy::from_str`, the original
 //!   quadratic parser (opt-in, base scale only: at 2.3 MB it takes ~70 s
-//!   per repeat); and [`Dataset::from_columnar`];
+//!   per repeat); and [`Dataset::from_bytes`] on the columnar export,
+//!   which reads it through `ens_columnar::FileReader` over a cursor, as a
+//!   file on disk is read;
 //! - **footprint** — columnar bytes as a fraction of the JSON export.
 //!
 //! Every decode must re-serialize to the JSON export byte for byte, and
@@ -47,7 +49,7 @@ pub struct StorageScaleRun {
     /// The original quadratic parser (timed only at scale 1 under
     /// `--legacy`).
     pub legacy_ms: Option<f64>,
-    /// [`Dataset::from_columnar`].
+    /// [`Dataset::from_bytes`] on the columnar export.
     pub columnar_load_ms: f64,
     /// Streaming JSON decode throughput over the JSON bytes.
     pub streaming_mb_per_s: f64,
@@ -130,7 +132,7 @@ pub fn run_storage_bench(
             (None, true)
         };
         let (columnar_load_ms, decoded) = best_of(repeats, || {
-            Dataset::from_columnar(&columnar, &Metrics::disabled()).expect("columnar decode")
+            Dataset::from_bytes(&columnar).expect("columnar decode")
         });
         let columnar_ok = decoded
             .to_columnar(&Metrics::disabled())

@@ -229,6 +229,16 @@ fn serve_rejects_a_bad_dataset_before_it_starts() {
     assert_eq!(output.status.code(), Some(2), "contradicting --format");
     assert!(String::from_utf8_lossy(&output.stderr).contains("contradicts"));
     assert!(output.stdout.is_empty(), "no server announced");
+
+    // Bytes that are not UTF-8 are a malformed dataset, not a failed read.
+    let not_utf8 = dir.join("not-utf8.json");
+    std::fs::write(&not_utf8, [0xFF, 0xFE, 0x7B, 0x7D]).unwrap();
+    let output = serve(&["--dataset", not_utf8.to_str().unwrap()]);
+    assert_eq!(output.status.code(), Some(1), "non-UTF-8 dataset");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("dataset JSON failed"), "got: {stderr}");
+    assert!(!stderr.contains("I/O failed"), "got: {stderr}");
+    assert!(output.stdout.is_empty(), "no server announced");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -23,17 +23,16 @@
 //! ```
 //!
 //! Every section payload is independently checksummed, so a truncated or
-//! bit-flipped file fails [`FileView::parse`] with a typed error instead of
+//! bit-flipped file fails [`FileReader`] with a typed error instead of
 //! decoding into garbage. The magic is deliberately distinguishable from
 //! JSON (which starts with `{` after optional whitespace), making format
 //! auto-detection a two-byte sniff.
 //!
-//! [`FileView`] parses a file held in memory. [`FileReader`] reads one
-//! from a file one section at a time, after checking the directory's
-//! every count, offset and length against the file's size, and rejects
-//! the same files, with the same error for any one fault.
-//! [`FileBuilder::write_to`] writes a file section by section, without
-//! joining the sections into one buffer.
+//! [`FileReader`] is the one way to read a file: one section at a time,
+//! from disk or from bytes in memory behind a `std::io::Cursor`, after
+//! checking the directory's every count, offset and length against the
+//! file's size. [`FileBuilder::write_to`] writes a file section by
+//! section, without joining the sections into one buffer.
 //!
 //! ## Columns
 //!
@@ -53,7 +52,7 @@
 //! 20-byte addresses) into id-indexed pools, so a column of owners is a
 //! `u32` column plus one shared table. Both report hit counts for
 //! observability. Their read sides, [`StrPool`] and [`FixedPool`], are
-//! views that borrow from the file as well.
+//! views that borrow from their section's payload as well.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -440,56 +439,6 @@ fn parse_directory(head: &[u8], len: usize) -> Result<Vec<Entry>> {
     Ok(entries)
 }
 
-/// A parsed, checksum-verified view over a columnar file's sections.
-#[derive(Debug)]
-pub struct FileView<'a> {
-    version: u32,
-    sections: Vec<(u32, &'a [u8])>,
-}
-
-impl<'a> FileView<'a> {
-    /// Parses and fully verifies a file: magic, version, directory bounds,
-    /// the directory checksum, and every section's payload checksum.
-    pub fn parse(bytes: &'a [u8]) -> Result<FileView<'a>> {
-        let (version, count) = parse_preamble(bytes)?;
-        let dir_end = directory_end(count, bytes.len())?;
-        let entries = parse_directory(&bytes[..dir_end + 8], bytes.len())?;
-        let mut sections = Vec::with_capacity(entries.len());
-        for e in entries {
-            let payload = &bytes[e.offset..e.offset + e.len];
-            if checksum64(payload) != e.checksum {
-                return Err(ColumnarError::ChecksumMismatch { section: e.id });
-            }
-            sections.push((e.id, payload));
-        }
-        Ok(FileView { version, sections })
-    }
-
-    /// The file's format version.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Number of sections in the file.
-    pub fn section_count(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// The payload of section `id`, or [`ColumnarError::MissingSection`].
-    pub fn section(&self, id: u32) -> Result<&'a [u8]> {
-        self.sections
-            .iter()
-            .find(|(existing, _)| *existing == id)
-            .map(|(_, payload)| *payload)
-            .ok_or(ColumnarError::MissingSection(id))
-    }
-
-    /// `(id, payload length)` for every section, in file order.
-    pub fn section_sizes(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
-        self.sections.iter().map(|(id, p)| (*id, p.len()))
-    }
-}
-
 /// True if `bytes` start with the columnar [`MAGIC`] — the cheap sniff
 /// format auto-detection uses before committing to a full parse.
 pub fn is_columnar(bytes: &[u8]) -> bool {
@@ -536,8 +485,9 @@ impl From<ColumnarError> for ReadError {
     }
 }
 
-/// A columnar file read one section at a time, for a file too large to
-/// hold beside what it decodes into.
+/// A columnar file read one section at a time, so a file on disk is never
+/// held whole beside what it decodes into. Bytes already in memory are
+/// read the same way, behind a `std::io::Cursor`.
 ///
 /// [`FileReader::open`] reads only the preamble and the directory. Every
 /// length taken from the file — the section count, each offset and each
@@ -546,8 +496,7 @@ impl From<ColumnarError> for ReadError {
 /// [`ColumnarError::Truncated`] instead of asking for memory the file
 /// cannot back. [`FileReader::section`] then reads and verifies one
 /// payload, and [`FileReader::finish`] verifies the payloads never asked
-/// for. A file fails here exactly when [`FileView::parse`] fails on its
-/// bytes, with the same error whenever it has one fault.
+/// for.
 pub struct FileReader<R> {
     inner: R,
     len: usize,
@@ -1114,24 +1063,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn file_round_trips_sections() {
-        let mut b = FileBuilder::new();
-        b.add(7, vec![1, 2, 3]);
-        b.add(9, Vec::new());
-        b.add(3, vec![0xFF; 100]);
-        let bytes = b.finish();
-        assert!(is_columnar(&bytes));
-
-        let view = FileView::parse(&bytes).expect("parses");
-        assert_eq!(view.version(), VERSION);
-        assert_eq!(view.section_count(), 3);
-        assert_eq!(view.section(7).unwrap(), &[1, 2, 3]);
-        assert_eq!(view.section(9).unwrap(), &[] as &[u8]);
-        assert_eq!(view.section(3).unwrap().len(), 100);
-        assert_eq!(view.section(8), Err(ColumnarError::MissingSection(8)));
-    }
-
-    #[test]
     fn a_reader_reads_what_the_builder_wrote() {
         let build = || {
             let mut b = FileBuilder::new();
@@ -1141,17 +1072,19 @@ mod tests {
             b
         };
         let bytes = build().finish();
+        assert!(is_columnar(&bytes));
         let mut written = Vec::new();
         let checksum = build().write_to(&mut written).unwrap();
         assert_eq!(written, bytes);
         assert_eq!(checksum, checksum64(&bytes));
 
-        let view = FileView::parse(&bytes).unwrap();
         let mut reader = FileReader::open(std::io::Cursor::new(&bytes)).unwrap();
         assert_eq!(reader.version(), VERSION);
         assert_eq!(reader.file_len(), bytes.len());
         assert_eq!(reader.section_count(), 3);
-        assert_eq!(reader.section(3).unwrap(), view.section(3).unwrap());
+        assert_eq!(reader.section(7).unwrap(), [1, 2, 3]);
+        assert!(reader.section(9).unwrap().is_empty());
+        assert_eq!(reader.section(3).unwrap(), [0xFF; 100]);
         assert!(matches!(
             reader.section(8),
             Err(ReadError::Columnar(ColumnarError::MissingSection(8)))
@@ -1217,6 +1150,14 @@ mod tests {
         }
     }
 
+    /// The error reading every section of `bytes` fails with.
+    fn read_error(bytes: &[u8]) -> ColumnarError {
+        match FileReader::open(std::io::Cursor::new(bytes)).and_then(FileReader::finish) {
+            Err(ReadError::Columnar(e)) => e,
+            other => panic!("expected a columnar error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn corruption_is_detected() {
         let mut b = FileBuilder::new();
@@ -1227,44 +1168,33 @@ mod tests {
         let mut bad = good.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
-        assert!(matches!(
-            FileView::parse(&bad),
-            Err(ColumnarError::ChecksumMismatch { section: 1 })
-        ));
+        assert_eq!(
+            read_error(&bad),
+            ColumnarError::ChecksumMismatch { section: 1 }
+        );
 
         // Flip one directory byte.
         let mut bad = good.clone();
         bad[13] ^= 0x01;
-        assert!(matches!(
-            FileView::parse(&bad),
-            Err(ColumnarError::DirectoryChecksumMismatch)
-        ));
+        assert_eq!(read_error(&bad), ColumnarError::DirectoryChecksumMismatch);
 
         // Truncate the payload.
         let truncated = &good[..good.len() - 2];
         assert!(matches!(
-            FileView::parse(truncated),
-            Err(ColumnarError::Truncated { .. })
+            read_error(truncated),
+            ColumnarError::Truncated { .. }
         ));
 
         // Wrong magic.
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert!(matches!(
-            FileView::parse(&bad),
-            Err(ColumnarError::BadMagic)
-        ));
+        assert_eq!(read_error(&bad), ColumnarError::BadMagic);
 
-        // Future version.
+        // Future version: refused before the directory checksum, which
+        // covers it, is checked.
         let mut bad = good;
         bad[4] = 99;
-        // Directory checksum covers the version, so either error is a
-        // refusal; re-frame so only the version differs.
-        let err = FileView::parse(&bad).unwrap_err();
-        assert!(matches!(
-            err,
-            ColumnarError::UnsupportedVersion(99) | ColumnarError::DirectoryChecksumMismatch
-        ));
+        assert_eq!(read_error(&bad), ColumnarError::UnsupportedVersion(99));
     }
 
     #[test]

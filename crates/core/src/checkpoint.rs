@@ -67,10 +67,12 @@
 //! loads as [`CheckpointLoad::DiscardedStale`] and the crawl starts clean.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{Read, Seek};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ens_columnar::{is_columnar, ColumnarError, Cursor, FileBuilder, FileView, PutLe};
+use ens_columnar::{ColumnarError, Cursor, FileBuilder, FileReader, PutLe};
 use ens_subgraph::DomainRecord;
 use ens_types::{Address, Timestamp};
 use opensea_sim::MarketEvent;
@@ -94,10 +96,9 @@ pub const DEFAULT_CHECKPOINT_EVERY: usize = 256;
 const CKPT_SCHEMA_VERSION: u32 = 2;
 
 /// Section ids of the checkpoint schema. The id space 64.. is reserved for
-/// checkpoints and disjoint from the dataset schema's 1..=13, so magic-byte
-/// detection plus the first directory id tells the two file kinds apart
-/// ([`CrawlCheckpoint::sniff`]). Ids are stable: never reuse or
-/// reinterpret one.
+/// checkpoints and disjoint from the dataset schema's 1..=13, so a dataset
+/// file read as a checkpoint fails with the header section missing. Ids
+/// are stable: never reuse or reinterpret one.
 mod section {
     /// Schema version + config fingerprint.
     pub const HEADER: u32 = 64;
@@ -233,17 +234,6 @@ impl CrawlCheckpoint {
             + self.market.values().map(|c| sum(&c.stats)).sum::<u64>()
     }
 
-    /// True if `bytes` look like a checkpoint file: the columnar magic
-    /// with the checkpoint header section listed first in the directory
-    /// (dataset files lead with their lowest dataset-schema id instead).
-    pub fn sniff(bytes: &[u8]) -> bool {
-        if !is_columnar(bytes) || bytes.len() < 16 {
-            return false;
-        }
-        let first_id = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
-        first_id == section::HEADER
-    }
-
     /// Serializes the checkpoint into container bytes.
     pub fn to_bytes(&self) -> Result<Vec<u8>, StorageError> {
         let mut blobs = Pending::default();
@@ -269,41 +259,42 @@ impl CrawlCheckpoint {
     /// a panic; a checkpoint of another schema version is
     /// [`ColumnarError::UnsupportedVersion`].
     pub fn from_bytes(bytes: &[u8]) -> Result<CrawlCheckpoint, StorageError> {
-        let view = FileView::parse(bytes)?;
-        let mut header = Cursor::new(view.section(section::HEADER)?, "checkpoint header");
-        let schema = header.take_u32()?;
-        if schema != CKPT_SCHEMA_VERSION {
-            return Err(StorageError::Columnar(ColumnarError::UnsupportedVersion(
-                schema,
-            )));
-        }
-        let fingerprint = header.take_u64()?;
-        header.expect_end()?;
-        Ok(CrawlCheckpoint {
-            fingerprint,
-            subgraph: decode_indexed(
-                view.section(section::SUBGRAPH)?,
-                "subgraph shards",
-                take_domain_rows,
-            )?,
-            txlist: decode_keyed(view.section(section::TXLIST)?, "txlist shards")?,
-            market: decode_indexed(
-                view.section(section::MARKET)?,
-                "market shards",
-                take_market_rows,
-            )?,
-        })
+        read_segment(std::io::Cursor::new(bytes))
     }
+}
 
-    /// Atomically writes the checkpoint to `path` (temp + rename).
-    pub fn save(&self, path: &Path) -> Result<(), StorageError> {
-        write_atomic(path, &self.to_bytes()?)
+/// Reads one segment section by section: the header, whose schema version
+/// must be [`CKPT_SCHEMA_VERSION`], then the three shard sections. Each
+/// section's checksum is verified as it is read, and
+/// [`FileReader::finish`] verifies any section the schema never reads.
+fn read_segment<R: Read + Seek>(segment: R) -> Result<CrawlCheckpoint, StorageError> {
+    let mut reader = FileReader::open(segment)?;
+    let header = reader.section(section::HEADER)?;
+    let mut header = Cursor::new(&header, "checkpoint header");
+    let schema = header.take_u32()?;
+    if schema != CKPT_SCHEMA_VERSION {
+        return Err(ColumnarError::UnsupportedVersion(schema).into());
     }
-
-    /// Reads and verifies a checkpoint from `path`.
-    pub fn load(path: &Path) -> Result<CrawlCheckpoint, StorageError> {
-        CrawlCheckpoint::from_bytes(&std::fs::read(path)?)
-    }
+    let fingerprint = header.take_u64()?;
+    header.expect_end()?;
+    let subgraph = decode_indexed(
+        &reader.section(section::SUBGRAPH)?,
+        "subgraph shards",
+        take_domain_rows,
+    )?;
+    let txlist = decode_keyed(&reader.section(section::TXLIST)?, "txlist shards")?;
+    let market = decode_indexed(
+        &reader.section(section::MARKET)?,
+        "market shards",
+        take_market_rows,
+    )?;
+    reader.finish()?;
+    Ok(CrawlCheckpoint {
+        fingerprint,
+        subgraph,
+        txlist,
+        market,
+    })
 }
 
 /// What loading a checkpoint for resumption concluded.
@@ -371,12 +362,12 @@ fn chain_len(path: &Path) -> u64 {
 /// saves continue the chain consistently) — a resume then simply
 /// refetches what the pruned tail had covered.
 pub fn load_for_resume(path: &Path, fingerprint: u64) -> CheckpointLoad {
-    let bytes = match std::fs::read(path) {
+    let file = match File::open(path) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CheckpointLoad::Fresh,
         Err(e) => return CheckpointLoad::DiscardedCorrupt(e.to_string()),
-        Ok(bytes) => bytes,
+        Ok(file) => file,
     };
-    let mut ckpt = match CrawlCheckpoint::from_bytes(&bytes) {
+    let mut ckpt = match read_segment(file) {
         Err(StorageError::Columnar(ColumnarError::UnsupportedVersion(_))) => {
             return CheckpointLoad::DiscardedStale
         }
@@ -385,16 +376,12 @@ pub fn load_for_resume(path: &Path, fingerprint: u64) -> CheckpointLoad {
         Ok(ckpt) => ckpt,
     };
     for idx in 1.. {
-        let seg = segment_path(path, idx);
-        let bytes = match std::fs::read(&seg) {
+        let delta = match File::open(segment_path(path, idx)) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-            Err(_) => {
-                prune_chain_from(path, idx);
-                break;
-            }
-            Ok(bytes) => bytes,
+            Err(e) => Err(e.into()),
+            Ok(file) => read_segment(file),
         };
-        match CrawlCheckpoint::from_bytes(&bytes) {
+        match delta {
             Ok(delta) if delta.fingerprint == fingerprint => {
                 ckpt.subgraph.extend(delta.subgraph);
                 ckpt.txlist.extend(delta.txlist);
@@ -814,22 +801,10 @@ mod tests {
     fn checkpoint_round_trips_through_the_container() {
         let ckpt = sample();
         let bytes = ckpt.to_bytes().unwrap();
-        assert!(CrawlCheckpoint::sniff(&bytes));
         let back = CrawlCheckpoint::from_bytes(&bytes).unwrap();
         assert_eq!(back, ckpt);
         assert_eq!(back.committed_pages(), 3);
         assert_eq!(back.committed_shards(), 2);
-    }
-
-    #[test]
-    fn sniff_rejects_non_checkpoints() {
-        assert!(!CrawlCheckpoint::sniff(b"{\"json\": true}"));
-        assert!(!CrawlCheckpoint::sniff(b"ENSC"));
-        // A columnar file whose first section is a *dataset* section is
-        // not a checkpoint.
-        let mut builder = FileBuilder::new();
-        builder.add(1, vec![0u8; 4]);
-        assert!(!CrawlCheckpoint::sniff(&builder.finish()));
     }
 
     #[test]
@@ -866,7 +841,7 @@ mod tests {
         ));
         // Valid + matching fingerprint → resumed.
         let ckpt = sample();
-        ckpt.save(&path).unwrap();
+        std::fs::write(&path, ckpt.to_bytes().unwrap()).unwrap();
         match load_for_resume(&path, 0xABCD) {
             CheckpointLoad::Resumed(back) => assert_eq!(*back, ckpt),
             other => panic!("expected Resumed, got {other:?}"),
@@ -907,7 +882,7 @@ mod tests {
         assert!(journal.commit_subgraph(1, &shard(2)));
         assert!(path.exists());
         assert_eq!(journal.writes(), 1);
-        let on_disk = CrawlCheckpoint::load(&path).unwrap();
+        let on_disk = CrawlCheckpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(on_disk.subgraph.len(), 2);
         assert_eq!(on_disk.fingerprint, 0xF00D);
         // A clean flush appends the tail as a delta segment — the first
@@ -916,7 +891,8 @@ mod tests {
         assert!(journal.flush());
         assert!(!journal.flush());
         assert_eq!(journal.writes(), 2);
-        assert_eq!(CrawlCheckpoint::load(&path).unwrap().subgraph.len(), 2);
+        let first = CrawlCheckpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(first.subgraph.len(), 2);
         match load_for_resume(&path, 0xF00D) {
             CheckpointLoad::Resumed(union) => assert_eq!(union.subgraph.len(), 3),
             other => panic!("expected Resumed, got {other:?}"),

@@ -21,6 +21,9 @@
 //! memory beside the dataset it decodes into; a JSON file is read whole.
 //! [`DatasetFile`] splits the same load into its open and its decode, for
 //! a caller that checks the detected format before decoding.
+//! [`Dataset::from_bytes`] decodes bytes already in memory through the
+//! same two decoders: [`Dataset::read_columnar`] over a cursor, and the
+//! JSON decode `DatasetFile` uses.
 //!
 //! # CSV artifacts
 //!
@@ -80,7 +83,7 @@ impl Format {
     /// columnar files open with `ENSC`, anything else is treated as JSON
     /// (whose own parser produces the error for non-JSON bytes).
     pub fn detect(bytes: &[u8]) -> Format {
-        if crate::storage::sniff_columnar(bytes) {
+        if ens_columnar::is_columnar(bytes) {
             Format::Columnar
         } else {
             Format::Json
@@ -207,25 +210,22 @@ impl Dataset {
         self.encode(format, &Metrics::disabled())
     }
 
-    /// [`Dataset::from_bytes_metered`] without metrics: a forward kept for
-    /// `perfbench/tracer`, deleted with ROADMAP item 1b.
+    /// Deserializes a dataset from bytes in memory, auto-detecting the
+    /// format (see [`Format::detect`]), on the calling thread. A columnar
+    /// file is read through [`Dataset::read_columnar`] over a cursor, as a
+    /// file on disk is, so a corrupt one fails with
+    /// [`StorageError::Columnar`]. Any other bytes that are not a JSON
+    /// dataset, including bytes that are not UTF-8, fail with
+    /// [`StorageError::Json`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Dataset, StorageError> {
-        Dataset::from_bytes_metered(bytes, &Metrics::disabled())
-    }
-
-    /// Deserializes a dataset from bytes, auto-detecting the format (see
-    /// [`Format::detect`]), under a `json/decode` or `columnar/decode`
-    /// span, on the calling thread.
-    pub fn from_bytes_metered(bytes: &[u8], metrics: &Metrics) -> Result<Dataset, StorageError> {
+        let metrics = Metrics::disabled();
         match Format::detect(bytes) {
-            Format::Columnar => Ok(Dataset::from_columnar(bytes, metrics)?),
-            Format::Json => {
-                let _span = metrics.span("json/decode");
-                let text = std::str::from_utf8(bytes).map_err(|e| {
-                    StorageError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-                })?;
-                Ok(Dataset::from_json(text)?)
-            }
+            Format::Columnar => Ok(Dataset::read_columnar(
+                std::io::Cursor::new(bytes),
+                1,
+                &metrics,
+            )?),
+            Format::Json => decode_json(bytes, &metrics),
         }
     }
 
@@ -315,9 +315,15 @@ impl DatasetFile {
     pub fn decode(self, threads: usize, metrics: &Metrics) -> Result<Dataset, StorageError> {
         match self.body {
             Body::Columnar(file) => Ok(Dataset::read_columnar(file, threads, metrics)?),
-            Body::Json(bytes) => Dataset::from_bytes_metered(&bytes, metrics),
+            Body::Json(bytes) => decode_json(&bytes, metrics),
         }
     }
+}
+
+/// Decodes a JSON dataset under a `json/decode` span.
+fn decode_json(bytes: &[u8], metrics: &Metrics) -> Result<Dataset, StorageError> {
+    let _span = metrics.span("json/decode");
+    Ok(serde_json::from_slice(bytes)?)
 }
 
 /// A named CSV artifact.

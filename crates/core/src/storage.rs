@@ -24,16 +24,22 @@
 //! is byte-identical to JSON → JSON: decoding rebuilds a logically equal
 //! `Dataset`, and the vendored serde serializes maps in sorted key order,
 //! so logical equality implies byte equality of the re-export.
+//!
+//! # Reading
+//!
+//! [`Dataset::read_columnar`] is the one columnar decode. It takes each
+//! section from an `ens_columnar::FileReader`, over a file on disk or over
+//! bytes in memory behind a `std::io::Cursor` ([`Dataset::from_bytes`]), so
+//! every read gets the same bounds checks and checksums.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{Read, Seek};
 use std::ops::Range;
 use std::sync::Arc;
 
 use ens_columnar::{
-    is_columnar, push_bits, Bits, Column, ColumnarError, Cursor, FileBuilder, FileReader, FileView,
-    FixedPool, PutLe, ReadError, StrPool, StrTable, NONE_ID,
+    push_bits, Bits, Column, ColumnarError, Cursor, FileBuilder, FileReader, FixedPool, PutLe,
+    ReadError, StrPool, StrTable, NONE_ID,
 };
 use ens_obs::Metrics;
 use ens_subgraph::{
@@ -505,27 +511,15 @@ impl Dataset {
         Ok(file)
     }
 
-    /// Decodes a columnar file held in memory under a `columnar/decode`
-    /// span. The inverse of [`Dataset::to_columnar`]: the result is
-    /// logically equal to the encoded dataset, and its
-    /// [`Dataset::to_json`] export is byte-identical to the original's.
-    ///
-    /// Every checksum is verified first; the sections are then decoded in
-    /// place, on the calling thread, by the same section decoders as
-    /// [`Dataset::read_columnar`].
-    pub fn from_columnar(bytes: &[u8], metrics: &Metrics) -> Result<Dataset, ColumnarError> {
-        let _span = metrics.span("columnar/decode");
-        let mut view = FileView::parse(bytes)?;
-        decode_sections(&mut view, bytes.len(), 1, metrics)
-    }
-
     /// Decodes a columnar file read from `file`, one section at a time,
     /// under a `columnar/decode` span: the preamble and directory first,
     /// then each section in turn — read, checksummed, decoded and dropped —
     /// with the intern pools first and kept until the last section. The
-    /// whole file is never in memory beside its decoded copy. The result,
-    /// and every error a file with one fault gives, equal
-    /// [`Dataset::from_columnar`]'s on the same bytes.
+    /// inverse of [`Dataset::to_columnar`]: the result is logically equal
+    /// to the encoded dataset, and its [`Dataset::to_json`] export is
+    /// byte-identical to the original's. A file on disk is never in memory
+    /// whole beside its decoded copy; bytes already in memory are read
+    /// through a `std::io::Cursor`.
     ///
     /// The domain and transaction stages split their rows into up to
     /// `threads` runs, decoded side by side into disjoint parts of one
@@ -539,52 +533,14 @@ impl Dataset {
     ) -> Result<Dataset, ReadError> {
         let _span = metrics.span("columnar/decode");
         let mut reader = FileReader::open(file)?;
-        let file_len = reader.file_len();
-        let dataset = decode_sections(&mut reader, file_len, threads, metrics)?;
+        let dataset = decode_sections(&mut reader, threads, metrics)?;
         reader.finish()?;
         Ok(dataset)
     }
 }
 
-/// Where a columnar decode takes its sections from: a parsed file in
-/// memory, whose payloads it borrows, or a [`FileReader`], which reads
-/// each payload when it is asked for.
-trait Sections<'a> {
-    type Error: From<ColumnarError> + Send;
-
-    /// Section `id`'s checksum-verified payload.
-    fn payload(&mut self, id: u32) -> Result<Cow<'a, [u8]>, Self::Error>;
-
-    /// Number of sections in the file.
-    fn count(&self) -> usize;
-}
-
-impl<'a> Sections<'a> for FileView<'a> {
-    type Error = ColumnarError;
-
-    fn payload(&mut self, id: u32) -> Result<Cow<'a, [u8]>, ColumnarError> {
-        self.section(id).map(Cow::Borrowed)
-    }
-
-    fn count(&self) -> usize {
-        self.section_count()
-    }
-}
-
-impl<R: Read + Seek> Sections<'static> for FileReader<R> {
-    type Error = ReadError;
-
-    fn payload(&mut self, id: u32) -> Result<Cow<'static, [u8]>, ReadError> {
-        self.section(id).map(Cow::Owned)
-    }
-
-    fn count(&self) -> usize {
-        self.section_count()
-    }
-}
-
-/// Decodes every section of the dataset schema from `src`, one stage at
-/// a time under its own child span: `pools`, `domains` (six sections),
+/// Decodes every section of the dataset schema from `reader`, one stage
+/// at a time under its own child span: `pools`, `domains` (six sections),
 /// `transactions`, and `other` (market, reverse claims, labels and meta).
 /// Each stage's payloads are dropped when it ends; the pools live until
 /// the last.
@@ -595,21 +551,20 @@ impl<R: Read + Seek> Sections<'static> for FileReader<R> {
 /// transactions, on a worker with a forked metrics handle. At one thread
 /// the same steps run in that order on the calling thread. Either way a
 /// corrupt file fails with the error the earliest step meets.
-fn decode_sections<'a, S: Sections<'a> + Send>(
-    src: &mut S,
-    file_len: usize,
+fn decode_sections<R: Read + Seek + Send>(
+    reader: &mut FileReader<R>,
     threads: usize,
     metrics: &Metrics,
-) -> Result<Dataset, S::Error> {
+) -> Result<Dataset, ReadError> {
     let pools_span = metrics.span("pools");
-    let strings = src.payload(section::STRINGS)?;
-    let addresses = src.payload(section::ADDRESSES)?;
+    let strings = reader.section(section::STRINGS)?;
+    let addresses = reader.section(section::ADDRESSES)?;
     let pools = Pools::decode(&strings, &addresses)?;
     drop(pools_span);
 
     let ((domains, events), tx_payload) = {
         let _stage = metrics.span("domains");
-        let mut payloads: [Cow<'a, [u8]>; 6] = Default::default();
+        let mut payloads: [Vec<u8>; 6] = Default::default();
         for (payload, id) in payloads.iter_mut().zip([
             section::DOMAINS,
             section::REGISTRATIONS,
@@ -618,12 +573,12 @@ fn decode_sections<'a, S: Sections<'a> + Send>(
             section::ADDR_CHANGES,
             section::SUBDOMAINS,
         ]) {
-            *payload = src.payload(id)?;
+            *payload = reader.section(id)?;
         }
         let (domains, tx_payload) = join(
             threads,
             || decode_domains(payloads.each_ref().map(|p| &**p), &pools, threads),
-            || src.payload(section::TRANSACTIONS),
+            || reader.section(section::TRANSACTIONS),
         );
         (domains?, tx_payload?)
     };
@@ -640,11 +595,11 @@ fn decode_sections<'a, S: Sections<'a> + Send>(
         || {
             let _stage = side.span("other");
             let market =
-                OpenSea::from_events(decode_market(&src.payload(section::MARKET)?, &pools)?);
-            let reverse_claims = decode_reverse(&src.payload(section::REVERSE)?, &pools)?;
-            let labels = decode_labels(&src.payload(section::LABELS)?, &pools)?;
-            let (observation_end, crawl_report) = decode_meta(&src.payload(section::META)?)?;
-            Ok::<_, S::Error>((
+                OpenSea::from_events(decode_market(&reader.section(section::MARKET)?, &pools)?);
+            let reverse_claims = decode_reverse(&reader.section(section::REVERSE)?, &pools)?;
+            let labels = decode_labels(&reader.section(section::LABELS)?, &pools)?;
+            let (observation_end, crawl_report) = decode_meta(&reader.section(section::META)?)?;
+            Ok::<_, ReadError>((
                 market,
                 reverse_claims,
                 labels,
@@ -657,8 +612,8 @@ fn decode_sections<'a, S: Sections<'a> + Send>(
     let (market, reverse_claims, labels, observation_end, crawl_report) = other?;
 
     if metrics.is_enabled() {
-        metrics.add("columnar/decode/bytes", file_len as u64);
-        metrics.add("columnar/decode/sections", src.count() as u64);
+        metrics.add("columnar/decode/bytes", reader.file_len() as u64);
+        metrics.add("columnar/decode/sections", reader.section_count() as u64);
         metrics.add("columnar/decode/strings", pools.strings.len() as u64);
         metrics.add("columnar/decode/addresses", pools.addrs.len() as u64);
         metrics.add("columnar/decode/domains", domains.len() as u64);
@@ -695,7 +650,7 @@ fn decode_meta(payload: &[u8]) -> Result<(Timestamp, CrawlReport), ColumnarError
 // ---------------------------------------------------------------------------
 
 /// The two intern pools every section resolves its ids against, both
-/// borrowed from the file.
+/// borrowed from their section payloads.
 struct Pools<'a> {
     strings: StrPool<'a>,
     addrs: FixedPool<'a, 20>,
@@ -1445,12 +1400,6 @@ pub(crate) fn take_market_rows(cur: &mut Cursor<'_>) -> Result<Vec<MarketEvent>,
     decode_market(section, &pools)
 }
 
-/// Re-export of the magic sniff, for format auto-detection in the
-/// dispatch layer (see [`crate::export`]).
-pub fn sniff_columnar(bytes: &[u8]) -> bool {
-    is_columnar(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1470,9 +1419,6 @@ mod tests {
         let ds = dataset();
         let json = ds.to_json().unwrap();
         let bytes = ds.to_columnar(&Metrics::disabled()).unwrap();
-        assert!(sniff_columnar(&bytes));
-        let back = Dataset::from_columnar(&bytes, &Metrics::disabled()).unwrap();
-        assert_eq!(back.to_json().unwrap(), json);
         for threads in [1, 2, 8] {
             let file = std::io::Cursor::new(&bytes);
             let back = Dataset::read_columnar(file, threads, &Metrics::disabled()).unwrap();
@@ -1551,11 +1497,7 @@ mod tests {
         .unwrap();
         assert!(ds.crawl_report.degraded);
         let json = ds.to_json().unwrap();
-        let back = Dataset::from_columnar(
-            &ds.to_columnar(&Metrics::disabled()).unwrap(),
-            &Metrics::disabled(),
-        )
-        .unwrap();
+        let back = Dataset::from_bytes(&ds.to_columnar(&Metrics::disabled()).unwrap()).unwrap();
         assert_eq!(back.to_json().unwrap(), json);
         assert_eq!(back.crawl_report, ds.crawl_report);
     }
@@ -1564,17 +1506,22 @@ mod tests {
     fn truncated_and_flipped_files_fail_typed() {
         let ds = dataset();
         let bytes = ds.to_columnar(&Metrics::disabled()).unwrap();
+        let decode = |bytes: &[u8]| {
+            Dataset::read_columnar(std::io::Cursor::new(bytes), 1, &Metrics::disabled())
+        };
         assert!(matches!(
-            Dataset::from_columnar(&bytes[..bytes.len() / 2], &Metrics::disabled()),
-            Err(ColumnarError::Truncated { .. }) | Err(ColumnarError::DirectoryChecksumMismatch)
+            decode(&bytes[..bytes.len() / 2]),
+            Err(ReadError::Columnar(
+                ColumnarError::Truncated { .. } | ColumnarError::DirectoryChecksumMismatch
+            ))
         ));
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
-        assert!(Dataset::from_columnar(&flipped, &Metrics::disabled()).is_err());
+        assert!(decode(&flipped).is_err());
         assert!(matches!(
-            Dataset::from_columnar(b"{\"domains\": []}", &Metrics::disabled()),
-            Err(ColumnarError::BadMagic)
+            decode(b"{\"domains\": []}"),
+            Err(ReadError::Columnar(ColumnarError::BadMagic))
         ));
     }
 }

@@ -14,7 +14,7 @@ use ens_dropcatch_suite::analysis::{
     CheckpointSpec, CollectError, CrawlConfig, CrawlGap, Crawled, Crawler, DataSources, Dataset,
     FailurePolicy, Format, Metrics, SourceStats, StorageError,
 };
-use ens_dropcatch_suite::columnar::{ColumnarError, FileBuilder, FileView};
+use ens_dropcatch_suite::columnar::{ColumnarError, FileBuilder, FileReader};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::{FaultKind, KillSwitch, Timestamp};
 use ens_dropcatch_suite::workload::WorldConfig;
@@ -120,17 +120,49 @@ fn flipped_payload_bytes_fail_the_section_checksum() {
             "flip at {pos}: got {err}"
         );
     }
+
+    // A section the schema never reads, with a flipped payload byte: the
+    // segment's reader never decodes it, but still verifies it.
+    let mut extra = FileBuilder::new();
+    for (id, payload) in sections(&bytes) {
+        extra.add(id, payload);
+    }
+    extra.add(99, vec![1, 2, 3]);
+    let mut dam = extra.finish();
+    let last = dam.len() - 1;
+    dam[last] ^= 0x01;
+    assert!(matches!(
+        CrawlCheckpoint::from_bytes(&dam),
+        Err(StorageError::Columnar(ColumnarError::ChecksumMismatch {
+            section: 99
+        }))
+    ));
+    let path = temp_path("unread-section");
+    std::fs::write(&path, &dam).unwrap();
+    assert!(matches!(
+        load_for_resume(&path, 0xDEAD_BEEF),
+        CheckpointLoad::DiscardedCorrupt(_)
+    ));
+    std::fs::remove_file(&path).ok();
+}
+
+/// The four sections of checkpoint `file` as `(id, payload)`, in file
+/// order, each read and checksummed by a [`FileReader`].
+fn sections(file: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let mut reader = FileReader::open(std::io::Cursor::new(file)).expect("source file parses");
+    [HEADER, SUBGRAPH, TXLIST, MARKET]
+        .into_iter()
+        .map(|id| (id, reader.section(id).expect("a segment section")))
+        .collect()
 }
 
 /// Re-frames checkpoint `file` with section `id`'s payload passed through
 /// `edit`. Every other section keeps its bytes, and every checksum is
 /// recomputed, so what catches the edit is the shard decoder itself.
 fn reframe(file: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let view = FileView::parse(file).expect("source file parses");
     let mut edit = Some(edit);
     let mut out = FileBuilder::new();
-    for (sid, _) in view.section_sizes() {
-        let mut payload = view.section(sid).expect("listed section").to_vec();
+    for (sid, mut payload) in sections(file) {
         if sid == id {
             (edit.take().expect("section ids are unique"))(&mut payload);
         }
@@ -234,7 +266,7 @@ fn collect_over_a_schema_1_chain_falls_back_to_a_clean_crawl() {
 #[test]
 fn a_dataset_file_is_not_mistaken_for_a_checkpoint() {
     // Both formats share the columnar container; the disjoint section-id
-    // spaces must keep them apart at both the sniff and the parse layer.
+    // spaces must keep them apart: a dataset has no checkpoint header.
     let world = WorldConfig::small().with_names(120).with_seed(93).build();
     let sg = world.subgraph(SubgraphConfig::lossless());
     let scan = world.etherscan();
@@ -251,13 +283,15 @@ fn a_dataset_file_is_not_mistaken_for_a_checkpoint() {
     ds.save(&path, Format::Columnar, &Metrics::disabled())
         .expect("dataset saves");
     let bytes = std::fs::read(&path).unwrap();
-    assert!(
-        !CrawlCheckpoint::sniff(&bytes),
-        "a dataset file sniffed as a checkpoint"
-    );
     let err = CrawlCheckpoint::from_bytes(&bytes)
         .expect_err("a dataset file must not parse as a checkpoint");
-    assert!(matches!(err, StorageError::Columnar(_)), "{err}");
+    assert!(
+        matches!(
+            err,
+            StorageError::Columnar(ColumnarError::MissingSection(HEADER))
+        ),
+        "{err}"
+    );
     // And the loader classifies it as corrupt-for-resume, not a crash.
     assert!(matches!(
         load_for_resume(&path, 1),
@@ -269,7 +303,7 @@ fn a_dataset_file_is_not_mistaken_for_a_checkpoint() {
 fn round_trip_survives_and_fingerprint_gates_the_splice() {
     let ckpt = populated_checkpoint();
     let path = temp_path("roundtrip");
-    ckpt.save(&path).expect("atomic save");
+    std::fs::write(&path, ckpt.to_bytes().expect("serializes")).unwrap();
     match load_for_resume(&path, 0xDEAD_BEEF) {
         CheckpointLoad::Resumed(back) => {
             assert_eq!(*back, ckpt);

@@ -30,8 +30,8 @@ use ens_dropcatch_suite::analysis::{
 };
 use ens_dropcatch_suite::chain::{Transaction, TxKind};
 use ens_dropcatch_suite::columnar::{
-    checksum64, is_columnar, ColumnarError, Cursor, FileBuilder, FileReader, FileView, ReadError,
-    StrPool, StrTable, MAGIC, NONE_ID, VERSION,
+    checksum64, is_columnar, ColumnarError, Cursor, FileBuilder, FileReader, ReadError, StrPool,
+    StrTable, MAGIC, NONE_ID, VERSION,
 };
 use ens_dropcatch_suite::obs::Metrics;
 use ens_dropcatch_suite::subgraph::{
@@ -78,17 +78,6 @@ fn assert_fixed_point(ds: &Dataset) {
     assert!(is_columnar(&cols), "missing magic");
     assert_eq!(&cols[0..4], &MAGIC);
 
-    let back = Dataset::from_columnar(&cols, &Metrics::disabled()).expect("columnar decode");
-    assert_eq!(
-        back.to_json().expect("re-serialize"),
-        json,
-        "JSON -> columnar -> JSON is not a fixed point"
-    );
-    assert_eq!(
-        back.to_columnar(&Metrics::disabled()).expect("re-encode"),
-        cols,
-        "columnar -> Dataset -> columnar is not a fixed point"
-    );
     for threads in THREADS {
         let back = read_split(&cols, threads, &Metrics::disabled()).expect("columnar read");
         assert_eq!(
@@ -312,9 +301,9 @@ fn empty_dataset_round_trips_with_all_sections_present() {
 
     // Every section is present even when empty — readers never probe.
     let cols = ds.to_columnar(&Metrics::disabled()).unwrap();
-    let view = FileView::parse(&cols).expect("parses");
-    assert_eq!(view.version(), VERSION);
-    assert_eq!(view.section_count(), 13, "all 13 sections present");
+    let reader = FileReader::open(std::io::Cursor::new(&cols)).expect("parses");
+    assert_eq!(reader.version(), VERSION);
+    assert_eq!(reader.section_count(), 13, "all 13 sections present");
 }
 
 #[test]
@@ -342,7 +331,7 @@ fn duplicate_addresses_intern_once() {
     );
 
     let decode_metrics = Metrics::new();
-    let back = Dataset::from_columnar(&cols, &decode_metrics).expect("decode");
+    let back = read_split(&cols, 1, &decode_metrics).expect("decode");
     let snap = decode_metrics.snapshot();
     assert_eq!(snap.counter("columnar/decode/bytes"), cols.len() as u64);
     assert_eq!(
@@ -365,19 +354,28 @@ fn detection_and_corruption_errors_are_typed() {
     assert!(Dataset::from_bytes(&cols).is_ok());
     assert!(Dataset::from_bytes(json.as_bytes()).is_ok());
 
+    // Bytes that are not UTF-8 are a malformed JSON dataset, not a failed
+    // read.
+    assert!(matches!(
+        Dataset::from_bytes(&[0xFF, 0xFE, 0x7B, 0x7D]),
+        Err(StorageError::Json(_))
+    ));
+
     // A flipped payload byte is a checksum mismatch, not garbage data.
     let mut bad = cols.clone();
     let last = bad.len() - 1;
     bad[last] ^= 0x40;
     assert!(matches!(
-        Dataset::from_columnar(&bad, &Metrics::disabled()),
-        Err(ColumnarError::ChecksumMismatch { .. })
+        Dataset::from_bytes(&bad),
+        Err(StorageError::Columnar(
+            ColumnarError::ChecksumMismatch { .. }
+        ))
     ));
 
     // Truncation is reported as such.
     assert!(matches!(
-        Dataset::from_columnar(&cols[..cols.len() / 2], &Metrics::disabled()),
-        Err(ColumnarError::Truncated { .. })
+        Dataset::from_bytes(&cols[..cols.len() / 2]),
+        Err(StorageError::Columnar(ColumnarError::Truncated { .. }))
     ));
 }
 
@@ -427,10 +425,10 @@ fn container_and_intern_layouts_are_pinned() {
 // ---------------------------------------------------------------------------
 // The section decoders' own checks
 //
-// A flipped byte under a checksum never reaches a section decoder:
-// `FileView::parse` rejects it first. These cases edit one section payload
-// and re-frame the file with valid checksums, so each one lands on the
-// check it names.
+// A flipped byte under a checksum never reaches a section decoder: the
+// reader's checksum check rejects it first. These cases edit one section
+// payload and re-frame the file with valid checksums, so each one lands on
+// the check it names.
 // ---------------------------------------------------------------------------
 
 /// Section ids of the version-1 dataset schema (stable; see DESIGN.md
@@ -445,14 +443,22 @@ const TRANSACTIONS: u32 = 9;
 /// block (8), timestamp (8), from (4), to (4), value (16).
 const TX_ROW_BYTES: usize = 72;
 
+/// Every section of `file` as `(id, payload)`, in file order, each read
+/// and checksummed by a [`FileReader`].
+fn sections(file: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let mut reader = FileReader::open(std::io::Cursor::new(file)).expect("source file parses");
+    directory(file)
+        .into_iter()
+        .map(|(id, _, _)| (id, reader.section(id).expect("listed section")))
+        .collect()
+}
+
 /// Re-frames `file` with section `id`'s payload passed through `edit`.
 /// Every other section keeps its bytes, and every checksum is recomputed.
 fn reframe(file: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let view = FileView::parse(file).expect("source file parses");
     let mut edit = Some(edit);
     let mut out = FileBuilder::new();
-    for (sid, _) in view.section_sizes() {
-        let mut payload = view.section(sid).expect("listed section").to_vec();
+    for (sid, mut payload) in sections(file) {
         if sid == id {
             (edit.take().expect("section ids are unique"))(&mut payload);
         }
@@ -463,7 +469,10 @@ fn reframe(file: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 }
 
 fn section_of(file: &[u8], id: u32) -> Vec<u8> {
-    FileView::parse(file).unwrap().section(id).unwrap().to_vec()
+    FileReader::open(std::io::Cursor::new(file))
+        .unwrap()
+        .section(id)
+        .unwrap()
 }
 
 fn u32_at(payload: &[u8], at: usize) -> u32 {
@@ -690,12 +699,12 @@ proptest! {
             let i = (at % p.len() as u64) as usize;
             p[i] ^= mask;
         });
-        // Whatever the in-memory decode makes of the file, a read split
-        // over any thread count makes too.
-        let one = Dataset::from_columnar(&bad, &Metrics::disabled())
+        // Whatever a one-thread decode makes of the file, a read split over
+        // 2 or 8 threads makes too.
+        let one = read_split(&bad, 1, &Metrics::disabled())
             .map(|ds| ds.to_json().unwrap())
             .map_err(|e| e.to_string());
-        for threads in THREADS {
+        for threads in [2, 8] {
             let split = read_split(&bad, threads, &Metrics::disabled())
                 .map(|ds| ds.to_json().unwrap())
                 .map_err(|e| e.to_string());
@@ -762,7 +771,7 @@ fn a_file_on_disk_decodes_like_its_bytes_in_memory() {
     let reader = std::fs::File::open(&disk.0).unwrap();
     Dataset::read_columnar(reader, 1, &metrics).expect("the fixture reads");
     let from_memory = Metrics::new();
-    Dataset::from_columnar(file, &from_memory).unwrap();
+    read_split(file, 1, &from_memory).unwrap();
     assert_eq!(
         metrics.snapshot().deterministic_json(),
         from_memory.snapshot().deterministic_json()
@@ -826,9 +835,8 @@ fn a_file_on_disk_is_rejected_like_its_bytes_in_memory() {
     // A section the schema does not know, with a bad checksum: the reader
     // never decodes it, but still verifies it.
     let mut extra = FileBuilder::new();
-    let view = FileView::parse(file).unwrap();
-    for (id, _) in view.section_sizes() {
-        extra.add(id, view.section(id).unwrap().to_vec());
+    for (id, payload) in sections(file) {
+        extra.add(id, payload);
     }
     extra.add(99, vec![1, 2, 3]);
     let mut bad = extra.finish();
