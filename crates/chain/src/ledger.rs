@@ -42,7 +42,10 @@ pub struct Chain {
     genesis: Timestamp,
     now: Timestamp,
     balances: HashMap<Address, Wei>,
+    /// Confirmed transactions not yet taken by [`Chain::take_transactions`].
     transactions: Vec<Transaction>,
+    /// Transactions confirmed so far, taken or not: the next one's nonce.
+    nonce: u64,
     gas: GasPolicy,
     fee_sink: Address,
     minted: Wei,
@@ -57,6 +60,7 @@ impl Chain {
             now: genesis,
             balances: HashMap::new(),
             transactions: Vec::new(),
+            nonce: 0,
             gas: GasPolicy::Free,
             fee_sink: Address::derive(b"sim-chain/fee-sink"),
             minted: Wei::ZERO,
@@ -149,7 +153,8 @@ impl Chain {
     }
 
     fn push_tx(&mut self, from: Address, to: Address, value: Wei, kind: TxKind) -> TxHash {
-        let hash = Transaction::derive_hash(self.transactions.len() as u64, from, to, value);
+        let hash = Transaction::derive_hash(self.nonce, from, to, value);
+        self.nonce += 1;
         self.transactions.push(Transaction {
             hash,
             block: self.block_number(),
@@ -162,14 +167,25 @@ impl Chain {
         hash
     }
 
-    /// The full, append-only transaction log in confirmation order.
+    /// The transaction log in confirmation order: every transaction
+    /// confirmed since the log was last taken, so the full log if it never
+    /// was.
     pub fn transactions(&self) -> &[Transaction] {
         &self.transactions
     }
 
-    /// Number of confirmed transactions.
+    /// Moves the log out of the ledger, in confirmation order, for an
+    /// indexer that folds it while the chain keeps growing. Nonces keep
+    /// counting, so every later hash is the one a ledger whose log was
+    /// never taken derives.
+    pub fn take_transactions(&mut self) -> Vec<Transaction> {
+        let next = Vec::with_capacity(self.transactions.len());
+        std::mem::replace(&mut self.transactions, next)
+    }
+
+    /// Number of confirmed transactions, taken or not.
     pub fn transaction_count(&self) -> usize {
-        self.transactions.len()
+        self.nonce as usize
     }
 
     /// Total value ever minted.
@@ -281,6 +297,32 @@ mod tests {
             .transfer(addr("a"), addr("b"), Wei::from_eth(1), TxKind::Transfer)
             .unwrap();
         assert_ne!(h1, h2);
+    }
+
+    /// The log of a replay that takes it every `take_every` transactions
+    /// (never if `None`), stitched back together, and the final count.
+    /// Every payload is identical, so only the nonce tells hashes apart.
+    fn replay_taking(take_every: Option<usize>) -> (Vec<Transaction>, usize) {
+        let mut chain = Chain::new(t0());
+        let mut log = Vec::new();
+        for i in 1..=20 {
+            chain.mint(addr("a"), Wei::from_eth(1));
+            if take_every.is_some_and(|k| i % k == 0) {
+                log.extend(chain.take_transactions());
+            }
+        }
+        log.extend(chain.take_transactions());
+        assert!(chain.transactions().is_empty());
+        (log, chain.transaction_count())
+    }
+
+    #[test]
+    fn taking_the_log_mid_replay_keeps_every_hash() {
+        let whole = replay_taking(None);
+        assert_eq!(whole.1, 20);
+        for k in [1, 3, 7, 20] {
+            assert_eq!(replay_taking(Some(k)), whole, "taken every {k}");
+        }
     }
 
     #[test]

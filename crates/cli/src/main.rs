@@ -19,9 +19,10 @@
 //! loss-findings / report-slice queries (see the `ens-serve` crate).
 //! `--threads` shards the crawl, the columnar decode of `analyze` and
 //! `serve`, the `AnalysisIndex` build, the loss and feature passes and the
-//! countermeasure sweep across worker threads, and above one thread runs
-//! the study's passes that share no output side by side; the dataset and
-//! report are byte-identical for any value.
+//! countermeasure sweep across worker threads, and above one thread builds
+//! the source indexes beside the world's replay and runs the study's
+//! passes that share no output side by side; the dataset and report are
+//! byte-identical for any value.
 //!
 //! Datasets exist in two on-disk formats (see `ens_dropcatch::export`):
 //! JSON (interchange) and the native columnar container (`.ensc`). Export
@@ -68,14 +69,13 @@ use std::process::ExitCode;
 
 use ens_dropcatch::checkpoint::fnv1a;
 use ens_dropcatch::{
-    run_study_on, CheckpointSpec, CollectError, CrawlConfig, CrawlTimings, DataSources, Dataset,
-    DatasetFile, FailurePolicy, Format, Metrics, RetryPolicy, StudyConfig, StudyReport,
+    join, run_study_on, CheckpointSpec, CollectError, CrawlConfig, CrawlTimings, Dataset,
+    DatasetFile, FailurePolicy, Format, Metrics, RetryPolicy, Sources, StudyConfig, StudyReport,
     DEFAULT_CHECKPOINT_EVERY, MAX_WORKERS,
 };
-use ens_subgraph::SubgraphConfig;
 use ens_types::{FaultKind, FaultProfile, KillSwitch};
 use price_oracle::PriceOracle;
-use workload::{build_plan, World, WorldConfig};
+use workload::WorldConfig;
 
 /// The base world configuration `--names`/`--seed` are applied on top of.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -413,44 +413,22 @@ fn write_metrics(args: &Args, metrics: &Metrics) -> Option<ExitCode> {
     }
 }
 
-/// Builds the world and both source indexes, then crawls them. Each layer
-/// is freed once its consumer is done: the world once both indexes exist
-/// (the crawl needs only its marketplace and observation end, the study
-/// its oracle, and those are kept), the indexes when the crawl returns. So
-/// encode, write and study run with only the dataset alive; it shares the
-/// explorer's labels and the subgraph's reverse history, which it needs.
+/// Builds the world and both source indexes, then crawls them. The world
+/// is freed as soon as the indexes are built (only its marketplace, its
+/// price oracle and the observation end are kept); the indexes come back
+/// beside the crawl's result, for the caller to free beside the dataset's
+/// write.
 fn collect(
     args: &Args,
     metrics: &Metrics,
     spec: Option<&CheckpointSpec>,
-) -> (Result<(Dataset, CrawlTimings), CollectError>, PriceOracle) {
+) -> (Result<(Dataset, CrawlTimings), CollectError>, Sources) {
     eprintln!(
         "building world: {} names, seed {}...",
         args.n_names(),
         args.seed
     );
-    let world = {
-        let _world = metrics.span("world");
-        let config = args.world_config();
-        let plan = {
-            let _span = metrics.span("plan");
-            build_plan(&config)
-        };
-        let _span = metrics.span("execute");
-        World::from_plan(config, plan)
-    };
-    let subgraph = {
-        let _span = metrics.span("sources/subgraph");
-        world.subgraph(SubgraphConfig::default())
-    };
-    let etherscan = {
-        let _span = metrics.span("sources/explorer");
-        world.etherscan()
-    };
-    let opensea = world.opensea().clone();
-    let oracle = world.oracle().clone();
-    let observation_end = world.observation_end();
-    drop(world);
+    let sources = Sources::synthesize(args.world_config(), args.threads, metrics);
 
     eprintln!(
         "crawling (subgraph + txlists + market) on {} thread(s){}...",
@@ -466,15 +444,11 @@ fn collect(
             spec.path.display()
         );
     }
-    let sources = DataSources {
-        subgraph: &subgraph,
-        etherscan: &etherscan,
-        opensea: &opensea,
-        observation_end,
-        crawl: args.crawl_config(),
-    };
     let kill = args.kill_after.map(KillSwitch::new);
-    (sources.collect(metrics, spec, kill), oracle)
+    let collected = sources
+        .data_sources(args.crawl_config())
+        .collect(metrics, spec, kill);
+    (collected, sources)
 }
 
 /// Builds a world; with `full_study` also analyzes and prints the report,
@@ -491,7 +465,7 @@ fn run(args: Args, full_study: bool) -> ExitCode {
     };
     let metrics = args.metrics();
     let spec = args.checkpoint_spec();
-    let (collected, oracle) = collect(&args, &metrics, spec.as_ref());
+    let (collected, sources) = collect(&args, &metrics, spec.as_ref());
     let (dataset, timings) = match collected {
         Ok(out) => out,
         Err(CollectError::Crawl(e)) => {
@@ -558,8 +532,20 @@ fn run(args: Args, full_study: bool) -> ExitCode {
         timings.market
     );
 
-    if let Some(path) = &args.dataset {
-        match dataset.save(path, format, &metrics) {
+    // The crawled indexes are freed on a worker while the dataset is
+    // written; only the oracle is kept, for the study.
+    let oracle = sources.oracle.clone();
+    let (saved, ()) = join(
+        args.threads,
+        || {
+            args.dataset
+                .as_ref()
+                .map(|path| (path, dataset.save(path, format, &metrics)))
+        },
+        || drop(sources),
+    );
+    if let Some((path, saved)) = saved {
+        match saved {
             Ok(()) => {
                 if args.verbose {
                     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
@@ -595,7 +581,7 @@ fn run(args: Args, full_study: bool) -> ExitCode {
     // Every output is written. Freeing the dataset one allocation at a time
     // took 78–90 ms of a 60 K-name `simulate` on a 2-vCPU host, just before
     // the exit hands the whole address space back anyway. The world and the
-    // source indexes were freed in `collect`, so the peak is unchanged.
+    // source indexes are freed by now, so the peak is unchanged.
     std::mem::forget(dataset);
     code
 }

@@ -67,6 +67,7 @@ pub mod registrations;
 pub mod report;
 pub mod resale;
 mod shard;
+pub mod sources;
 pub mod stats;
 pub mod storage;
 pub mod transactions;
@@ -102,6 +103,7 @@ pub use registrations::{
 };
 pub use resale::{analyze_resales, ResaleReport};
 pub use shard::{join, shard_map, MAX_WORKERS};
+pub use sources::Sources;
 pub use transactions::{ContractId, TxRow, TxTable, TxTag};
 
 /// Glob-import convenience.

@@ -1,8 +1,10 @@
 //! The one scheduler behind every parallel loop in this crate: the crawl,
-//! the index builds, the split dataset decode and the sharded §4 passes.
-//! [`shard_map`] spreads one loop over workers, [`each_part`] hands the
-//! disjoint parts of one output to workers of their own, and [`join`] runs
-//! two pieces of work that share no output side by side. Every thread this
+//! the index builds, the split dataset decode, the sharded §4 passes and
+//! the source views folded beside the world's replay. [`shard_map`]
+//! spreads one loop over workers, [`each_part`] hands the disjoint parts
+//! of one output to workers of their own, [`join`] runs two pieces of
+//! work that share no output side by side, and [`fold_beside`] folds what
+//! one piece of work produces on a worker while it runs. Every thread this
 //! crate starts is started here, and every worker count is sized here.
 //!
 //! Each call starts at most [`MAX_WORKERS`] threads. The arms of a
@@ -13,6 +15,7 @@
 //! each arm's loop. No join in this crate nests inside another's arm.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Mutex, OnceLock};
 
 /// Blocks per worker. Finer blocks let idle workers take over more of a
@@ -128,6 +131,78 @@ where
         let ra = a();
         match worker.join() {
             Ok(rb) => (ra, rb),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
+/// Where the producer of a [`fold_beside`] puts what it makes.
+pub struct Sink<'a, T>(SinkTo<'a, T>);
+
+enum SinkTo<'a, T> {
+    /// One thread: fold each item as it is put.
+    Inline(&'a mut dyn FnMut(T)),
+    /// The worker's bounded queue.
+    Queue(SyncSender<T>),
+}
+
+impl<T> Sink<'_, T> {
+    /// Hands `item` to the fold: folds it now at one thread; otherwise
+    /// queues it, waiting while the queue is full. Once the worker has
+    /// died, the item is dropped, and its panic reaches the caller of
+    /// [`fold_beside`] when the producer returns.
+    pub fn put(&mut self, item: T) {
+        match &mut self.0 {
+            SinkTo::Inline(fold) => fold(item),
+            SinkTo::Queue(queue) => {
+                let _ = queue.send(item);
+            }
+        }
+    }
+}
+
+/// Runs `produce` on the calling thread and folds everything it puts into
+/// its [`Sink`] into `state`, in order, then `finish`es the folded state.
+/// Returns what `produce` and `finish` return.
+///
+/// With `threads > 1` the fold and the finish run on one scoped worker fed
+/// through a queue of `depth` items, so the producer runs ahead of the
+/// fold by at most `depth` items, and whatever `produce` does after it
+/// drops its sink runs beside the finish. Otherwise nothing is spawned:
+/// each item is folded inline when it is put, and `finish` runs once
+/// `produce` has returned. A panic on either side reaches the caller, and
+/// neither side waits for the other forever: a producer that unwinds drops
+/// its sink, which ends the worker's stream, and a dead worker's sink
+/// drops what it is handed.
+pub fn fold_beside<T, S, RP, RF>(
+    threads: usize,
+    depth: usize,
+    produce: impl FnOnce(Sink<'_, T>) -> RP,
+    mut state: S,
+    mut fold: impl FnMut(&mut S, T) + Send,
+    finish: impl FnOnce(S) -> RF + Send,
+) -> (RP, RF)
+where
+    T: Send,
+    S: Send,
+    RF: Send,
+{
+    if threads <= 1 {
+        let mut inline = |item| fold(&mut state, item);
+        let rp = produce(Sink(SinkTo::Inline(&mut inline)));
+        return (rp, finish(state));
+    }
+    let (queue, stream) = sync_channel(depth);
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(move || {
+            for item in stream {
+                fold(&mut state, item);
+            }
+            finish(state)
+        });
+        let rp = produce(Sink(SinkTo::Queue(queue)));
+        match worker.join() {
+            Ok(rf) => (rp, rf),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     })
@@ -259,6 +334,103 @@ mod tests {
         assert!(inline.contains("\"study/resale\""), "{inline}");
         for _ in 0..10 {
             assert_eq!(section(2), inline);
+        }
+    }
+
+    /// Folds `0..n` into a sum and a list through [`fold_beside`], the
+    /// producer counting what it put; returns both sides' results.
+    fn fold_numbers(threads: usize, depth: usize, n: u64) -> (u64, (u64, Vec<u64>)) {
+        fold_beside(
+            threads,
+            depth,
+            |mut sink| {
+                (0..n).for_each(|i| sink.put(i));
+                n
+            },
+            Vec::new(),
+            |seen: &mut Vec<u64>, i| seen.push(i),
+            |seen| (seen.iter().sum(), seen),
+        )
+    }
+
+    #[test]
+    fn fold_beside_folds_in_order_at_any_thread_count() {
+        let expect = (1000, (499_500, (0..1000).collect::<Vec<u64>>()));
+        for (threads, depth) in [(1, 1), (2, 1), (2, 4), (8, 64)] {
+            assert_eq!(
+                fold_numbers(threads, depth, 1000),
+                expect,
+                "{threads}/{depth}"
+            );
+        }
+    }
+
+    #[test]
+    fn fold_beside_at_one_thread_folds_each_item_when_it_is_put() {
+        let folded = Mutex::new(0);
+        let caller = std::thread::current().id();
+        let ((), (ran_on, n)) = fold_beside(
+            1,
+            1,
+            |mut sink| {
+                for i in 1..=3 {
+                    sink.put(i);
+                    assert_eq!(*folded.lock().unwrap(), i, "folded before the next put");
+                }
+            },
+            0,
+            |n: &mut usize, i| {
+                *n += 1;
+                *folded.lock().unwrap() = i;
+            },
+            |n| (std::thread::current().id(), n),
+        );
+        assert_eq!((ran_on, n), (caller, 3));
+    }
+
+    #[test]
+    fn a_panic_on_either_side_of_fold_beside_reaches_the_caller() {
+        for threads in [1, 2] {
+            // The producer dies with items queued and the fold still running.
+            let produced = std::panic::catch_unwind(|| {
+                fold_beside(
+                    threads,
+                    1,
+                    |mut sink| {
+                        (0..100).for_each(|i| sink.put(i));
+                        panic!("producer")
+                    },
+                    0u64,
+                    |sum, i| *sum += i,
+                    |sum| sum,
+                )
+            });
+            let message = produced
+                .expect_err("a panic in produce")
+                .downcast::<&str>()
+                .unwrap();
+            assert_eq!(*message, "producer", "at {threads} threads");
+            // The fold dies early; the producer keeps putting into a full
+            // queue whose reader is gone, and must not block on it.
+            let folded = std::panic::catch_unwind(|| {
+                fold_beside(
+                    threads,
+                    1,
+                    |mut sink| (0..10_000).for_each(|i| sink.put(i)),
+                    0u64,
+                    |_, i| {
+                        if i == 3 {
+                            panic!("fold")
+                        }
+                    },
+                    |sum| sum,
+                )
+            });
+            let message = folded
+                .expect_err("a panic in fold")
+                .downcast::<&str>()
+                .unwrap();
+            assert_eq!(*message, "fold", "at {threads} threads");
         }
     }
 

@@ -80,7 +80,10 @@ pub struct EnsSystem {
     rents: RentSchedule,
     premium_enabled: bool,
     commitments: HashMap<Hash32, Timestamp>,
+    /// Emitted events not yet taken by [`EnsSystem::take_events`].
     events: Vec<EnsEvent>,
+    /// Events emitted so far, taken or not: the next one's id.
+    next_event_id: u64,
     controller_address: Address,
 }
 
@@ -102,6 +105,7 @@ impl EnsSystem {
             premium_enabled: true,
             commitments: HashMap::new(),
             events: Vec::new(),
+            next_event_id: 0,
             controller_address: Address::derive(b"contract/ens-controller"),
         }
     }
@@ -181,9 +185,19 @@ impl EnsSystem {
         self.resolver.addr(name.namehash())
     }
 
-    /// All events emitted so far, in chain order.
+    /// The event log in chain order: every event emitted since the log
+    /// was last taken, so all of them if it never was.
     pub fn events(&self) -> &[EnsEvent] {
         &self.events
+    }
+
+    /// Moves the event log out of the deployment, in chain order, for an
+    /// indexer that folds it while the chain keeps growing. Ids keep
+    /// counting, so every later event carries the id a deployment whose
+    /// log was never taken gives it.
+    pub fn take_events(&mut self) -> Vec<EnsEvent> {
+        let next = Vec::with_capacity(self.events.len());
+        std::mem::replace(&mut self.events, next)
     }
 
     /// Number of distinct label hashes ever registered.
@@ -593,12 +607,13 @@ impl EnsSystem {
 
     fn emit(&mut self, chain: &Chain, tx: Option<TxHash>, kind: EnsEventKind) {
         self.events.push(EnsEvent {
-            id: self.events.len() as u64,
+            id: self.next_event_id,
             block: chain.block_number(),
             timestamp: chain.now(),
             tx,
             kind,
         });
+        self.next_event_id += 1;
     }
 }
 
@@ -1065,5 +1080,44 @@ mod tests {
         .unwrap();
         let ids: Vec<u64> = ens.events().iter().map(|e| e.id).collect();
         assert_eq!(ids, (0..ids.len() as u64).collect::<Vec<_>>());
+    }
+
+    /// The event log of a replay that takes it every `take_every` events
+    /// (never if `None`), stitched back together.
+    fn replay_taking(take_every: Option<usize>) -> Vec<EnsEvent> {
+        let (mut ens, mut chain, alice) = setup();
+        let gold = label("gold");
+        commit_and_register(
+            &mut ens,
+            &mut chain,
+            &gold,
+            alice,
+            1,
+            Duration::from_years(1),
+            PRICE,
+            Some(alice),
+        )
+        .unwrap();
+        let mut log = Vec::new();
+        for i in 1..=12 {
+            ens.renew(&mut chain, &gold, alice, Duration::from_years(1), PRICE)
+                .unwrap();
+            if take_every.is_some_and(|k| i % k == 0) {
+                log.extend(ens.take_events());
+            }
+        }
+        log.extend(ens.take_events());
+        assert!(ens.events().is_empty());
+        log
+    }
+
+    #[test]
+    fn taking_the_log_mid_replay_keeps_every_event_id() {
+        let whole = replay_taking(None);
+        let ids: Vec<u64> = whole.iter().map(|e| e.id).collect();
+        assert_eq!(ids, (0..14).collect::<Vec<_>>());
+        for k in [1, 5, 12] {
+            assert_eq!(replay_taking(Some(k)), whole, "taken every {k}");
+        }
     }
 }

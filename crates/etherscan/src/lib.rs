@@ -141,22 +141,60 @@ pub struct Etherscan {
     labels: Arc<LabelService>,
 }
 
-impl Etherscan {
-    /// Indexes the full transaction log of a chain.
-    pub fn index(chain: &Chain, labels: LabelService) -> Etherscan {
-        let transactions = chain.transactions().to_vec();
-        let mut by_address: HashMap<Address, Vec<usize>> = HashMap::new();
-        for (i, tx) in transactions.iter().enumerate() {
-            by_address.entry(tx.from).or_default().push(i);
+/// The explorer's index as the chain grows: it owns every transaction
+/// appended so far, in chain order, and each address's positions in that
+/// log. [`EtherscanIndexer::finish`] attaches the label directory and
+/// yields the queryable [`Etherscan`].
+#[derive(Debug, Default)]
+pub struct EtherscanIndexer {
+    transactions: Vec<Transaction>,
+    by_address: HashMap<Address, Vec<usize>>,
+}
+
+impl EtherscanIndexer {
+    /// An empty index.
+    pub fn new() -> EtherscanIndexer {
+        EtherscanIndexer::default()
+    }
+
+    /// Appends the next transactions of the chain, in chain order, moving
+    /// them into the index: each is listed under its sender and, once more
+    /// if it differs, its receiver.
+    pub fn append(&mut self, block: Vec<Transaction>) {
+        let first = self.transactions.len();
+        for (i, tx) in (first..).zip(&block) {
+            self.by_address.entry(tx.from).or_default().push(i);
             if tx.to != tx.from {
-                by_address.entry(tx.to).or_default().push(i);
+                self.by_address.entry(tx.to).or_default().push(i);
             }
         }
+        // A first block, such as the whole log `Etherscan::index` appends,
+        // is kept as it is rather than copied.
+        if first == 0 {
+            self.transactions = block;
+        } else {
+            self.transactions.extend(block);
+        }
+    }
+
+    /// The queryable explorer over everything appended, with `labels`.
+    pub fn finish(self, labels: LabelService) -> Etherscan {
         Etherscan {
-            transactions,
-            by_address,
+            transactions: self.transactions,
+            by_address: self.by_address,
             labels: Arc::new(labels),
         }
+    }
+}
+
+impl Etherscan {
+    /// Indexes a copy of the full transaction log of a chain: one
+    /// [`EtherscanIndexer::append`] of the whole log, then
+    /// [`EtherscanIndexer::finish`].
+    pub fn index(chain: &Chain, labels: LabelService) -> Etherscan {
+        let mut indexer = EtherscanIndexer::new();
+        indexer.append(chain.transactions().to_vec());
+        indexer.finish(labels)
     }
 
     /// The label directory.
@@ -298,6 +336,26 @@ mod tests {
         // Chain order is preserved.
         for w in txs.windows(2) {
             assert!(w[0].block <= w[1].block);
+        }
+    }
+
+    #[test]
+    fn appending_the_log_in_blocks_indexes_it_like_the_whole_log() {
+        let mut chain = chain_with_traffic();
+        let whole = Etherscan::index(&chain, LabelService::new());
+        let mut indexer = EtherscanIndexer::new();
+        let log = chain.take_transactions();
+        for block in log.chunks(4) {
+            indexer.append(block.to_vec());
+        }
+        let blocks = indexer.finish(LabelService::new());
+        assert_eq!(blocks.total_transactions(), whole.total_transactions());
+        for who in ["a", "b", "c"] {
+            assert_eq!(
+                blocks.txlist(addr(who), 1, 100),
+                whole.txlist(addr(who), 1, 100),
+                "{who}"
+            );
         }
     }
 

@@ -218,6 +218,25 @@ impl Metrics {
         }
     }
 
+    /// Records one call of the span `name`, nested under the open spans
+    /// like [`Metrics::span`], that took `wall`: for work done in pieces
+    /// between other work, timed piece by piece and recorded once.
+    pub fn record_span(&self, name: &str, wall: Duration) {
+        if let Some(live) = &self.inner {
+            let path = {
+                let stack = live.stack.lock().expect("span stack poisoned");
+                let mut parts: Vec<&str> = stack.iter().map(String::as_str).collect();
+                parts.push(name);
+                parts.join("/")
+            };
+            self.with_inner(|i| {
+                let s = i.spans.entry(path).or_default();
+                s.calls += 1;
+                s.wall += wall;
+            });
+        }
+    }
+
     /// A point-in-time copy of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.with_inner(|i| MetricsSnapshot {
@@ -624,6 +643,29 @@ mod tests {
         // Wall section carries the same paths.
         let wall_paths: Vec<&str> = snap.wall_ms.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(wall_paths, ["study", "study/losses"]);
+    }
+
+    #[test]
+    fn a_recorded_span_nests_and_counts_like_an_opened_one() {
+        let opened = Metrics::new();
+        {
+            let _outer = opened.span("sources");
+            drop(opened.span("subgraph"));
+        }
+        let recorded = Metrics::new();
+        {
+            let _outer = recorded.span("sources");
+            recorded.record_span("subgraph", Duration::from_millis(5));
+        }
+        let snap = recorded.snapshot();
+        assert_eq!(
+            snap.deterministic_json(),
+            opened.snapshot().deterministic_json()
+        );
+        let wall: BTreeMap<&str, f64> =
+            snap.wall_ms.iter().map(|(p, w)| (p.as_str(), *w)).collect();
+        assert_eq!(wall["sources/subgraph"], 5.0);
+        Metrics::disabled().record_span("x", Duration::from_millis(1));
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl SubgraphConfig {
 }
 
 /// Internal mutable index used while folding the event stream.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct IndexState {
     pub domains: HashMap<LabelHash, DomainRecord>,
     /// namehash → label hash, learned from events that carry labels.

@@ -19,7 +19,6 @@ pub mod query;
 
 use ens_registry::EnsEvent;
 use ens_types::{EnsName, LabelHash};
-use indexer::IndexState;
 pub use indexer::SubgraphConfig;
 pub use model::{
     AddrEntry, DomainRecord, RegistrationEntry, RenewalEntry, SubdomainEntry, SubgraphStats,
@@ -33,14 +32,14 @@ use std::sync::Arc;
 use ens_types::{Address, PageError, PagedBatch, PagedSource, Timestamp};
 
 /// A continuously syncing indexer, like the real subgraph node: feed it
-/// event batches as the chain grows, snapshot a queryable [`Subgraph`]
-/// whenever a crawler wants to page through it.
+/// event batches as the chain grows, then finish it into the queryable
+/// [`Subgraph`] a crawler pages through.
 ///
 /// ```
 /// use ens_subgraph::{SubgraphConfig, SubgraphIndexer};
 /// let mut indexer = SubgraphIndexer::new();
 /// indexer.sync(&[]); // nothing yet
-/// let endpoint = indexer.snapshot(SubgraphConfig::lossless());
+/// let endpoint = indexer.finish(SubgraphConfig::lossless());
 /// assert_eq!(endpoint.stats().domains, 0);
 /// ```
 #[derive(Default)]
@@ -77,9 +76,9 @@ impl SubgraphIndexer {
         self.cursor
     }
 
-    /// Materializes a queryable endpoint from the current state.
-    pub fn snapshot(&self, config: SubgraphConfig) -> Subgraph {
-        Subgraph::from_state(self.state.clone(), config)
+    /// Materializes the queryable endpoint once the last batch is in.
+    pub fn finish(self, config: SubgraphConfig) -> Subgraph {
+        Subgraph::from_state(self.state, config)
     }
 }
 
@@ -97,17 +96,16 @@ pub struct Subgraph {
 }
 
 impl Subgraph {
-    /// Indexes a full event log.
+    /// Indexes a full event log: one [`SubgraphIndexer::sync`] of the
+    /// whole log, then [`SubgraphIndexer::finish`].
     pub fn index(events: &[EnsEvent], config: SubgraphConfig) -> Subgraph {
-        let mut state = IndexState::default();
-        for event in events {
-            state.apply(event);
-        }
-        Subgraph::from_state(state, config)
+        let mut indexer = SubgraphIndexer::new();
+        indexer.sync(events);
+        indexer.finish(config)
     }
 
     /// Materializes the endpoint view from folded indexer state.
-    fn from_state(state: IndexState, config: SubgraphConfig) -> Subgraph {
+    fn from_state(state: indexer::IndexState, config: SubgraphConfig) -> Subgraph {
         let mut unrecoverable = 0usize;
         let mut ordered: Vec<DomainRecord> = state
             .domains
@@ -124,7 +122,9 @@ impl Subgraph {
                 record
             })
             .collect();
-        ordered.sort_by_key(|r| r.label_hash);
+        // Label hashes are the map's keys, so no two are equal and the
+        // unstable sort gives the one order.
+        ordered.sort_unstable_by_key(|r| r.label_hash);
 
         let stats = SubgraphStats {
             domains: ordered.len(),
@@ -475,7 +475,7 @@ mod tests {
         indexer.sync(&events[2 * n / 3..]);
         assert_eq!(indexer.events_indexed(), n as u64);
 
-        let incremental = indexer.snapshot(SubgraphConfig::lossless());
+        let incremental = indexer.finish(SubgraphConfig::lossless());
         let one_shot = Subgraph::index(events, SubgraphConfig::lossless());
         assert_eq!(incremental.stats(), one_shot.stats());
         let a: Vec<_> = incremental.iter().map(|d| d.label_hash).collect();

@@ -9,14 +9,19 @@
 //! Every payment is priced at its day's close, read from one
 //! [`PriceTable`] built over the plan's time span before the replay: one
 //! oracle evaluation per day instead of one per event.
+//!
+//! A caller that indexes the logs as they grow hands [`execute`] a
+//! consumer: after each block of [`HANDOVER_EVENTS`] plan events, the
+//! transactions and ENS events the block appended are moved out of the
+//! ledger and the deployment into one [`Logs`] and handed to it.
 
-use ens_registry::{usd_to_wei, EnsSystem};
+use ens_registry::{usd_to_wei, EnsEvent, EnsSystem};
 use ens_types::{Address, Duration, Label, UsdCents, Wei};
 
 use etherscan_sim::LabelService;
 use opensea_sim::OpenSea;
 use price_oracle::{PriceOracle, PriceTable};
-use sim_chain::{Chain, TxKind};
+use sim_chain::{Chain, Transaction, TxKind};
 
 use crate::config::WorldConfig;
 use crate::plan::{NameTruth, Plan, PlannedAction, PlannedEvent};
@@ -58,15 +63,44 @@ pub struct Executed {
     pub oracle: PriceOracle,
 }
 
+/// Plan events replayed between two hand-overs of the logs. At 60 K
+/// names (220 K plan events, 191 K transactions, 216 K ENS events) that
+/// is 54 hand-overs of ~3.6 K transactions and ~4.0 K events, ~1.2 MB
+/// each. On 2 cores, blocks of 1 K to 8 K events timed within the host's
+/// noise of each other and 16 K slower.
+pub const HANDOVER_EVENTS: usize = 4_096;
+
+/// What one stretch of the replay appended to the chain's logs, moved out
+/// of the ledger and the ENS deployment: the next transactions in
+/// confirmation order and the next ENS events in chain order. Nonces and
+/// event ids keep counting across hand-overs, so the logs handed over,
+/// concatenated, are the logs of a replay that kept them.
+#[derive(Debug, Default)]
+pub struct Logs {
+    /// The transactions confirmed since the previous hand-over.
+    pub transactions: Vec<Transaction>,
+    /// The ENS events emitted since the previous hand-over.
+    pub events: Vec<EnsEvent>,
+}
+
 /// Executes a plan, consuming it: the event vector — the bulk of a
 /// paper-scale plan's memory (~10M planned events at 3.1M names) — is
 /// freed the moment the replay loop finishes, so the caller builds the
 /// measurement views (subgraph, explorer, dataset) without the whole plan
 /// still resident. Returns the executed substrates together with the
 /// plan's ground truth.
+///
+/// With `hand_over`, after each block of [`HANDOVER_EVENTS`] plan events
+/// (the last block may be shorter) the replay moves what it appended to
+/// both logs into one [`Logs`] and passes it on, so the returned ledger
+/// and deployment hold no logs. Without it they keep the full logs. The
+/// consumer is dropped right after the last hand-over, before the plan's
+/// events are freed, so one that feeds a queue closes it as early as it
+/// can.
 pub fn execute(
     cfg: &WorldConfig,
     plan: Plan,
+    mut hand_over: Option<Box<dyn FnMut(Logs) + '_>>,
 ) -> Result<(Executed, Vec<NameTruth>), Box<ExecError>> {
     let Plan {
         events,
@@ -106,15 +140,24 @@ pub fn execute(
         opensea: &mut opensea,
         prices: &prices,
     };
-    for (index, event) in events.iter().enumerate() {
-        exec.apply(event).map_err(|message| {
-            Box::new(ExecError {
-                index,
-                event: event.clone(),
-                message,
-            })
-        })?;
+    for (block, chunk) in events.chunks(HANDOVER_EVENTS).enumerate() {
+        for (offset, event) in chunk.iter().enumerate() {
+            exec.apply(event).map_err(|message| {
+                Box::new(ExecError {
+                    index: block * HANDOVER_EVENTS + offset,
+                    event: event.clone(),
+                    message,
+                })
+            })?;
+        }
+        if let Some(hand_over) = hand_over.as_mut() {
+            hand_over(Logs {
+                transactions: exec.chain.take_transactions(),
+                events: exec.ens.take_events(),
+            });
+        }
     }
+    drop(hand_over);
     drop(events);
 
     Ok((
@@ -385,7 +428,7 @@ mod tests {
                 },
             ),
         ]);
-        let (executed, _) = execute(&cfg(), plan).expect("consistent plan executes");
+        let (executed, _) = execute(&cfg(), plan, None).expect("consistent plan executes");
         let name = ens_types::EnsName::from_label(label);
         assert_eq!(executed.ens.resolve(&name), Some(owner));
         assert_eq!(executed.ens.primary_name(owner), Some(&name));
@@ -399,6 +442,34 @@ mod tests {
         assert!(executed.chain.balance(owner) > Wei::ZERO);
         // Custodial pools got labelled.
         assert!(executed.labels.is_custodial(Address::derive(b"exchange-0")));
+    }
+
+    #[test]
+    fn handed_over_logs_concatenate_to_the_kept_logs() {
+        let config = WorldConfig::small().with_names(2_000).with_seed(3);
+        let plan = crate::plan::build_plan(&config);
+        assert!(plan.events.len() > HANDOVER_EVENTS, "at least two blocks");
+        let (kept, _) = execute(&config, plan.clone(), None).expect("plan executes");
+        let (mut all, mut hand_overs) = (Logs::default(), 0);
+        let (streamed, _) = execute(
+            &config,
+            plan,
+            Some(Box::new(|logs: Logs| {
+                hand_overs += 1;
+                all.transactions.extend(logs.transactions);
+                all.events.extend(logs.events);
+            })),
+        )
+        .expect("plan executes");
+        assert!(hand_overs >= 2);
+        assert_eq!(all.transactions, kept.chain.transactions());
+        assert_eq!(all.events, kept.ens.events());
+        assert!(streamed.chain.transactions().is_empty());
+        assert!(streamed.ens.events().is_empty());
+        assert_eq!(
+            streamed.chain.transaction_count(),
+            kept.chain.transaction_count()
+        );
     }
 
     #[test]
@@ -416,7 +487,7 @@ mod tests {
                 years: 1,
             },
         )]);
-        let Err(err) = execute(&cfg(), plan) else {
+        let Err(err) = execute(&cfg(), plan, None) else {
             panic!("inconsistent plan must fail");
         };
         assert_eq!(err.index, 0);
@@ -451,7 +522,7 @@ mod tests {
         // advance_to is only called for future times, so an out-of-order
         // event silently executes at the later clock -- verify it does NOT
         // error but also does not rewind time.
-        let (executed, _) = execute(&cfg(), plan).expect("executes at the current clock");
+        let (executed, _) = execute(&cfg(), plan, None).expect("executes at the current clock");
         let times: Vec<_> = executed
             .chain
             .transactions()

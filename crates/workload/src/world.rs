@@ -58,7 +58,7 @@ impl World {
     /// the event stream.
     pub fn from_plan(config: WorldConfig, plan: Plan) -> World {
         let (executed, truth) =
-            execute(&config, plan).unwrap_or_else(|e| panic!("execution failed: {e}"));
+            execute(&config, plan, None).unwrap_or_else(|e| panic!("execution failed: {e}"));
         World {
             config,
             executed,

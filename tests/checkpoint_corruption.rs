@@ -20,6 +20,7 @@ use ens_dropcatch_suite::types::{FaultKind, KillSwitch, Timestamp};
 use ens_dropcatch_suite::workload::WorldConfig;
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Section ids of the checkpoint schema: the header, then the subgraph,
@@ -57,10 +58,32 @@ fn populated_checkpoint() -> CrawlCheckpoint {
     ckpt
 }
 
-fn temp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ens-ckpt-corrupt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(format!("{tag}.ckpt"))
+/// A directory of one test's own, removed with every file in it (a
+/// checkpoint's whole segment chain) when dropped, even by a failing test.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ens-ckpt-corrupt-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        TempDir(dir)
+    }
+
+    /// The path of checkpoint `tag` in this directory.
+    fn path(&self, tag: &str) -> PathBuf {
+        self.0.join(format!("{tag}.ckpt"))
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 #[test]
@@ -137,7 +160,8 @@ fn flipped_payload_bytes_fail_the_section_checksum() {
             section: 99
         }))
     ));
-    let path = temp_path("unread-section");
+    let dir = TempDir::new();
+    let path = dir.path("unread-section");
     std::fs::write(&path, &dam).unwrap();
     assert!(matches!(
         load_for_resume(&path, 0xDEAD_BEEF),
@@ -211,7 +235,8 @@ fn wrong_magic_and_unsupported_version_are_distinct_errors() {
         CrawlCheckpoint::from_bytes(&old),
         Err(StorageError::Columnar(ColumnarError::UnsupportedVersion(1)))
     ));
-    let path = temp_path("schema-1");
+    let dir = TempDir::new();
+    let path = dir.path("schema-1");
     std::fs::write(&path, &old).unwrap();
     assert!(matches!(
         load_for_resume(&path, 0xDEAD_BEEF),
@@ -243,7 +268,8 @@ fn collect_over_a_schema_1_chain_falls_back_to_a_clean_crawl() {
         .unwrap();
 
     // A killed run leaves a chain; rewrite its first segment as schema 1.
-    let path = temp_path("schema-1-chain");
+    let dir = TempDir::new();
+    let path = dir.path("schema-1-chain");
     let spec = CheckpointSpec::new(&path).every(4);
     match sources.collect(&Metrics::disabled(), Some(&spec), Some(KillSwitch::new(40))) {
         Err(CollectError::Crawl(e)) if matches!(e.kind, FaultKind::Killed { .. }) => {}
@@ -279,7 +305,8 @@ fn a_dataset_file_is_not_mistaken_for_a_checkpoint() {
     )
     .expect("clean endpoints cannot fail")
     .0;
-    let path = temp_path("dataset-not-checkpoint");
+    let dir = TempDir::new();
+    let path = dir.path("dataset-not-checkpoint");
     ds.save(&path, Format::Columnar, &Metrics::disabled())
         .expect("dataset saves");
     let bytes = std::fs::read(&path).unwrap();
@@ -302,7 +329,8 @@ fn a_dataset_file_is_not_mistaken_for_a_checkpoint() {
 #[test]
 fn round_trip_survives_and_fingerprint_gates_the_splice() {
     let ckpt = populated_checkpoint();
-    let path = temp_path("roundtrip");
+    let dir = TempDir::new();
+    let path = dir.path("roundtrip");
     std::fs::write(&path, ckpt.to_bytes().expect("serializes")).unwrap();
     match load_for_resume(&path, 0xDEAD_BEEF) {
         CheckpointLoad::Resumed(back) => {

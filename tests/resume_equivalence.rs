@@ -8,6 +8,7 @@
 //! mis-splice).
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ens_dropcatch_suite::analysis::{
     remove_chain, CheckpointSpec, CollectError, CrawlConfig, Dataset, FailurePolicy, Metrics,
@@ -33,10 +34,32 @@ fn config(profile: Option<FaultProfile>, threads: usize) -> CrawlConfig {
     }
 }
 
-fn temp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ens-resume-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(format!("{tag}.ckpt"))
+/// A directory of one test's own, removed with every file in it (a
+/// checkpoint's whole segment chain) when dropped, even by a failing test.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ens-resume-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        TempDir(dir)
+    }
+
+    /// The path of checkpoint `tag` in this directory.
+    fn path(&self, tag: &str) -> PathBuf {
+        self.0.join(format!("{tag}.ckpt"))
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 /// Uninterrupted baseline (no checkpointing at all) for a profile.
@@ -112,7 +135,8 @@ fn resume_is_byte_identical_for_every_named_profile_and_kill_point() {
         // workload), and the page before the finish line.
         let kill_points = [1, total_pages / 2, total_pages - 1];
         for (ki, &kill_at) in kill_points.iter().enumerate() {
-            let path = temp_path(&format!("matrix-{name}-{kill_at}"));
+            let dir = TempDir::new();
+            let path = dir.path(&format!("matrix-{name}-{kill_at}"));
             let spec = CheckpointSpec::new(&path).every(4);
             // The kill switch is exact at one thread but can over-serve a
             // few pages under concurrency — harmless mid-crawl, but a
@@ -171,7 +195,8 @@ fn checkpointed_run_without_a_kill_matches_plain_collection() {
     let profile = Some(FaultProfile::named("mixed", 4242).unwrap());
     let (expected, _) = baseline(&world, profile.clone());
     for threads in [1, 8] {
-        let path = temp_path(&format!("nokill-{threads}"));
+        let dir = TempDir::new();
+        let path = dir.path(&format!("nokill-{threads}"));
         let spec = CheckpointSpec::new(&path).every(4);
         let metrics = Metrics::new();
         let got = attempt(&world, profile.clone(), threads, &spec, None, &metrics)
@@ -187,7 +212,8 @@ fn a_killed_run_reports_every_segment_it_wrote() {
     let world = world();
     let profile = Some(FaultProfile::named("mixed", 4242).unwrap());
     let (_, total_pages) = baseline(&world, profile.clone());
-    let path = temp_path("killed-writes");
+    let dir = TempDir::new();
+    let path = dir.path("killed-writes");
     let spec = CheckpointSpec::new(&path).every(4);
     let metrics = Metrics::new();
     let kill_at = total_pages / 2;
@@ -218,7 +244,8 @@ fn a_torn_staging_file_from_a_mid_write_crash_is_ignored() {
     let world = world();
     let profile = Some(FaultProfile::named("flaky", 4242).unwrap());
     let (expected, total_pages) = baseline(&world, profile.clone());
-    let path = temp_path("torn-staging");
+    let dir = TempDir::new();
+    let path = dir.path("torn-staging");
     let spec = CheckpointSpec::new(&path).every(2);
     expect_killed(
         attempt(
@@ -247,7 +274,8 @@ fn a_corrupt_checkpoint_falls_back_to_a_clean_full_crawl() {
     let world = world();
     let profile = Some(FaultProfile::named("holes", 4242).unwrap());
     let (expected, total_pages) = baseline(&world, profile.clone());
-    let path = temp_path("corrupt");
+    let dir = TempDir::new();
+    let path = dir.path("corrupt");
     let spec = CheckpointSpec::new(&path).every(2);
     expect_killed(
         attempt(
@@ -278,7 +306,8 @@ fn a_stale_checkpoint_from_a_different_config_is_discarded() {
     let world = world();
     let profile = Some(FaultProfile::named("flaky", 4242).unwrap());
     let (_, total_pages) = baseline(&world, profile.clone());
-    let path = temp_path("stale");
+    let dir = TempDir::new();
+    let path = dir.path("stale");
     let spec = CheckpointSpec::new(&path).every(2);
     expect_killed(
         attempt(
@@ -310,7 +339,8 @@ fn a_chain_of_crashes_still_converges_to_the_uninterrupted_bytes() {
     let world = world();
     let profile = Some(FaultProfile::named("mixed", 4242).unwrap());
     let (expected, total_pages) = baseline(&world, profile.clone());
-    let path = temp_path("chain");
+    let dir = TempDir::new();
+    let path = dir.path("chain");
     // Aggressive cadence so every crash preserves nearly all progress.
     let spec = CheckpointSpec::new(&path).every(1);
     let budget = (total_pages / 4).max(2);
